@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import hashlib
+import inspect
 import json
 import math
 import os
@@ -54,22 +55,22 @@ def _digest(obj) -> str:
     return "sha256:" + hashlib.sha256(blob).hexdigest()
 
 
-def _family_code(spec: str) -> Code:
+def _family(spec: str, cc, cr):
+    """Parse `cc:<m>` or `cr:<k>` and build it with `cc` or `cr`."""
     kind, _, num = spec.partition(":")
+    build = {"cc": cc, "cr": cr}.get(kind)
+    if build is None:
+        raise CodeParseError(f"unknown family {kind!r}; expected cc:<m> or cr:<k>")
     try:
         value = int(num)
     except ValueError:
         raise CodeParseError(f"bad family {spec!r}; expected cc:<m> or cr:<k>") from None
-    if kind == "cc":
-        return cc_family(value)
-    if kind == "cr":
-        return cr_family(value)
-    raise CodeParseError(f"unknown family {kind!r}; expected cc:<m> or cr:<k>")
+    return build(value)
 
 
 def _resolve_code(args) -> Code:
     if getattr(args, "family", None):
-        return _family_code(args.family)
+        return _family(args.family, cc_family, cr_family)
     if getattr(args, "code", None) is None:
         raise CodeParseError("no input code: pass a code argument or --family")
     return parse_code(args.code)
@@ -212,17 +213,7 @@ def _cmd_map(args):
 
 def _cmd_realize(args):
     if args.family:
-        kind, _, num = args.family.partition(":")
-        try:
-            value = int(num)
-        except ValueError:
-            raise CodeParseError(f"bad family {args.family!r}") from None
-        if kind == "cc":
-            cover = cc_m_intervals(value)
-        elif kind == "cr":
-            cover = cr_k_polygon(value)
-        else:
-            raise CodeParseError(f"unknown family {kind!r}; expected cc:<m> or cr:<k>")
+        cover = _family(args.family, cc_m_intervals, cr_k_polygon)
     elif args.cover:
         try:
             cover = cover_from_json_obj(json.loads(args.cover))
@@ -254,33 +245,45 @@ def _cmd_realize(args):
     return _digest(outputs["cover"]), outputs, checks, lines
 
 
-def _verify_kwargs(args) -> dict:
-    suite = args.suite
-    seed = args.seed if args.seed is not None else DEFAULT_SEED
-    if suite in ("parity", "union-closure"):
-        n = args.n or 3
-        exhaustive = args.exhaustive or (args.sample is None and n <= 4)
-        return {"n": n, "exhaustive": exhaustive, "sample": args.sample,
-                "seed": seed, "jobs": args.jobs}
-    if suite in ("preserve-connected", "preserve-complete"):
-        return {"trials": args.trials or 250, "seed": seed, "max_n": args.n or 6}
-    if suite == "complete-iso":
-        return {"max_n": args.n or 5}
-    if suite == "cf-theorems":
-        return {"trials": args.trials or 200, "seed": seed, "max_n": args.n or 6}
-    if suite == "grg-families":
-        top = args.max or 10
-        return {"max_m": top, "max_k": top}
-    return {"max_family": args.max or 12, "random_covers": args.trials or 100,
-            "seed": seed}
+# verify flag -> the suite parameters it sets, wherever the suite takes them.
+_VERIFY_FLAGS = {
+    "n": ("n", "max_n"),
+    "trials": ("trials", "random_covers"),
+    "max": ("max_m", "max_k", "max_family"),
+    "seed": ("seed",),
+    "sample": ("sample",),
+    "exhaustive": ("exhaustive",),
+    "jobs": ("jobs",),
+}
 
 
 def _cmd_verify(args):
-    if args.suite not in SUITES:
+    suite = SUITES.get(args.suite)
+    if suite is None:
         raise CodeParseError(f"unknown suite {args.suite!r}; choose from "
                              + ", ".join(sorted(SUITES)))
-    kwargs = _verify_kwargs(args)
-    result = SUITES[args.suite](**kwargs)
+    takes = inspect.signature(suite).parameters
+    kwargs, given = {}, []
+    env_jobs = os.environ.get("NEUROCODE_JOBS")
+    if args.jobs is None and env_jobs and "jobs" in takes:
+        try:
+            kwargs["jobs"] = int(env_jobs)
+        except ValueError:
+            raise CodeParseError(f"NEUROCODE_JOBS must be an integer, got {env_jobs!r}") from None
+        given.append(f"NEUROCODE_JOBS={env_jobs}")
+    for flag, params in _VERIFY_FLAGS.items():
+        value = getattr(args, flag)
+        if value is None or value is False:
+            continue
+        targets = [p for p in params if p in takes]
+        if not targets:
+            raise CodeParseError(f"--{flag} does not apply to suite {args.suite!r}")
+        kwargs.update(dict.fromkeys(targets, value))
+        given.append(f"--{flag}" if value is True else f"--{flag} {value}")
+    try:
+        result = suite(**kwargs)
+    except ValueError as exc:
+        raise CodeParseError(f"{exc} (from {', '.join(given)})" if given else str(exc)) from None
     outputs = {"suite": result.suite, "params": result.params}
     checks = [_check(c.name, c.passed, c.detail, c.counterexample)
               for c in result.checks]
@@ -289,13 +292,11 @@ def _cmd_verify(args):
         lines.append(f"  [{'PASS' if c.passed else 'FAIL'}] {c.name}: {c.detail}")
         if c.counterexample is not None:
             lines.append(f"    counterexample: {json.dumps(c.counterexample, sort_keys=True)}")
-    digest_src = {"suite": args.suite,
-                  **{k: v for k, v in kwargs.items() if k != "jobs"}}
-    return _digest(digest_src), outputs, checks, lines
+    return _digest({"suite": args.suite, **result.params}), outputs, checks, lines
 
 
 def _cmd_family(args):
-    code = _family_code(args.family)
+    code = _family(args.family, cc_family, cr_family)
     outputs = {"code": code.to_json_obj()}
     return _digest(outputs["code"]), outputs, [], [code.to_text()]
 
@@ -373,10 +374,6 @@ def main(argv: list[str] | None = None) -> int:
     except SystemExit as exc:
         code = exc.code
         return code if isinstance(code, int) else 2
-    if getattr(args, "subcommand", None) == "verify":
-        if args.jobs is None:
-            env = os.environ.get("NEUROCODE_JOBS")
-            args.jobs = int(env) if env and env.isdigit() else 1
     try:
         digest, outputs, checks, lines = args.handler(args)
     except (CodeParseError, ValueError) as exc:

@@ -2,10 +2,9 @@
 
 A pseudo-monomial is a product of plain variables and complemented
 variables over disjoint index sets, held as a pair of masks. The canonical
-form of a code's neural ideal is computed three ways: an incremental
-product-of-point-ideals fold (the production path), the same fold without
-intermediate pruning (the literal textbook pipeline), and a full 3^n
-vanishing sweep (the definition-based oracle).
+form of a code's neural ideal has one production path, an incremental
+product-of-point-ideals fold, and one independent check, a full 3^n
+vanishing sweep (the definition-based oracle) that shares no code with it.
 """
 
 from __future__ import annotations
@@ -199,7 +198,15 @@ def _point_ideal_gens(word_mask: int, n: int) -> list[tuple[int, int]]:
     return gens
 
 
-def _fold_products(code: Code, prune: bool) -> list[tuple[int, int]]:
+def canonical_form(code: Code) -> CanonicalForm:
+    """Canonical form of the neural ideal, by incremental ideal products.
+
+    Folds the codewords one at a time: the running set is multiplied by the
+    point-ideal generators of the next codeword, zero products are dropped,
+    and divisibility-redundant products are pruned after every fold. The
+    pruning is lossless for the final minimal set because every multiple it
+    removes stays a multiple under further products.
+    """
     masks = code.masks
     n = code.n
     current = _point_ideal_gens(masks[0], n)
@@ -212,29 +219,8 @@ def _fold_products(code: Code, prune: bool) -> list[tuple[int, int]]:
                 minus = m1 | m2
                 if not plus & minus:
                     products.add((plus, minus))
-        current = _minimal_pairs(products) if prune else list(products)
-    return _minimal_pairs(current)
-
-
-def canonical_form(code: Code) -> CanonicalForm:
-    """Canonical form of the neural ideal, by incremental ideal products.
-
-    Folds the codewords one at a time: the running set is multiplied by the
-    point-ideal generators of the next codeword, zero products are dropped,
-    and divisibility-redundant products are pruned after every fold. The
-    pruning is lossless for the final minimal set because every multiple it
-    removes stays a multiple under further products.
-    """
-    pairs = _fold_products(code, prune=True)
-    return CanonicalForm(code.n, frozenset(PseudoMonomial(code.n, p, m) for p, m in pairs))
-
-
-def canonical_form_naive(code: Code) -> CanonicalForm:
-    """The literal four-step pipeline: all nonzero products, pruned once at
-    the end. Exponentially wasteful; retained as a second oracle at small
-    sizes."""
-    pairs = _fold_products(code, prune=False)
-    return CanonicalForm(code.n, frozenset(PseudoMonomial(code.n, p, m) for p, m in pairs))
+        current = _minimal_pairs(products)
+    return CanonicalForm(n, frozenset(PseudoMonomial(n, p, m) for p, m in current))
 
 
 def canonical_form_oracle(code: Code) -> CanonicalForm:

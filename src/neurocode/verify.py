@@ -41,6 +41,15 @@ from fractions import Fraction
 
 DEFAULT_SEED = 1729
 EXHAUSTIVE_MAX_NEURONS = 4
+# A sampled sweep draws indices below 2^(2^n) and decodes each over 2^n words.
+SAMPLED_MAX_NEURONS = 8
+
+
+def _at_least(low: int, **values) -> None:
+    """Reject the first given parameter below `low`, naming it."""
+    for name, value in values.items():
+        if value is not None and value < low:
+            raise ValueError(f"{name} must be at least {low}, got {value}")
 
 
 @dataclass
@@ -111,26 +120,20 @@ def _union_closure_violation(code: Code) -> bool:
     return not (is_connected(g) and diameter(g) <= 2)
 
 
-_SWEEP_PREDICATES = {
-    "parity": _parity_violation,
-    "union-closure": _union_closure_violation,
-}
-
-
-def _sweep_chunk(args: tuple[str, int, int, int]) -> list[int]:
-    suite, n, lo, hi = args
-    violation = _SWEEP_PREDICATES[suite]
+def _sweep_chunk(args: tuple) -> list[int]:
+    violation, n, lo, hi = args
     return [idx for idx in range(lo, hi) if violation(_code_from_index(n, idx))]
 
 
-def _run_sweep(suite: str, n: int, exhaustive: bool, sample: int | None,
+def _run_sweep(violation, n: int, exhaustive: bool, sample: int | None,
                seed: int, jobs: int) -> tuple[int, list[int]]:
     """Run an all-codes sweep; returns (scanned, violating code indices)."""
+    cap = EXHAUSTIVE_MAX_NEURONS if exhaustive else SAMPLED_MAX_NEURONS
+    if n > cap:
+        kind = "exhaustive" if exhaustive else "sampled"
+        raise ValueError(f"{kind} sweeps are capped at n={cap}, got n={n}")
     total = 1 << (1 << n)
     if exhaustive:
-        if n > EXHAUSTIVE_MAX_NEURONS:
-            raise ValueError(f"exhaustive sweeps are capped at n={EXHAUSTIVE_MAX_NEURONS}; "
-                             f"use sampling for n={n}")
         indices = range(1, total)
     else:
         count = sample if sample is not None else 10000
@@ -138,44 +141,47 @@ def _run_sweep(suite: str, n: int, exhaustive: bool, sample: int | None,
         indices = [rng.randrange(1, total) for _ in range(count)]
     if jobs > 1 and exhaustive:
         chunk = max(1024, (total - 1) // (jobs * 8) + 1)
-        tasks = [(suite, n, lo, min(lo + chunk, total))
+        tasks = [(violation, n, lo, min(lo + chunk, total))
                  for lo in range(1, total, chunk)]
-        bad: list[int] = []
         with ProcessPoolExecutor(max_workers=jobs) as pool:
-            for part in pool.map(_sweep_chunk, tasks):
-                bad.extend(part)
+            bad = [idx for part in pool.map(_sweep_chunk, tasks) for idx in part]
         return total - 1, sorted(bad)
-    violation = _SWEEP_PREDICATES[suite]
     bad = [idx for idx in indices if violation(_code_from_index(n, idx))]
     return len(indices), sorted(bad)
 
 
-def parity_suite(n: int = 3, exhaustive: bool = True, sample: int | None = None,
-                 seed: int = DEFAULT_SEED, jobs: int = 1) -> SuiteResult:
-    """Connected 2-regular containment graphs on more than 3 codewords must
-    have evenly many codewords."""
-    scanned, bad = _run_sweep("parity", n, exhaustive, sample, seed, jobs)
-    counter = _code_counterexample(_code_from_index(n, bad[0]), "parity") if bad else None
-    result = SuiteResult("parity", {"n": n, "exhaustive": exhaustive, "sample": sample,
+def _sweep_suite(name: str, violation, doc: str):
+    """Build the suite that sweeps the codes on n neurons for `violation`:
+    all of them when `exhaustive`, which by default means no `sample` and
+    n <= EXHAUSTIVE_MAX_NEURONS, else `sample` (default 10000) seeded ones."""
+    def suite(n: int = 3, exhaustive: bool | None = None, sample: int | None = None,
+              seed: int = DEFAULT_SEED, jobs: int = 1) -> SuiteResult:
+        _at_least(1, n=n, sample=sample, jobs=jobs)
+        if exhaustive is None:
+            exhaustive = sample is None and n <= EXHAUSTIVE_MAX_NEURONS
+        scanned, bad = _run_sweep(violation, n, exhaustive, sample, seed, jobs)
+        counter = _code_counterexample(_code_from_index(n, bad[0]), name) if bad else None
+        result = SuiteResult(name, {"n": n, "exhaustive": exhaustive, "sample": sample,
                                     "seed": seed})
-    result.checks.append(Check(
-        f"parity-n{n}", not bad,
-        f"{scanned} codes scanned, {len(bad)} violations", counter))
-    return result
+        result.checks.append(Check(
+            f"{name}-n{n}", not bad,
+            f"{scanned} codes scanned, {len(bad)} violations", counter))
+        return result
+
+    suite.__name__ = suite.__qualname__ = name.replace("-", "_") + "_suite"
+    suite.__doc__ = doc
+    return suite
 
 
-def union_closure_suite(n: int = 3, exhaustive: bool = True, sample: int | None = None,
-                        seed: int = DEFAULT_SEED, jobs: int = 1) -> SuiteResult:
-    """Pairwise unions landing in the code's complex force a connected
-    containment graph of diameter at most 2."""
-    scanned, bad = _run_sweep("union-closure", n, exhaustive, sample, seed, jobs)
-    counter = _code_counterexample(_code_from_index(n, bad[0]), "union-closure") if bad else None
-    result = SuiteResult("union-closure", {"n": n, "exhaustive": exhaustive,
-                                           "sample": sample, "seed": seed})
-    result.checks.append(Check(
-        f"union-closure-n{n}", not bad,
-        f"{scanned} codes scanned, {len(bad)} violations", counter))
-    return result
+parity_suite = _sweep_suite(
+    "parity", _parity_violation,
+    "Connected 2-regular containment graphs on more than 3 codewords must\n"
+    "have evenly many codewords.")
+
+union_closure_suite = _sweep_suite(
+    "union-closure", _union_closure_violation,
+    "Pairwise unions landing in the code's complex force a connected\n"
+    "containment graph of diameter at most 2.")
 
 
 def _random_code(rng: random.Random, n: int) -> Code:
@@ -226,6 +232,7 @@ def preserve_connected_suite(trials: int = 250, seed: int = DEFAULT_SEED,
                              max_n: int = 6) -> SuiteResult:
     """Elementary maps are morphisms, so connected containment graphs must
     stay connected in the image."""
+    _at_least(1, trials=trials, max_n=max_n)
     rng = random.Random(seed)
     hits = 0
     counter = None
@@ -252,6 +259,7 @@ def preserve_connected_suite(trials: int = 250, seed: int = DEFAULT_SEED,
 def preserve_complete_suite(trials: int = 250, seed: int = DEFAULT_SEED,
                             max_n: int = 6) -> SuiteResult:
     """Images of complete codes under elementary maps stay complete."""
+    _at_least(1, trials=trials, max_n=max_n)
     rng = random.Random(seed)
     counter = None
     bad = 0
@@ -288,6 +296,7 @@ def _all_chain_codes(n: int):
 def complete_iso_suite(max_n: int = 5) -> SuiteResult:
     """Every complete code is isomorphic to the chain code of its size via
     the constructed sorting map."""
+    _at_least(1, max_n=max_n)
     counter = None
     scanned = 0
     bad = 0
@@ -313,6 +322,8 @@ def cf_theorems_suite(trials: int = 200, seed: int = DEFAULT_SEED,
                       max_n: int = 6) -> SuiteResult:
     """The five canonical-form transformation rules, replayed against the
     canonical form of the actual image code."""
+    _at_least(1, trials=trials)
+    _at_least(2, max_n=max_n)
     result = SuiteResult("cf-theorems", {"trials": trials, "seed": seed, "max_n": max_n})
     for kind in CF_THEOREM_KINDS:
         rng = random.Random(f"{seed}:{kind}")
@@ -336,6 +347,8 @@ def cf_theorems_suite(trials: int = 200, seed: int = DEFAULT_SEED,
 def grg_families_suite(max_m: int = 10, max_k: int = 10) -> SuiteResult:
     """Relationship graphs of the named families: edgeless for chains,
     a single cycle for the cyclic codes."""
+    _at_least(3, max_m=max_m)
+    _at_least(4, max_k=max_k)
     result = SuiteResult("grg-families", {"max_m": max_m, "max_k": max_k})
     bad_m = []
     for m in range(3, max_m + 1):
@@ -373,6 +386,8 @@ def realizations_suite(max_family: int = 12, random_covers: int = 100,
                        seed: int = DEFAULT_SEED) -> SuiteResult:
     """Exact realized codes of the two constructive families, plus the
     cover-to-canonical-form theorem on random interval covers."""
+    _at_least(3, max_family=max_family)
+    _at_least(1, random_covers=random_covers)
     result = SuiteResult("realizations", {"max_family": max_family,
                                           "random_covers": random_covers, "seed": seed})
     bad_m = [m for m in range(2, max_family + 1)

@@ -1,11 +1,12 @@
 """CLI: subcommand behavior, exit codes, and deterministic reports."""
 
+import hashlib
 import json
 
 import pytest
 
 from neurocode import cli
-from neurocode.verify import SUITES, Check, SuiteResult
+from neurocode.verify import SUITES, Check, SuiteResult, parity_suite, union_closure_suite
 
 
 def run(capsys, *argv):
@@ -155,6 +156,122 @@ class TestVerify:
         status, out, _ = run(capsys, "verify", "parity", "--n", "3", "--exhaustive")
         assert status == 0
         assert "0 violations" in out
+
+    def test_sweep_suite_resolves_exhaustive(self):
+        assert parity_suite(n=2).params["exhaustive"] is True
+        sampled = parity_suite(n=5, sample=20)
+        assert sampled.params["exhaustive"] is False
+        assert sampled.checks[0].detail == "20 codes scanned, 0 violations"
+        forced = union_closure_suite(n=2, exhaustive=True, sample=5)
+        assert forced.checks[0].detail == "15 codes scanned, 0 violations"
+
+
+# sha256 of the `verify ... --json` stdout of each command line, recorded
+# while the CLI still kept its own copy of every suite default. Moving the
+# defaults into the suites must not change a byte of any report.
+VERIFY_JSON_SHA256 = [
+    (["parity"],
+     "c2f306c4ed2283ef76e05553489d68109eb4ef035501f6cb005ff8fcde43543e"),
+    (["union-closure"],
+     "85d1f2edebf8803bcb3ecadf8048ec254bba60f217574ced6a8dcd10b0c06d3a"),
+    (["preserve-connected"],
+     "1d770909956a377766401533e4c249b5f47b6bb049442f18ba33290ad247ce41"),
+    (["preserve-complete"],
+     "36d4620dbe2851546bb5fc6a2cd6e736f1f0827fa4d59e8e4cd3231bbc5b140d"),
+    (["complete-iso"],
+     "c50f230f28479a32bf7529dcbe177206b5b65ccf50be56bec33a5115788451a1"),
+    (["cf-theorems"],
+     "4a12da0922bec5899f709037ec3ae45d9bcf44aadf40de28af95f6a9c583af9d"),
+    (["grg-families"],
+     "cf4cd66dc46c926c6ce24ac15ef5cc283abb7b71f6e4568afe38a95e708e1416"),
+    (["realizations"],
+     "af6b97e3e8675d0b529b01941f8ac51738f54d834838deb3adfb6eac072d140a"),
+    (["parity", "--n", "2"],
+     "093bd69f7e668593b23d02dd6f739ca6798282c3ce4962eb4813031144fd1694"),
+    (["parity", "--n", "3", "--exhaustive"],
+     "db3e24692589405b825efeefa833d062fa8d5d577d520b558f7b49b74b0d138e"),
+    (["parity", "--sample", "40", "--seed", "5"],
+     "79dfa511d5ee89488498dfc6a07fcc196e66544eb6fd0aacc370581d49064f97"),
+    (["parity", "--exhaustive", "--sample", "40"],
+     "a2e1a1d061d94c2e89ac14ba21f374b861b32f12bf2dd3e53108525e35d5486c"),
+    (["parity", "--n", "5", "--sample", "20"],
+     "1539faa9acecbf3ca4d402c75bc2daba383adbd9e60267353db727ec08d06e80"),
+    (["parity", "--n", "2", "--jobs", "2"],
+     "9ce3b19abd5ce9a0212e85996d881ca791573304651bbc18b3ff76426a8ce2be"),
+    (["union-closure", "--n", "4", "--sample", "30", "--seed", "3"],
+     "41b69c46b8b6c425afe22cf2dfa88663b6169ead3af18872a5806c37f104a2b3"),
+    (["union-closure", "--n", "2", "--exhaustive", "--jobs", "1"],
+     "119ef48b05fbd3316813e1fa19d8470cafd2cf08cde5c024c6904727e3a555b1"),
+    (["preserve-connected", "--trials", "30", "--seed", "3", "--n", "4"],
+     "ccb089ab6a6ded212949e1e1b69284dc1cab823646acf7e30231e7143577fcdc"),
+    (["preserve-complete", "--trials", "30", "--seed", "4", "--n", "3"],
+     "eae801d35a513f83eab42b92d2aab105af923691bc4b8fa57e8bfd2a4948b118"),
+    (["complete-iso", "--n", "3"],
+     "500aa9e566b18c6be1a1a594370a11f2c6bece3be5626260db2256e4ebb9a14d"),
+    (["cf-theorems", "--trials", "5", "--seed", "11", "--n", "4"],
+     "a6025e209395185dcd06795a624505bbf82cfb28c0ed307c0123742b2358241f"),
+    (["cf-theorems", "--n", "2"],
+     "4281ba8d7925ec51205a9283e823da7822b5349929c2965b95ade88199ae340d"),
+    (["grg-families", "--max", "5"],
+     "6c61d22fa3732f47794223747b58e9d41312fe09f9e8af0da7723543d3911343"),
+    (["realizations", "--max", "4"],
+     "10e521bbb490caa52a4bb1600c6f8c23842b98471a751d0460b81d5545210555"),
+    (["realizations", "--max", "5", "--trials", "7", "--seed", "2"],
+     "592b67caa1a3f17f2828b371c5d4d3be4acc931f0f98e3efe0a81e6039d23931"),
+]
+
+
+@pytest.mark.parametrize("argv, expected", VERIFY_JSON_SHA256,
+                         ids=[" ".join(argv) for argv, _ in VERIFY_JSON_SHA256])
+def test_verify_json_byte_identical(capsys, argv, expected):
+    status, out, _ = run(capsys, "verify", *argv, "--json")
+    assert status == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == expected
+
+
+# Each command line must exit 2 with a message that names the offending
+# flag (or NEUROCODE_JOBS) and, for a bound, the suite parameter it set.
+REJECTED_VERIFY = [
+    (["parity", "--n", "0"], None, ["--n 0", "n must be at least 1"]),
+    (["parity", "--sample", "0"], None, ["--sample 0", "sample must be at least 1"]),
+    (["parity", "--jobs", "0"], None, ["--jobs 0", "jobs must be at least 1"]),
+    (["union-closure", "--jobs", "-3"], None, ["--jobs -3", "jobs must be at least 1"]),
+    (["union-closure", "--n", "9", "--sample", "5"], None, ["--n 9", "capped at n=8"]),
+    (["parity"], "abc", ["NEUROCODE_JOBS", "'abc'"]),
+    (["parity"], "0", ["NEUROCODE_JOBS=0", "jobs must be at least 1"]),
+    (["union-closure"], "-2", ["NEUROCODE_JOBS=-2", "jobs must be at least 1"]),
+    (["preserve-connected", "--trials", "0"], None, ["--trials 0", "trials must be at least 1"]),
+    (["preserve-complete", "--n", "0"], None, ["--n 0", "max_n must be at least 1"]),
+    (["complete-iso", "--n", "0"], None, ["--n 0", "max_n must be at least 1"]),
+    (["cf-theorems", "--trials", "0"], None, ["--trials 0", "trials must be at least 1"]),
+    (["cf-theorems", "--trials", "-5"], None, ["--trials -5", "trials must be at least 1"]),
+    (["cf-theorems", "--n", "1"], None, ["--n 1", "max_n must be at least 2"]),
+    (["grg-families", "--max", "2"], None, ["--max 2", "max_m must be at least 3"]),
+    (["grg-families", "--max", "3"], None, ["--max 3", "max_k must be at least 4"]),
+    (["realizations", "--max", "2"], None, ["--max 2", "max_family must be at least 3"]),
+    (["realizations", "--trials", "0"], None,
+     ["--trials 0", "random_covers must be at least 1"]),
+    (["parity", "--max", "4"], None, ["--max does not apply"]),
+    (["grg-families", "--trials", "5"], None, ["--trials does not apply"]),
+    (["complete-iso", "--seed", "3"], None, ["--seed does not apply"]),
+    (["cf-theorems", "--jobs", "2"], None, ["--jobs does not apply"]),
+    (["realizations", "--exhaustive"], None, ["--exhaustive does not apply"]),
+]
+
+
+@pytest.mark.parametrize("argv, env_jobs, needles", REJECTED_VERIFY,
+                         ids=[" ".join(argv) + (f" NEUROCODE_JOBS={env}" if env else "")
+                              for argv, env, _ in REJECTED_VERIFY])
+def test_verify_rejects_bad_input(capsys, monkeypatch, argv, env_jobs, needles):
+    if env_jobs is None:
+        monkeypatch.delenv("NEUROCODE_JOBS", raising=False)
+    else:
+        monkeypatch.setenv("NEUROCODE_JOBS", env_jobs)
+    status, out, err = run(capsys, "verify", *argv)
+    assert status == 2
+    assert out == ""
+    for needle in needles:
+        assert needle in err
 
 
 class TestJsonReports:

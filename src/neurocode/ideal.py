@@ -2,9 +2,10 @@
 
 A pseudo-monomial is a product of plain variables and complemented
 variables over disjoint index sets, held as a pair of masks. The canonical
-form of a code's neural ideal has one production path, an incremental
-product-of-point-ideals fold, and one independent check, a full 3^n
-vanishing sweep (the definition-based oracle) that shares no code with it.
+form of a code's neural ideal has one production path, the codeword-at-a-time
+update of Petersen et al. (Neural ideals in SageMath, 2018) on (plus, minus)
+mask pairs, and one independent check, a full 3^n vanishing sweep (the
+definition-based oracle) that shares no code with it.
 """
 
 from __future__ import annotations
@@ -18,6 +19,7 @@ from .codes import (
     DELETE,
     DUPLICATE,
     INCLUSION,
+    MAX_NEURONS,
     PERMUTATION,
     Code,
     Codeword,
@@ -168,11 +170,28 @@ class CanonicalForm:
 
     @classmethod
     def from_json_obj(cls, obj: dict) -> "CanonicalForm":
-        try:
-            n = int(obj["n"])
-            elements = [(el.get("plus", []), el.get("minus", [])) for el in obj["cf"]]
-        except (KeyError, TypeError, ValueError) as exc:
-            raise ValueError(f"bad canonical form JSON: {exc}") from exc
+        """Read `{"n": n, "cf": [{"plus": [...], "minus": [...]}, ...]}`.
+
+        Anything else raises ValueError: n outside 1..MAX_NEURONS, an
+        element that is not an object, or indices that are not a list of
+        integers (JSON `true` and `1.5` included).
+        """
+        if not isinstance(obj, dict) or not isinstance(obj.get("cf"), list):
+            raise ValueError('bad canonical form JSON: expected {"n": ..., "cf": [...]}')
+        n = obj.get("n")
+        if type(n) is not int or not 1 <= n <= MAX_NEURONS:
+            raise ValueError(f"bad canonical form JSON: n must be an integer in "
+                             f"1..{MAX_NEURONS}, got {n!r}")
+        elements = []
+        for el in obj["cf"]:
+            if not isinstance(el, dict):
+                raise ValueError(f"bad canonical form JSON: element {el!r} is not an object")
+            pair = (el.get("plus", []), el.get("minus", []))
+            for indices in pair:
+                if not isinstance(indices, list) or any(type(i) is not int for i in indices):
+                    raise ValueError(f"bad canonical form JSON: element {el!r} needs "
+                                     f"lists of integer neuron indices")
+            elements.append(pair)
         return cls.from_indices(n, elements)
 
 
@@ -186,41 +205,50 @@ def _minimal_pairs(pairs: Iterable[tuple[int, int]]) -> list[tuple[int, int]]:
     return kept
 
 
-def _point_ideal_gens(word_mask: int, n: int) -> list[tuple[int, int]]:
-    """Generators x_j - c_j of the vanishing ideal of one codeword."""
-    gens = []
-    for j in range(n):
-        bit = 1 << j
-        if word_mask & bit:
-            gens.append((0, bit))
-        else:
-            gens.append((bit, 0))
-    return gens
-
-
 def canonical_form(code: Code) -> CanonicalForm:
-    """Canonical form of the neural ideal, by incremental ideal products.
+    """Canonical form of the neural ideal, by the codeword-at-a-time update.
 
-    Folds the codewords one at a time: the running set is multiplied by the
-    point-ideal generators of the next codeword, zero products are dropped,
-    and divisibility-redundant products are pruned after every fold. The
-    pruning is lossless for the final minimal set because every multiple it
-    removes stays a multiple under further products.
+    Starts from the linear generators x_j - c_j of the first codeword c. At
+    each next codeword c, the elements f with f(c) = 0 are kept; each g with
+    g(c) = 1 is replaced by g*(x_b - c_b) for every neuron b outside its
+    support, unless a kept element divides that product. Kept elements are
+    indexed by the neurons where they disagree with c. Two facts make the
+    update cheap and keep the form an antichain with no minimization pass:
+
+    - A kept divisor of g*(x_b - c_b) cannot divide g, so it holds x_b - c_b.
+    - No new product divides another: every g agrees with c, every x_b - c_b does not.
     """
-    masks = code.masks
     n = code.n
-    current = _point_ideal_gens(masks[0], n)
-    for word_mask in masks[1:]:
-        gens = _point_ideal_gens(word_mask, n)
-        products = set()
-        for p1, m1 in current:
-            for p2, m2 in gens:
-                plus = p1 | p2
-                minus = m1 | m2
-                if not plus & minus:
-                    products.add((plus, minus))
-        current = _minimal_pairs(products)
-    return CanonicalForm(n, frozenset(PseudoMonomial(n, p, m) for p, m in current))
+    full = (1 << n) - 1
+    first, *rest = code.masks
+    form = [(0, bit) if first & bit else (bit, 0) for bit in (1 << j for j in range(n))]
+    for c in rest:
+        kept = []
+        grow = []
+        by_literal: dict[int, list[tuple[int, int]]] = {}
+        for p, m in form:
+            disagree = (p & ~c) | (m & c)
+            if not disagree:
+                grow.append((p, m))
+                continue
+            kept.append((p, m))
+            while disagree:
+                b = disagree & -disagree
+                disagree ^= b
+                by_literal.setdefault(b, []).append((p, m))
+        form = kept
+        for p, m in grow:
+            free = full & ~(p | m)
+            while free:
+                b = free & -free
+                free ^= b
+                plus, minus = (p, m | b) if c & b else (p | b, m)
+                for kp, km in by_literal.get(b, ()):
+                    if kp & plus == kp and km & minus == km:
+                        break
+                else:
+                    form.append((plus, minus))
+    return CanonicalForm(n, frozenset(PseudoMonomial(n, p, m) for p, m in form))
 
 
 def canonical_form_oracle(code: Code) -> CanonicalForm:

@@ -67,6 +67,27 @@ class TestGraph:
         assert status == 2
 
 
+# Each --cf document must exit 2 with a message, not a traceback or a form
+# read from ill-typed or out-of-range values.
+REJECTED_CF_JSON = [
+    '{"n": 2, "cf": [1]}',
+    '{"n": 2, "cf": [{"plus": "1"}]}',
+    '{"n": 2, "cf": [{"plus": [1.5]}]}',
+    '{"n": 0, "cf": []}',
+    '{"n": -1, "cf": []}',
+    '{"n": 100, "cf": [{"plus": [1]}]}',
+    '{"n": 2, "cf": [{"plus": [true]}]}',
+]
+
+
+@pytest.mark.parametrize("cf_json", REJECTED_CF_JSON)
+def test_graph_rejects_bad_cf_json(capsys, cf_json):
+    status, out, err = run(capsys, "graph", "grg", "--cf", cf_json)
+    assert status == 2
+    assert out == ""
+    assert "bad canonical form JSON" in err
+
+
 class TestMap:
     def test_delete_prediction(self, capsys):
         status, out, _ = run(capsys, "map", "--delete", "3", "{1};{3};{1,2}")

@@ -140,6 +140,30 @@ class TestCanonicalForm:
             c = random_code(rng, rng.randint(1, 5))
             assert canonical_form(c) == canonical_form_oracle(c)
 
+    def test_matches_oracle_at_benchmark_sizes(self):
+        rng = random.Random(29)
+        codes = [Code.from_masks(n, rng.sample(range(1 << n), m))
+                 for n in (7, 8) for m in (32, 64, 128)]
+        codes += [Code.from_masks(10, rng.sample(range(1 << 10), m)) for m in (32, 64)]
+        for c in codes:
+            assert canonical_form(c) == canonical_form_oracle(c)
+        for m in range(3, 29):
+            assert canonical_form(cc_family(m)) == cf_cc_formula(m)
+            assert canonical_form(cr_family(m)) == cf_cr_formula(m)
+
+    @pytest.mark.parametrize("n", [1, 4, 8, 10])
+    def test_closed_form_edge_cases(self, n):
+        # at the last word of the full code nothing is kept and no neuron is
+        # free; a single word never updates its n linear generators
+        full = (1 << n) - 1
+        assert canonical_form(Code.from_masks(n, range(full + 1))) == CanonicalForm(n, frozenset())
+        for v in {0, full, 0b0110 & full}:
+            missing = Code.from_masks(n, [w for w in range(full + 1) if w != v])
+            assert canonical_form(missing) == CanonicalForm(n, frozenset({rho(Codeword(n, v))}))
+            linear = {PseudoMonomial(n, 0, 1 << j) if v >> j & 1 else PseudoMonomial(n, 1 << j, 0)
+                      for j in range(n)}
+            assert canonical_form(Code.from_masks(n, [v])) == CanonicalForm(n, frozenset(linear))
+
     def test_oracle_neuron_cap(self):
         with pytest.raises(ValueError):
             canonical_form_oracle(Code.from_masks(13, [0]))

@@ -106,7 +106,7 @@ def _cmd_cf(args):
 
 
 def _graph_summary(g) -> tuple[dict, list[str]]:
-    degrees = sorted({len(nbrs) for nbrs in g.adjacency().values()}) if g.vertices else []
+    degrees = sorted({bits.bit_count() for bits in g.nbrs})
     regular_k = degrees[0] if len(degrees) == 1 else None
     diam = diameter(g)
     summary = {

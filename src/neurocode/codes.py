@@ -9,7 +9,7 @@ reduces to integer mask arithmetic. All types are immutable values.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
 MAX_NEURONS = 64
@@ -17,6 +17,19 @@ MAX_NEURONS = 64
 
 class CodeParseError(ValueError):
     """Raised when code text or JSON does not match the input grammar."""
+
+
+def _json_neuron_count(obj: dict, what: str) -> int:
+    n = obj.get("n")
+    if type(n) is not int or not 1 <= n <= MAX_NEURONS:
+        raise CodeParseError(f"bad {what} JSON: n must be an integer in "
+                             f"1..{MAX_NEURONS}, got {n!r}")
+    return n
+
+
+def _is_index_list(value) -> bool:
+    """True for a JSON list of integers; `true` and `1.5` are not integers."""
+    return isinstance(value, list) and all(type(i) is int for i in value)
 
 
 def mask_from_indices(indices: Iterable[int], n: int) -> int:
@@ -101,10 +114,13 @@ class Codeword:
 
 @dataclass(frozen=True)
 class Code:
-    """A nonempty set of distinct codewords on a common neuron set."""
+    """A nonempty set of distinct codewords on a common neuron set; the words
+    sorted by (size, mask) and their masks are computed once."""
 
     n: int
     words: frozenset[Codeword]
+    sorted_words: tuple[Codeword, ...] = field(init=False, repr=False, compare=False)
+    masks: tuple[int, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         words = frozenset(self.words)
@@ -116,6 +132,9 @@ class Code:
         for w in words:
             if w.n != self.n:
                 raise ValueError(f"codeword {w} is on {w.n} neurons, code is on {self.n}")
+        ordered = tuple(sorted(words, key=Codeword.sort_key))
+        object.__setattr__(self, "sorted_words", ordered)
+        object.__setattr__(self, "masks", tuple(w.bits for w in ordered))
 
     @classmethod
     def from_masks(cls, n: int, masks: Iterable[int]) -> "Code":
@@ -124,14 +143,6 @@ class Code:
     @classmethod
     def from_indices(cls, n: int, words: Iterable[Iterable[int]]) -> "Code":
         return cls(n, frozenset(Codeword.from_indices(n, ix) for ix in words))
-
-    @property
-    def sorted_words(self) -> tuple[Codeword, ...]:
-        return tuple(sorted(self.words, key=Codeword.sort_key))
-
-    @property
-    def masks(self) -> tuple[int, ...]:
-        return tuple(w.bits for w in self.sorted_words)
 
     def __len__(self) -> int:
         return len(self.words)
@@ -150,13 +161,16 @@ class Code:
 
     @classmethod
     def from_json_obj(cls, obj: dict) -> "Code":
+        """Read `{"n": n, "words": [[...], ...]}`, n an integer in
+        1..MAX_NEURONS and each word a list of integers; else CodeParseError."""
+        if not isinstance(obj, dict) or not isinstance(obj.get("words"), list):
+            raise CodeParseError('bad code JSON: expected {"n": ..., "words": [[...], ...]}')
+        n = _json_neuron_count(obj, "code")
+        bad = next((w for w in obj["words"] if not _is_index_list(w)), None)
+        if bad is not None:
+            raise CodeParseError(f"bad code JSON: word {bad!r} is not a list of integers")
         try:
-            n = int(obj["n"])
-            words = obj["words"]
-        except (KeyError, TypeError, ValueError) as exc:
-            raise CodeParseError(f"bad code JSON: {exc}") from exc
-        try:
-            return cls.from_indices(n, words)
+            return cls.from_indices(n, obj["words"])
         except ValueError as exc:
             raise CodeParseError(str(exc)) from exc
 
@@ -253,11 +267,6 @@ class SimplicialComplex:
                 if f is not g and f.bits != g.bits and f.bits & g.bits == f.bits:
                     raise ValueError(f"facet {f} is contained in facet {g}")
 
-    @classmethod
-    def from_faces(cls, n: int, faces: Iterable[Codeword]) -> "SimplicialComplex":
-        masks = _maximal_masks(w.bits for w in faces)
-        return cls(n, frozenset(Codeword(n, m) for m in masks))
-
     @property
     def sorted_facets(self) -> tuple[Codeword, ...]:
         return tuple(sorted(self.facets, key=Codeword.sort_key))
@@ -306,7 +315,7 @@ def is_trunk(code: Code, words: Iterable[Codeword]) -> bool:
     return trunk(code, Codeword(code.n, inter)) == ws
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True)
 class CodeMap:
     """A total function from the codewords of one code into another."""
 
@@ -334,15 +343,6 @@ class CodeMap:
 
     def __call__(self, word: Codeword) -> Codeword:
         return self.assignment[word]
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, CodeMap):
-            return NotImplemented
-        return (self.domain == other.domain and self.codomain == other.codomain
-                and self.assignment == other.assignment)
-
-    def image_code(self) -> Code:
-        return Code(self.codomain.n, frozenset(self.assignment.values()))
 
     def is_bijective(self) -> bool:
         images = set(self.assignment.values())
@@ -388,7 +388,7 @@ DELETE = "delete"
 INCLUSION = "inclusion"
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True)
 class ElementaryMap:
     """Descriptor for one of the elementary code maps."""
 
@@ -430,12 +430,6 @@ class ElementaryMap:
             return f"inclusion(into {self.target.to_text()})"
         return self.kind
 
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, ElementaryMap):
-            return NotImplemented
-        return (self.kind, self.perm, self.neuron, self.target) == \
-               (other.kind, other.perm, other.neuron, other.target)
-
 
 def permute_mask(bits: int, perm: Sequence[int]) -> int:
     new = 0
@@ -461,6 +455,16 @@ def _validate_perm(perm: Sequence[int] | None, n: int) -> tuple[int, ...]:
     return tuple(perm)
 
 
+def _validate_neuron(spec: ElementaryMap, n: int) -> int:
+    """The neuron a duplicate or delete map acts on, checked against 1..n."""
+    i = spec.neuron
+    if i is None or not 1 <= i <= n:
+        raise ValueError(f"{spec.kind} index {i} out of range 1..{n}")
+    if spec.kind == DELETE and n < 2:
+        raise ValueError("cannot delete the only neuron")
+    return i
+
+
 def apply_elementary_map(code: Code, spec: ElementaryMap) -> tuple[Code, CodeMap]:
     """Apply an elementary code map; returns the image code and the induced map.
 
@@ -476,17 +480,10 @@ def apply_elementary_map(code: Code, spec: ElementaryMap) -> tuple[Code, CodeMap
     elif spec.kind == ADD_TRIVIAL_OFF:
         move = lambda w: Codeword(n + 1, w.bits)
     elif spec.kind == DUPLICATE:
-        i = spec.neuron
-        if i is None or not 1 <= i <= n:
-            raise ValueError(f"duplicate index {i} out of range 1..{n}")
-        bit = 1 << (i - 1)
+        bit = 1 << (_validate_neuron(spec, n) - 1)
         move = lambda w: Codeword(n + 1, w.bits | (1 << n) if w.bits & bit else w.bits)
     elif spec.kind == DELETE:
-        i = spec.neuron
-        if i is None or not 1 <= i <= n:
-            raise ValueError(f"delete index {i} out of range 1..{n}")
-        if n < 2:
-            raise ValueError("cannot delete the only neuron")
+        i = _validate_neuron(spec, n)
         move = lambda w: Codeword(n - 1, delete_shift_mask(w.bits, i))
     elif spec.kind == INCLUSION:
         target = spec.target
@@ -527,13 +524,12 @@ def complete_iso(code: Code) -> CodeMap:
     The codewords of a complete code are strictly ordered by inclusion; the
     i-th smallest is sent to {1,...,i-1}.
     """
-    words = sorted(code.words, key=Codeword.sort_key)
+    words = code.sorted_words
     for a, b in zip(words, words[1:]):
         if not a.ispropersubset(b):
             raise ValueError(f"code is not complete: {a} and {b} are incomparable")
     target = cc_family(len(words))
-    chain = sorted(target.words, key=Codeword.sort_key)
-    return CodeMap(code, target, dict(zip(words, chain)))
+    return CodeMap(code, target, dict(zip(words, target.sorted_words)))
 
 
 def union_closure_condition(code: Code) -> bool:

@@ -4,8 +4,7 @@ relationship complex built from a canonical form, and its 1-skeleton."""
 from __future__ import annotations
 
 import math
-from collections import deque
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Hashable
 
 from .codes import Code, Codeword, SimplicialComplex, _maximal_masks, indices_of
@@ -16,28 +15,32 @@ def _vertex_key(v: Hashable):
     return v.sort_key() if isinstance(v, Codeword) else v
 
 
-def _vertex_label(v: Hashable) -> str:
-    return v.label if isinstance(v, Codeword) else str(v)
-
-
 @dataclass(frozen=True, eq=False)
 class CodeGraph:
-    """Undirected graph with unique hashable vertex labels and no loops."""
+    """Undirected graph with unique hashable vertex labels and no loops;
+    `nbrs[i]` is the bitset of the positions adjacent to `vertices[i]`."""
 
     vertices: tuple
     edges: frozenset[frozenset]
+    nbrs: tuple[int, ...] = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
         verts = tuple(sorted(set(self.vertices), key=_vertex_key))
         edges = frozenset(frozenset(e) for e in self.edges)
-        vset = set(verts)
+        pos = {v: i for i, v in enumerate(verts)}
+        nbrs = [0] * len(verts)
         for e in edges:
             if len(e) != 2:
                 raise ValueError(f"edge {set(e)} must join two distinct vertices")
-            if not e <= vset:
+            u, v = e
+            i, j = pos.get(u), pos.get(v)
+            if i is None or j is None:
                 raise ValueError(f"edge {set(e)} has an unknown endpoint")
+            nbrs[i] |= 1 << j
+            nbrs[j] |= 1 << i
         object.__setattr__(self, "vertices", verts)
         object.__setattr__(self, "edges", edges)
+        object.__setattr__(self, "nbrs", tuple(nbrs))
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, CodeGraph):
@@ -47,23 +50,10 @@ class CodeGraph:
     def adjacent(self, u, v) -> bool:
         return frozenset((u, v)) in self.edges
 
-    def adjacency(self) -> dict:
-        adj = {v: set() for v in self.vertices}
-        for e in self.edges:
-            u, v = tuple(e)
-            adj[u].add(v)
-            adj[v].add(u)
-        return adj
-
-    def degree(self, v) -> int:
-        if v not in set(self.vertices):
-            raise ValueError(f"unknown vertex {v!r}")
-        return sum(1 for e in self.edges if v in e)
-
     def sorted_edges(self) -> list[tuple]:
-        pos = {v: i for i, v in enumerate(self.vertices)}
-        pairs = [tuple(sorted(e, key=pos.__getitem__)) for e in self.edges]
-        return sorted(pairs, key=lambda p: (pos[p[0]], pos[p[1]]))
+        verts = self.vertices
+        return [(u, verts[j]) for i, u in enumerate(verts)
+                for j in range(i + 1, len(verts)) if self.nbrs[i] >> j & 1]
 
 
 def ccg(code: Code) -> CodeGraph:
@@ -79,23 +69,26 @@ def ccg(code: Code) -> CodeGraph:
     return CodeGraph(words, frozenset(edges))
 
 
-def _bfs_distances(adj: dict, start) -> dict:
-    dist = {start: 0}
-    queue = deque([start])
-    while queue:
-        u = queue.popleft()
-        for w in adj[u]:
-            if w not in dist:
-                dist[w] = dist[u] + 1
-                queue.append(w)
-    return dist
+def _layers(g: CodeGraph, start: int) -> list[int]:
+    """Breadth-first layers from position `start`, each a bitset of
+    positions; layer d holds the vertices at distance d."""
+    seen = frontier = 1 << start
+    layers = []
+    while frontier:
+        layers.append(frontier)
+        reached = 0
+        while frontier:
+            low = frontier & -frontier
+            reached |= g.nbrs[low.bit_length() - 1]
+            frontier ^= low
+        frontier = reached & ~seen
+        seen |= frontier
+    return layers
 
 
 def is_connected(g: CodeGraph) -> bool:
-    if not g.vertices:
-        return True
-    adj = g.adjacency()
-    return len(_bfs_distances(adj, g.vertices[0])) == len(g.vertices)
+    # the layers are disjoint, so their sum is the bitset of reached positions
+    return not g.vertices or sum(_layers(g, 0)) == (1 << len(g.vertices)) - 1
 
 
 def is_complete(g: CodeGraph) -> bool:
@@ -104,30 +97,28 @@ def is_complete(g: CodeGraph) -> bool:
 
 
 def is_regular(g: CodeGraph, k: int) -> bool:
-    adj = g.adjacency()
-    return all(len(nbrs) == k for nbrs in adj.values())
+    return all(bits.bit_count() == k for bits in g.nbrs)
 
 
 def distance(g: CodeGraph, u, v) -> int | float:
     """Shortest path length between two vertices; inf when unreachable."""
-    vset = set(g.vertices)
-    if u not in vset or v not in vset:
+    if u not in g.vertices or v not in g.vertices:
         raise ValueError(f"unknown vertex in distance query: {u!r}, {v!r}")
-    dist = _bfs_distances(g.adjacency(), u)
-    return dist.get(v, math.inf)
+    target = 1 << g.vertices.index(v)
+    for d, layer in enumerate(_layers(g, g.vertices.index(u))):
+        if layer & target:
+            return d
+    return math.inf
 
 
 def diameter(g: CodeGraph) -> int | float:
     """Largest pairwise distance; 0 for a single vertex, inf if disconnected."""
-    if len(g.vertices) <= 1:
-        return 0
-    adj = g.adjacency()
-    worst = 0
-    for v in g.vertices:
-        dist = _bfs_distances(adj, v)
-        if len(dist) < len(g.vertices):
+    everyone, worst = (1 << len(g.vertices)) - 1, 0
+    for i in range(len(g.vertices)):
+        layers = _layers(g, i)
+        if sum(layers) != everyone:
             return math.inf
-        worst = max(worst, max(dist.values()))
+        worst = max(worst, len(layers) - 1)
     return worst
 
 
@@ -189,9 +180,9 @@ def to_dot(g: CodeGraph) -> str:
     """Deterministic DOT text: all vertices first, then edges, both sorted."""
     lines = ["graph {"]
     for v in g.vertices:
-        lines.append(f'  "{_vertex_label(v)}";')
+        lines.append(f'  "{v}";')
     for u, v in g.sorted_edges():
-        lines.append(f'  "{_vertex_label(u)}" -- "{_vertex_label(v)}";')
+        lines.append(f'  "{u}" -- "{v}";')
     lines.append("}")
     return "\n".join(lines)
 

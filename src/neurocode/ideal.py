@@ -19,11 +19,13 @@ from .codes import (
     DELETE,
     DUPLICATE,
     INCLUSION,
-    MAX_NEURONS,
     PERMUTATION,
     Code,
     Codeword,
     ElementaryMap,
+    _is_index_list,
+    _json_neuron_count,
+    _validate_neuron,
     _validate_perm,
     delete_shift_mask,
     indices_of,
@@ -178,17 +180,14 @@ class CanonicalForm:
         """
         if not isinstance(obj, dict) or not isinstance(obj.get("cf"), list):
             raise ValueError('bad canonical form JSON: expected {"n": ..., "cf": [...]}')
-        n = obj.get("n")
-        if type(n) is not int or not 1 <= n <= MAX_NEURONS:
-            raise ValueError(f"bad canonical form JSON: n must be an integer in "
-                             f"1..{MAX_NEURONS}, got {n!r}")
+        n = _json_neuron_count(obj, "canonical form")
         elements = []
         for el in obj["cf"]:
             if not isinstance(el, dict):
                 raise ValueError(f"bad canonical form JSON: element {el!r} is not an object")
             pair = (el.get("plus", []), el.get("minus", []))
             for indices in pair:
-                if not isinstance(indices, list) or any(type(i) is not int for i in indices):
+                if not _is_index_list(indices):
                     raise ValueError(f"bad canonical form JSON: element {el!r} needs "
                                      f"lists of integer neuron indices")
             elements.append(pair)
@@ -297,10 +296,7 @@ def predict_cf(cf: CanonicalForm, spec: ElementaryMap) -> CanonicalForm:
         lifted.add(PseudoMonomial(n + 1, 1 << n, 0))
         return CanonicalForm(n + 1, frozenset(lifted))
     if spec.kind == DUPLICATE:
-        i = spec.neuron
-        if i is None or not 1 <= i <= n:
-            raise ValueError(f"duplicate index {i} out of range 1..{n}")
-        bit = 1 << (i - 1)
+        bit = 1 << (_validate_neuron(spec, n) - 1)
         hi = 1 << n
         parts = {(f.plus, f.minus) for f in cf.elements}
         for f in cf.elements:
@@ -313,11 +309,7 @@ def predict_cf(cf: CanonicalForm, spec: ElementaryMap) -> CanonicalForm:
         pairs = _minimal_pairs(parts)
         return CanonicalForm(n + 1, frozenset(PseudoMonomial(n + 1, p, m) for p, m in pairs))
     if spec.kind == DELETE:
-        i = spec.neuron
-        if i is None or not 1 <= i <= n:
-            raise ValueError(f"delete index {i} out of range 1..{n}")
-        if n < 2:
-            raise ValueError("cannot delete the only neuron")
+        i = _validate_neuron(spec, n)
         bit = 1 << (i - 1)
         kept = {f for f in cf.elements if not (f.plus | f.minus) & bit}
         return CanonicalForm(n - 1, frozenset(

@@ -25,8 +25,11 @@ Point = tuple[Fraction, Fraction]
 def _as_fraction(value) -> Fraction:
     if isinstance(value, Fraction):
         return value
-    if isinstance(value, int) or isinstance(value, str):
-        return Fraction(value)
+    if type(value) is int or isinstance(value, str):
+        try:
+            return Fraction(value)
+        except ZeroDivisionError:
+            pass
     raise ValueError(f"exact rational required, got {value!r} ({type(value).__name__})")
 
 
@@ -305,21 +308,26 @@ def cover_to_json_obj(cover: IntervalCover | SegmentCover) -> dict:
     }
 
 
+def _pairs(value) -> list:
+    if not isinstance(value, list) or any(not isinstance(v, list) or len(v) != 2 for v in value):
+        raise ValueError(f"expected a list of pairs, got {value!r}")
+    return value
+
+
 def cover_from_json_obj(obj: dict) -> IntervalCover | SegmentCover:
+    """Read `{"kind": ..., "sets": [...]}`: intervals `[a, b]` or segments
+    `[[x, y], [x, y]]` of JSON integers or rational strings; else ValueError."""
+    if not isinstance(obj, dict):
+        raise ValueError('bad cover JSON: expected {"kind": ..., "sets": [...]}')
     try:
         kind = obj["kind"]
-        sets = obj["sets"]
-    except (KeyError, TypeError) as exc:
+        sets = _pairs(obj["sets"])
+        if kind == "intervals":
+            return IntervalCover(tuple(sets), obj.get("ambient", AMBIENT_LINE))
+        if kind == "segments":
+            if obj.get("ambient", AMBIENT_UNION) != AMBIENT_UNION:
+                raise ValueError("segment covers only support the union stimulus space")
+            return SegmentCover(tuple(_pairs(s) for s in sets))
+        raise ValueError(f"unknown cover kind {kind!r}")
+    except (KeyError, ValueError) as exc:
         raise ValueError(f"bad cover JSON: {exc}") from exc
-    if kind == "intervals":
-        ambient = obj.get("ambient", AMBIENT_LINE)
-        return IntervalCover(tuple((_as_fraction(a), _as_fraction(b)) for a, b in sets),
-                             ambient)
-    if kind == "segments":
-        if obj.get("ambient", AMBIENT_UNION) != AMBIENT_UNION:
-            raise ValueError("segment covers only support the union stimulus space")
-        return SegmentCover(tuple(
-            (((_as_fraction(p[0]), _as_fraction(p[1])),
-              (_as_fraction(q[0]), _as_fraction(q[1]))))
-            for p, q in sets))
-    raise ValueError(f"unknown cover kind {kind!r}")

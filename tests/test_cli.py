@@ -88,6 +88,49 @@ def test_graph_rejects_bad_cf_json(capsys, cf_json):
     assert "bad canonical form JSON" in err
 
 
+# sha256 of the `graph ... --json` stdout of each command line, recorded
+# while the graph queries still ran a hashed BFS over an adjacency dict. The
+# summary fields (connected, regular, diameter) and the edge order must not
+# change with the graph representation.
+GRAPH_CF4 = '{"n": 4, "cf": [{"plus": [1, 3], "minus": []}, {"plus": [2, 4], "minus": []}]}'
+GRAPH_CF5 = ('{"n": 5, "cf": [{"plus": [1, 2], "minus": [3]}, {"plus": [4], "minus": []}, '
+             '{"plus": [2, 5], "minus": []}]}')
+GRAPH_JSON_SHA256 = [
+    (["ccg", "{1};{2};{1,3};{1,2,3}"],
+     "af63dedac5e23846458425dca9a7b07874657b213f390a53610032777c43f1b6"),
+    (["ccg", "{1};{1,2};{3}"],
+     "cf1047cd8056b1a4e0d6a4e53e048fbc1dc0ba11505878f3d2a217251ec138d1"),
+    (["ccg", "{1};{2};{1,2,3};{1,2,3,4}"],
+     "539ae884bc2c74f6d332f0676b45b9189ef8193af1f6bbced7a594cdce979a22"),
+    (["ccg", "--family", "cr:5"],
+     "de3b4f5b2bacea4f50eedf5d4971768c954f1f18fa5187e4edc43b1a67e38f05"),
+    (["ccg", "--family", "cc:4"],
+     "38a9bbc86a541b518354cfad7f868695c8df5c5c9743451202c26382de09417e"),
+    (["ccg", "{};{1};{2};{1,2}", "--dot"],
+     "24020ec5c8f746f6ea0346fc5516ee9c8659034ef4cb51c3ebd531a098a4f295"),
+    (["grg", "--family", "cr:6"],
+     "dc0cb4ce3237d4f39eb6583d397f8040147176d2c5cd7c6eb8559fe434b0c5fe"),
+    (["grg", "--family", "cc:5"],
+     "83c7562a3ecc8471a98c22b30d8550d1c81bbf8e424e86a3a196784a8387ec60"),
+    (["grg", "--cf", GRAPH_CF4],
+     "024f5b72fe93bf828182a39d6468fa4f8246838b490e49cf229c1c0c425a1f04"),
+    (["grg", "--cf", '{"n": 2, "cf": [{"plus": [1]}, {"minus": [2]}]}'],
+     "bad91446828e685fe96c2b8bd57e0ff1a23fb1dba9ad57b64e08b1cdd35e1516"),
+    (["gr-complex", "--family", "cr:5"],
+     "cf88d8ad6920522587de1a8993b31e1f987c3147ecbcf0cc61ffd19b8a3224ec"),
+    (["gr-complex", "--cf", GRAPH_CF5],
+     "4d623920af9b7bd72f463a21c4abc8d6b6e29065ec57f34124ee1128dc08348f"),
+]
+
+
+@pytest.mark.parametrize("argv, expected", GRAPH_JSON_SHA256,
+                         ids=[" ".join(argv) for argv, _ in GRAPH_JSON_SHA256])
+def test_graph_json_byte_identical(capsys, argv, expected):
+    status, out, _ = run(capsys, "graph", *argv, "--json")
+    assert status == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == expected
+
+
 class TestMap:
     def test_delete_prediction(self, capsys):
         status, out, _ = run(capsys, "map", "--delete", "3", "{1};{3};{1,2}")
@@ -143,6 +186,25 @@ class TestRealize:
                             [[["0", "0"], ["1", "1"]], [["0", "1"], ["1", "0"]]]})
         status, _, err = run(capsys, "realize", cover, "--cf")
         assert status == 2
+
+
+# Each cover document must exit 2 with a message, not a traceback or a
+# cover read from ill-typed values.
+REJECTED_COVER_JSON = [
+    '{"kind": "intervals", "sets": 5}',
+    '{"kind": "intervals", "sets": [[true, 2]]}',
+    '{"kind": "segments", "sets": [[[true, 0], ["2", "2"]]]}',
+    '{"kind": "segments", "sets": [[5, ["1", "1"]]]}',
+    '{"kind": "intervals", "sets": [["1/0", "2"]]}',
+]
+
+
+@pytest.mark.parametrize("cover_json", REJECTED_COVER_JSON)
+def test_realize_rejects_bad_cover_json(capsys, cover_json):
+    status, out, err = run(capsys, "realize", cover_json)
+    assert status == 2
+    assert out == ""
+    assert "bad cover JSON: " in err
 
 
 class TestVerify:

@@ -23,6 +23,7 @@ from neurocode.codes import (
     trunk,
     union_closure_condition,
 )
+from neurocode.ideal import canonical_form, predict_cf
 
 
 def code(n, *words):
@@ -77,6 +78,34 @@ class TestCode:
     def test_json_roundtrip(self):
         c = code(4, (1, 3), (2,), ())
         assert Code.from_json_obj(c.to_json_obj()) == c
+
+    @pytest.mark.parametrize("obj", [
+        {"n": 2.7, "words": [[1]]},
+        {"n": "3", "words": [[1]]},
+        {"n": True, "words": [[1]]},
+        {"n": 0, "words": [[]]},
+        {"n": 65, "words": [[1]]},
+        {"words": [[1]]},
+        {"n": 2},
+        {"n": 2, "words": 5},
+        {"n": 2, "words": [[True]]},
+        {"n": 2, "words": [[1.5]]},
+        {"n": 2, "words": ["12"]},
+        {"n": 2, "words": [[3]]},
+        {"n": 2, "words": []},
+        [2, [[1]]],
+    ], ids=repr)
+    def test_json_rejects_malformed(self, obj):
+        with pytest.raises(CodeParseError):
+            Code.from_json_obj(obj)
+
+    def test_sorted_words_and_masks_fixed_at_construction(self):
+        c = code(3, (1, 2), (), (3,), (1,))
+        assert c.sorted_words == tuple(sorted(c.words, key=Codeword.sort_key))
+        assert c.masks == (0b000, 0b001, 0b100, 0b011)
+        assert c.sorted_words is c.sorted_words
+        assert c == Code(3, frozenset(reversed(c.sorted_words)))
+        assert hash(c) == hash(Code(3, c.words))
 
 
 class TestParseCode:
@@ -401,6 +430,20 @@ class TestElementaryMaps:
             apply_elementary_map(c, ElementaryMap.inclusion(code(2, (2,))))
         with pytest.raises(ValueError):
             apply_elementary_map(code(1, (1,)), ElementaryMap.delete(1))
+
+    @pytest.mark.parametrize("n, spec, message", [
+        (2, ElementaryMap.duplicate(3), "duplicate index 3 out of range 1..2"),
+        (2, ElementaryMap.duplicate(None), "duplicate index None out of range 1..2"),
+        (2, ElementaryMap.delete(0), "delete index 0 out of range 1..2"),
+        (1, ElementaryMap.delete(1), "cannot delete the only neuron"),
+    ], ids=["duplicate-3", "duplicate-None", "delete-0", "delete-only"])
+    def test_neuron_index_messages_shared_with_predict_cf(self, n, spec, message):
+        c = Code.from_masks(n, [1])
+        with pytest.raises(ValueError) as applied:
+            apply_elementary_map(c, spec)
+        with pytest.raises(ValueError) as predicted:
+            predict_cf(canonical_form(c), spec)
+        assert str(applied.value) == str(predicted.value) == message
 
     def test_every_elementary_map_is_a_morphism(self):
         rng = random.Random(17)

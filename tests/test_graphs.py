@@ -159,6 +159,55 @@ class TestCodeGraphContainer:
         assert g == CodeGraph((2, 3, 1), frozenset())
 
 
+def floyd_warshall(g):
+    """All-pairs distances read from `g.edges` alone; inf when unreachable."""
+    verts = g.vertices
+    dist = {(u, v): 0 if u == v else math.inf for u in verts for v in verts}
+    for e in g.edges:
+        u, v = tuple(e)
+        dist[u, v] = dist[v, u] = 1
+    for w in verts:
+        for u in verts:
+            for v in verts:
+                if dist[u, w] + dist[w, v] < dist[u, v]:
+                    dist[u, v] = dist[u, w] + dist[w, v]
+    return dist
+
+
+def assert_queries_match_floyd_warshall(g):
+    dist = floyd_warshall(g)
+    degrees = [sum(1 for e in g.edges if v in e) for v in g.vertices]
+    assert is_connected(g) == all(d < math.inf for d in dist.values())
+    for k in range(len(g.vertices) + 1):
+        assert is_regular(g, k) == all(d == k for d in degrees)
+    for (u, v), d in dist.items():
+        assert distance(g, u, v) == d
+    assert diameter(g) == max(dist.values(), default=0)
+    pos = {v: i for i, v in enumerate(g.vertices)}
+    pairs = [tuple(sorted(e, key=pos.get)) for e in g.edges]
+    assert g.sorted_edges() == sorted(pairs, key=lambda p: (pos[p[0]], pos[p[1]]))
+
+
+class TestQueriesAgainstFloydWarshall:
+    def test_ccg_of_random_codes(self):
+        rng = random.Random(53)
+        for _ in range(150):
+            assert_queries_match_floyd_warshall(ccg(random_code(rng, rng.randint(1, 5))))
+
+    def test_ccg_of_cycle_and_chain_families(self):
+        from neurocode.codes import cc_family, cr_family
+        for k in range(3, 9):
+            assert_queries_match_floyd_warshall(ccg(cr_family(k)))
+            assert_queries_match_floyd_warshall(ccg(cc_family(k)))
+
+    def test_grg_of_random_canonical_forms(self):
+        rng = random.Random(59)
+        for _ in range(150):
+            n = rng.randint(1, 6)
+            assert_queries_match_floyd_warshall(grg(random_cf(rng, n, max_elements=6)))
+            assert_queries_match_floyd_warshall(grg(canonical_form(random_code(rng, n))))
+
+
 def gr_member_by_gamma_products(cf, sigma_mask):
     """Reference membership: no subset of the sigma literals multiplies to a
     canonical-form element."""

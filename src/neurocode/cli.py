@@ -69,9 +69,11 @@ def _family(spec: str, cc, cr):
 
 
 def _resolve_code(args) -> Code:
-    if getattr(args, "family", None):
+    if args.family and args.code is not None:
+        raise CodeParseError("pass a code argument or --family, not both")
+    if args.family:
         return _family(args.family, cc_family, cr_family)
-    if getattr(args, "code", None) is None:
+    if args.code is None:
         raise CodeParseError("no input code: pass a code argument or --family")
     return parse_code(args.code)
 
@@ -129,6 +131,13 @@ def _graph_summary(g) -> tuple[dict, list[str]]:
 
 
 def _cmd_graph(args):
+    if args.cf is not None and args.which == "ccg":
+        raise CodeParseError("--cf applies to grg and gr-complex, not ccg")
+    if args.cf is not None and (args.code is not None or args.family):
+        given = "a code argument" if args.code is not None else "--family"
+        raise CodeParseError(f"pass {given} or --cf, not both")
+    if args.dot and args.which == "gr-complex":
+        raise CodeParseError("--dot applies to ccg and grg, not gr-complex")
     outputs = {}
     if args.which == "ccg":
         code = _resolve_code(args)
@@ -136,7 +145,7 @@ def _cmd_graph(args):
         digest_src = outputs["code"]
         g = ccg(code)
     else:
-        if args.cf:
+        if args.cf is not None:
             try:
                 cf = CanonicalForm.from_json_obj(json.loads(args.cf))
             except json.JSONDecodeError as exc:
@@ -301,10 +310,9 @@ def _cmd_family(args):
     return _digest(outputs["code"]), outputs, [], [code.to_text()]
 
 
-def _add_code_inputs(sub, with_family: bool = True):
+def _add_code_inputs(sub):
     sub.add_argument("code", nargs="?", help="code text, e.g. '{};{1,2};{2,3}'")
-    if with_family:
-        sub.add_argument("--family", help="named family instead of code text: cc:<m> or cr:<k>")
+    sub.add_argument("--family", help="named family instead of code text: cc:<m> or cr:<k>")
 
 
 def _build_parser() -> argparse.ArgumentParser:

@@ -7,6 +7,7 @@ from __future__ import annotations
 import random
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
+from itertools import permutations
 
 from .codes import (
     ADD_TRIVIAL_OFF,
@@ -22,6 +23,7 @@ from .codes import (
     complete_iso,
     cr_family,
     is_isomorphism,
+    permute_mask,
     submasks,
     union_closure_condition,
 )
@@ -43,6 +45,9 @@ DEFAULT_SEED = 1729
 EXHAUSTIVE_MAX_NEURONS = 4
 # A sampled sweep draws indices below 2^(2^n) and decodes each over 2^n words.
 SAMPLED_MAX_NEURONS = 8
+# A sampled code costs 50 us (n=4, parity) to 9 ms (n=8, union-closure), so
+# the largest sampled sweep runs from about a minute to a few hours.
+MAX_SAMPLE = 1_000_000
 
 
 def _at_least(low: int, **values) -> None:
@@ -120,43 +125,99 @@ def _union_closure_violation(code: Code) -> bool:
     return not (is_connected(g) and diameter(g) <= 2)
 
 
+def _orbit_tables(n: int) -> list[list[list[int]]]:
+    """Per neuron permutation, byte-wise lookup tables that map a code index
+    (bit p set when word mask p is a codeword) to the index of the permuted
+    code: table[k][v] is the image of the index v << (8 * k). Below n=3
+    there are fewer than 8 words, and one table covers every index."""
+    words = 1 << n
+    width = min(8, words)
+    tables = []
+    for perm in permutations(range(1, n + 1)):
+        image = [permute_mask(p, perm) for p in range(words)]
+        per_byte = []
+        for lo in range(0, words, width):
+            table = [0] * (1 << width)
+            for v in range(1, 1 << width):
+                low = v & -v
+                table[v] = table[v ^ low] | 1 << image[lo + low.bit_length() - 1]
+            per_byte.append(table)
+        tables.append(per_byte)
+    return tables
+
+
+def _orbit(idx: int, tables: list[list[list[int]]]) -> set[int]:
+    """The indices of every code that a neuron permutation maps `idx` to."""
+    orbit = set()
+    for per_byte in tables:
+        image, rest = 0, idx
+        for table in per_byte:
+            image |= table[rest & 0xFF]
+            rest >>= 8
+        orbit.add(image)
+    return orbit
+
+
+def _orbit_representatives(n: int, tables: list[list[list[int]]]):
+    """Yield the smallest index of each orbit of 1..2^(2^n)-1, ascending."""
+    seen = bytearray(1 << (1 << n))
+    for idx in range(1, len(seen)):
+        if not seen[idx]:
+            for j in _orbit(idx, tables):
+                seen[j] = 1
+            yield idx
+
+
 def _sweep_chunk(args: tuple) -> list[int]:
-    violation, n, lo, hi = args
-    return [idx for idx in range(lo, hi) if violation(_code_from_index(n, idx))]
+    violation, n, reps = args
+    return [idx for idx in reps if violation(_code_from_index(n, idx))]
 
 
 def _run_sweep(violation, n: int, exhaustive: bool, sample: int | None,
                seed: int, jobs: int) -> tuple[int, list[int]]:
-    """Run an all-codes sweep; returns (scanned, violating code indices)."""
+    """Run an all-codes sweep; returns (scanned, violating code indices).
+
+    An exhaustive sweep tests one code per orbit under neuron permutations,
+    its smallest index, and counts a violation for every code in the orbit,
+    so the result is the one a test of every code would give."""
     cap = EXHAUSTIVE_MAX_NEURONS if exhaustive else SAMPLED_MAX_NEURONS
     if n > cap:
         kind = "exhaustive" if exhaustive else "sampled"
         raise ValueError(f"{kind} sweeps are capped at n={cap}, got n={n}")
     total = 1 << (1 << n)
-    if exhaustive:
-        indices = range(1, total)
-    else:
+    if not exhaustive:
         count = sample if sample is not None else 10000
         rng = random.Random(seed)
-        indices = [rng.randrange(1, total) for _ in range(count)]
-    if jobs > 1 and exhaustive:
-        chunk = max(1024, (total - 1) // (jobs * 8) + 1)
-        tasks = [(violation, n, lo, min(lo + chunk, total))
-                 for lo in range(1, total, chunk)]
+        bad = [idx for idx in (rng.randrange(1, total) for _ in range(count))
+               if violation(_code_from_index(n, idx))]
+        return count, sorted(bad)
+    tables = _orbit_tables(n)
+    reps = _orbit_representatives(n, tables)
+    if jobs > 1:
+        reps = list(reps)
+        chunk = len(reps) // (jobs * 8) + 1
+        tasks = [(violation, n, reps[lo:lo + chunk]) for lo in range(0, len(reps), chunk)]
         with ProcessPoolExecutor(max_workers=jobs) as pool:
-            bad = [idx for part in pool.map(_sweep_chunk, tasks) for idx in part]
-        return total - 1, sorted(bad)
-    bad = [idx for idx in indices if violation(_code_from_index(n, idx))]
-    return len(indices), sorted(bad)
+            hits = [idx for part in pool.map(_sweep_chunk, tasks) for idx in part]
+    else:
+        hits = _sweep_chunk((violation, n, reps))
+    bad = [j for idx in hits for j in _orbit(idx, tables)]
+    return total - 1, sorted(bad)
 
 
 def _sweep_suite(name: str, violation, doc: str):
     """Build the suite that sweeps the codes on n neurons for `violation`:
     all of them when `exhaustive`, which by default means no `sample` and
-    n <= EXHAUSTIVE_MAX_NEURONS, else `sample` (default 10000) seeded ones."""
+    n <= EXHAUSTIVE_MAX_NEURONS, else `sample` (default 10000) seeded ones.
+
+    `violation` must give the same answer on a code and on every code a
+    neuron permutation maps it to: an exhaustive sweep tests one code per
+    orbit and reports the answer for all of them."""
     def suite(n: int = 3, exhaustive: bool | None = None, sample: int | None = None,
               seed: int = DEFAULT_SEED, jobs: int = 1) -> SuiteResult:
         _at_least(1, n=n, sample=sample, jobs=jobs)
+        if sample is not None and sample > MAX_SAMPLE:
+            raise ValueError(f"sample must be at most {MAX_SAMPLE}, got {sample}")
         if exhaustive is None:
             exhaustive = sample is None and n <= EXHAUSTIVE_MAX_NEURONS
         scanned, bad = _run_sweep(violation, n, exhaustive, sample, seed, jobs)

@@ -131,6 +131,29 @@ def test_graph_json_byte_identical(capsys, argv, expected):
     assert hashlib.sha256(out.encode()).hexdigest() == expected
 
 
+# Each command line gives inputs that cannot both apply; it must exit 2 with
+# a message naming them, not drop one of them and exit 0.
+REJECTED_CONFLICTS = [
+    (["graph", "ccg", "{1};{2}", "--cf", "{}"], ["--cf", "ccg"]),
+    (["graph", "grg", "{1}", "--cf", '{"n":3,"cf":[]}'], ["code argument", "--cf"]),
+    (["graph", "gr-complex", "--family", "cr:4", "--cf", '{"n":3,"cf":[]}'],
+     ["--family", "--cf"]),
+    (["graph", "gr-complex", "--family", "cr:4", "--dot"], ["--dot", "gr-complex"]),
+    (["cf", "{1}", "--family", "cc:3"], ["code argument", "--family"]),
+    (["map", "--add-on", "{1}", "--family", "cc:3"], ["code argument", "--family"]),
+]
+
+
+@pytest.mark.parametrize("argv, needles", REJECTED_CONFLICTS,
+                         ids=[" ".join(argv) for argv, _ in REJECTED_CONFLICTS])
+def test_rejects_conflicting_inputs(capsys, argv, needles):
+    status, out, err = run(capsys, *argv)
+    assert status == 2
+    assert out == ""
+    for needle in needles:
+        assert needle in err
+
+
 class TestMap:
     def test_delete_prediction(self, capsys):
         status, out, _ = run(capsys, "map", "--delete", "3", "{1};{3};{1,2}")
@@ -301,6 +324,14 @@ VERIFY_JSON_SHA256 = [
      "10e521bbb490caa52a4bb1600c6f8c23842b98471a751d0460b81d5545210555"),
     (["realizations", "--max", "5", "--trials", "7", "--seed", "2"],
      "592b67caa1a3f17f2828b371c5d4d3be4acc931f0f98e3efe0a81e6039d23931"),
+    # Recorded while exhaustive sweeps still tested every code and split
+    # index ranges between workers.
+    (["parity", "--n", "4", "--exhaustive", "--jobs", "2"],
+     "0303877825ed36fb74884620273378350445067ba800587f0ff95492e137c2cb"),
+    (["union-closure", "--n", "4", "--jobs", "2"],
+     "00a5cfb571972894599286befae9f6d137a5be62829cff6016880a705b799d07"),
+    (["union-closure", "--n", "3", "--jobs", "2"],
+     "7707d524a347a8b9565929278e8f55f51d20852511f524a85aebd323b63d1c64"),
 ]
 
 
@@ -317,6 +348,8 @@ def test_verify_json_byte_identical(capsys, argv, expected):
 REJECTED_VERIFY = [
     (["parity", "--n", "0"], None, ["--n 0", "n must be at least 1"]),
     (["parity", "--sample", "0"], None, ["--sample 0", "sample must be at least 1"]),
+    (["parity", "--sample", "1000001"], None,
+     ["--sample 1000001", "sample must be at most 1000000"]),
     (["parity", "--jobs", "0"], None, ["--jobs 0", "jobs must be at least 1"]),
     (["union-closure", "--jobs", "-3"], None, ["--jobs -3", "jobs must be at least 1"]),
     (["union-closure", "--n", "9", "--sample", "5"], None, ["--n 9", "capped at n=8"]),

@@ -8,6 +8,7 @@ input parse error.
 from __future__ import annotations
 
 import argparse
+import functools
 import hashlib
 import inspect
 import json
@@ -315,7 +316,10 @@ def _add_code_inputs(sub):
     sub.add_argument("--family", help="named family instead of code text: cc:<m> or cr:<k>")
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The parser, built on the first call and shared by later ones: each
+    `parse_args` returns a fresh namespace, so no call sees another's flags."""
     parser = argparse.ArgumentParser(
         prog="neurocode",
         description="Combinatorial neural codes: canonical forms, code graphs, "
@@ -376,9 +380,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def main(argv: list[str] | None = None) -> int:
     argv = list(sys.argv[1:]) if argv is None else list(argv)
-    parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _build_parser().parse_args(argv)
     except SystemExit as exc:
         code = exc.code
         return code if isinstance(code, int) else 2

@@ -4,6 +4,12 @@ Covers are families of 1D open intervals or 2D closed segments with
 rational endpoints. The realized code of a cover is computed from the exact
 arrangement of endpoints and intersections; no floating point anywhere, so
 realized codes are invariant under rational rescaling.
+
+An interval arrangement is sampled once, on endpoint ranks, and reduced to
+the membership masks of its cells. Those masks answer every question the
+canonical form of the cover asks (is U_sigma empty, does a union of other
+sets contain it, does it cover the stimulus space) with integer tests, so
+`cf_from_intervals` compares no rationals after the first sort.
 """
 
 from __future__ import annotations
@@ -83,27 +89,35 @@ class SegmentCover:
         return len(self.segments)
 
 
-def code_of_intervals(cover: IntervalCover) -> Code:
-    """Realized code of an open interval cover, by exact arrangement.
+def _cell_masks(cover: IntervalCover) -> set[int]:
+    """Nonzero membership masks of the cells of the interval arrangement.
 
-    Membership masks are constant on the open cells between consecutive
-    endpoints, so sampling every endpoint, every cell midpoint, and (on the
-    whole line) one point beyond each extreme captures every codeword.
+    Membership is constant between neighbouring endpoints, so one sample at
+    every endpoint and one between each neighbouring pair sees every cell.
+    The samples work on endpoint ranks r: sample 2r sits on an endpoint,
+    2r + 1 between ranks r and r + 1, and interval i holds the samples
+    strictly between twice the ranks of its ends.
     """
-    pts = sorted({e for iv in cover.intervals for e in iv})
-    samples = list(pts)
-    samples.extend((a + b) / 2 for a, b in zip(pts, pts[1:]))
-    if cover.ambient == AMBIENT_LINE:
-        samples.append(pts[0] - 1)
-        samples.append(pts[-1] + 1)
+    rank = {e: 2 * r for r, e in enumerate(sorted({e for iv in cover.intervals for e in iv}))}
+    spans = [(rank[a], rank[b]) for a, b in cover.intervals]
     masks = set()
-    for x in samples:
+    for x in range(len(rank) * 2 - 1):
         mask = 0
-        for i, (a, b) in enumerate(cover.intervals):
+        for i, (a, b) in enumerate(spans):
             if a < x < b:
                 mask |= 1 << i
-        if mask or cover.ambient == AMBIENT_LINE:
-            masks.add(mask)
+        masks.add(mask)
+    masks.discard(0)
+    return masks
+
+
+def code_of_intervals(cover: IntervalCover) -> Code:
+    """Realized code of an open interval cover, by exact arrangement: the
+    cell masks, plus the empty word on the whole line, which reaches past
+    every interval."""
+    masks = _cell_masks(cover)
+    if cover.ambient == AMBIENT_LINE:
+        masks.add(0)
     return Code.from_masks(cover.n, masks)
 
 
@@ -116,91 +130,52 @@ def cc_m_intervals(m: int) -> IntervalCover:
                          AMBIENT_LINE)
 
 
-def _sigma_intersection(cover: IntervalCover, sigma: int):
-    """Common part of the intervals in sigma as (lo, hi); None when empty.
-    sigma = 0 is the caller's business."""
-    lo = None
-    hi = None
-    for i, (a, b) in enumerate(cover.intervals):
-        if sigma >> i & 1:
-            lo = a if lo is None else max(lo, a)
-            hi = b if hi is None else min(hi, b)
-    if lo is None or not lo < hi:
-        return None
-    return (lo, hi)
-
-
-def _merged_components(cover: IntervalCover, tau: int) -> list[tuple[Fraction, Fraction]]:
-    """Connected components of the union over tau. Open intervals merge only
-    on strict overlap: touching endpoints leave the shared point uncovered."""
-    ivs = sorted(cover.intervals[i] for i in range(cover.n) if tau >> i & 1)
-    comps: list[list[Fraction]] = []
-    for a, b in ivs:
-        if comps and a < comps[-1][1]:
-            comps[-1][1] = max(comps[-1][1], b)
-        else:
-            comps.append([a, b])
-    return [(a, b) for a, b in comps]
-
-
 def cf_from_intervals(cover: IntervalCover) -> CanonicalForm:
     """Canonical form of the realized code straight from the cover geometry.
 
-    Three generator families: empty intersections, intersections covered by
-    other intervals' unions, and (only when the stimulus space is the union)
-    subfamilies covering the whole space. Each condition is monotone, so
-    minimality reduces to single-element removals.
+    Three generator families: empty intersections U_sigma, intersections
+    covered by the union of other intervals U_tau, and (only when the
+    stimulus space is the union) subfamilies tau covering the whole space.
+    Each condition is monotone, so minimality reduces to single-element
+    removals. Every point of U_sigma lies in a cell of the arrangement whose
+    mask contains sigma, so each geometric test is a test on cell masks:
+    U_sigma is empty when no cell contains sigma, U_sigma lies in the union
+    of the U_i with i in tau when every cell that contains sigma meets tau,
+    and tau covers the union when every cell meets tau.
     """
     n = cover.n
     if n > CF_MAX_SETS:
         raise ValueError(f"cover has {n} sets; the subset sweep is capped at {CF_MAX_SETS}")
     full = (1 << n) - 1
-    inter = {sigma: _sigma_intersection(cover, sigma) for sigma in range(1, full + 1)}
-    comps = {tau: _merged_components(cover, tau) for tau in range(1, full + 1)}
+    cells = _cell_masks(cover)
+    # within[sigma]: the cells that make up U_sigma; within[0] is the union.
+    within = [[c for c in cells if c & sigma == sigma] for sigma in range(full + 1)]
 
-    def covered(interval, tau: int) -> bool:
-        lo, hi = interval
-        return any(a <= lo and hi <= b for a, b in comps[tau])
+    def covered(sigma: int, tau: int) -> bool:
+        return all(c & tau for c in within[sigma])
 
-    def covers_space(tau: int) -> bool:
-        if cover.ambient == AMBIENT_LINE:
-            return False
-        return all(covered(cover.intervals[i], tau) for i in range(n))
+    union = cover.ambient == AMBIENT_UNION
+    covers_space = [union and covered(0, tau) for tau in range(full + 1)]
 
     elements = set()
     for sigma in range(1, full + 1):
-        if inter[sigma] is not None:
+        lower = [sigma ^ 1 << i for i in range(n) if sigma >> i & 1]
+        if not within[sigma]:
+            if all(within[sub] for sub in lower):
+                elements.add(PseudoMonomial(n, sigma, 0))
             continue
-        low_bits = [sigma & ~(1 << i) for i in range(n) if sigma >> i & 1]
-        if all(sub == 0 or inter[sub] is not None for sub in low_bits):
-            elements.add(PseudoMonomial(n, sigma, 0))
-
-    for sigma in range(1, full + 1):
-        u_sigma = inter[sigma]
-        if u_sigma is None:
-            continue
-        rest = full ^ sigma
-        for tau in submasks(rest):
-            if tau == 0 or covers_space(tau) or not covered(u_sigma, tau):
+        for tau in submasks(full ^ sigma):
+            if tau == 0 or covers_space[tau] or not covered(sigma, tau):
                 continue
-            sigma_min = all(
-                sub == 0 or inter[sub] is None or not covered(inter[sub], tau)
-                for sub in (sigma & ~(1 << i) for i in range(n) if sigma >> i & 1))
-            if not sigma_min:
+            if any(sub and covered(sub, tau) for sub in lower):
                 continue
-            tau_min = all(
-                sub == 0 or not covered(u_sigma, sub)
-                for sub in (tau & ~(1 << i) for i in range(n) if tau >> i & 1))
-            if tau_min:
+            if not any(covered(sigma, tau ^ 1 << j) for j in range(n) if tau >> j & 1):
                 elements.add(PseudoMonomial(n, sigma, tau))
 
-    if cover.ambient == AMBIENT_UNION:
-        for tau in range(1, full + 1):
-            if not covers_space(tau):
-                continue
-            subs = [tau & ~(1 << i) for i in range(n) if tau >> i & 1]
-            if all(sub == 0 or not covers_space(sub) for sub in subs):
-                elements.add(PseudoMonomial(n, 0, tau))
+    for tau in range(1, full + 1):
+        if covers_space[tau] and not any(
+                covers_space[tau ^ 1 << j] for j in range(n) if tau >> j & 1):
+            elements.add(PseudoMonomial(n, 0, tau))
 
     return CanonicalForm(n, frozenset(elements))
 

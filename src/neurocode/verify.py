@@ -169,8 +169,8 @@ def _orbit_representatives(n: int, tables: list[list[list[int]]]):
 
 
 def _sweep_chunk(args: tuple) -> list[int]:
-    violation, n, reps = args
-    return [idx for idx in reps if violation(_code_from_index(n, idx))]
+    violation, n, indices = args
+    return [idx for idx in indices if violation(_code_from_index(n, idx))]
 
 
 def _run_sweep(violation, n: int, exhaustive: bool, sample: int | None,
@@ -179,30 +179,35 @@ def _run_sweep(violation, n: int, exhaustive: bool, sample: int | None,
 
     An exhaustive sweep tests one code per orbit under neuron permutations,
     its smallest index, and counts a violation for every code in the orbit,
-    so the result is the one a test of every code would give."""
+    so the result is the one a test of every code would give. A sampled
+    sweep tests `sample` seeded indices. With `jobs > 1` the parent draws
+    the indices in the same order and splits them between workers, so the
+    result does not depend on `jobs`."""
     cap = EXHAUSTIVE_MAX_NEURONS if exhaustive else SAMPLED_MAX_NEURONS
     if n > cap:
         kind = "exhaustive" if exhaustive else "sampled"
         raise ValueError(f"{kind} sweeps are capped at n={cap}, got n={n}")
     total = 1 << (1 << n)
-    if not exhaustive:
-        count = sample if sample is not None else 10000
+    if exhaustive:
+        scanned = total - 1
+        tables = _orbit_tables(n)
+        indices = _orbit_representatives(n, tables)
+    else:
+        scanned = sample if sample is not None else 10000
         rng = random.Random(seed)
-        bad = [idx for idx in (rng.randrange(1, total) for _ in range(count))
-               if violation(_code_from_index(n, idx))]
-        return count, sorted(bad)
-    tables = _orbit_tables(n)
-    reps = _orbit_representatives(n, tables)
+        indices = (rng.randrange(1, total) for _ in range(scanned))
     if jobs > 1:
-        reps = list(reps)
-        chunk = len(reps) // (jobs * 8) + 1
-        tasks = [(violation, n, reps[lo:lo + chunk]) for lo in range(0, len(reps), chunk)]
+        indices = list(indices)
+        chunk = len(indices) // (jobs * 8) + 1
+        tasks = [(violation, n, indices[lo:lo + chunk])
+                 for lo in range(0, len(indices), chunk)]
         with ProcessPoolExecutor(max_workers=jobs) as pool:
             hits = [idx for part in pool.map(_sweep_chunk, tasks) for idx in part]
     else:
-        hits = _sweep_chunk((violation, n, reps))
-    bad = [j for idx in hits for j in _orbit(idx, tables)]
-    return total - 1, sorted(bad)
+        hits = _sweep_chunk((violation, n, indices))
+    if exhaustive:
+        hits = [j for idx in hits for j in _orbit(idx, tables)]
+    return scanned, sorted(hits)
 
 
 def _sweep_suite(name: str, violation, doc: str):

@@ -332,6 +332,12 @@ VERIFY_JSON_SHA256 = [
      "00a5cfb571972894599286befae9f6d137a5be62829cff6016880a705b799d07"),
     (["union-closure", "--n", "3", "--jobs", "2"],
      "7707d524a347a8b9565929278e8f55f51d20852511f524a85aebd323b63d1c64"),
+    # Recorded while sampled sweeps still ran in one process whatever
+    # --jobs said.
+    (["parity", "--n", "5", "--sample", "2000", "--jobs", "2"],
+     "f767da293575c5ffdfc1b20f6f47f9c7e47a81d8d55c5d146d0e4cf5149810d9"),
+    (["union-closure", "--n", "5", "--sample", "500", "--seed", "3", "--jobs", "2"],
+     "8c278ce1479f59a96c26ab56c9604f8aef6cc786b5d6e5a256df7755cf278f8b"),
 ]
 
 
@@ -388,6 +394,36 @@ def test_verify_rejects_bad_input(capsys, monkeypatch, argv, env_jobs, needles):
     assert out == ""
     for needle in needles:
         assert needle in err
+
+
+# Pairs of command lines where the first sets a flag or input that the
+# second leaves out, so a parser that kept state between calls would show.
+PARSER_STATE_ARGV = [
+    ["graph", "ccg", "{1};{1,2};{2}", "--dot"],
+    ["graph", "ccg", "{1};{1,2};{2}"],
+    ["cf", "--family", "cr:4", "--oracle"],
+    ["cf", "--family", "cr:4"],
+    ["cf", "{1};{2}"],
+    ["graph", "grg", "--cf", GRAPH_CF4],
+    ["graph", "grg", "--family", "cr:5"],
+    ["map", "--duplicate", "1", "n=2;{1};{1,2}"],
+    ["map", "--permute", "2,1", "n=2;{1};{1,2}"],
+    ["map", "n=2;{1}"],
+    ["realize", "--family", "cc:4", "--cf"],
+    ["realize", "--family", "cc:4"],
+    ["verify", "parity", "--n", "3", "--jobs", "2"],
+    ["verify", "parity", "--n", "3"],
+]
+
+
+def test_cached_parser_keeps_no_state(capsys, monkeypatch):
+    monkeypatch.delenv("NEUROCODE_JOBS", raising=False)
+    assert cli._build_parser() is cli._build_parser()
+    forward = {tuple(argv): run(capsys, *argv, "--json")[:2] for argv in PARSER_STATE_ARGV}
+    backward = {tuple(argv): run(capsys, *argv, "--json")[:2]
+                for argv in reversed(PARSER_STATE_ARGV)}
+    assert forward == backward
+    assert [forward[tuple(argv)][0] for argv in PARSER_STATE_ARGV] == [0] * 9 + [2] + [0] * 4
 
 
 class TestJsonReports:

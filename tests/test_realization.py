@@ -115,6 +115,165 @@ class TestCfFromIntervals:
         assert cf == canonical_form(code_of_intervals(cov))
 
 
+# The Fraction-geometry cf_from_intervals that the cell-mask version
+# replaced, kept as a reference that shares no code with the library. It is
+# the old code without its docstrings, type hints and size cap; it yields
+# (plus, minus) mask pairs where the library built PseudoMonomials, and it
+# has its own submasks.
+def reference_submasks(mask):
+    sub = mask
+    while True:
+        yield sub
+        if sub == 0:
+            return
+        sub = (sub - 1) & mask
+
+
+def reference_sigma_intersection(cover, sigma):
+    lo = None
+    hi = None
+    for i, (a, b) in enumerate(cover.intervals):
+        if sigma >> i & 1:
+            lo = a if lo is None else max(lo, a)
+            hi = b if hi is None else min(hi, b)
+    if lo is None or not lo < hi:
+        return None
+    return (lo, hi)
+
+
+def reference_merged_components(cover, tau):
+    ivs = sorted(cover.intervals[i] for i in range(cover.n) if tau >> i & 1)
+    comps = []
+    for a, b in ivs:
+        if comps and a < comps[-1][1]:
+            comps[-1][1] = max(comps[-1][1], b)
+        else:
+            comps.append([a, b])
+    return [(a, b) for a, b in comps]
+
+
+def reference_cf_from_intervals(cover):
+    n = cover.n
+    full = (1 << n) - 1
+    inter = {sigma: reference_sigma_intersection(cover, sigma) for sigma in range(1, full + 1)}
+    comps = {tau: reference_merged_components(cover, tau) for tau in range(1, full + 1)}
+
+    def covered(interval, tau):
+        lo, hi = interval
+        return any(a <= lo and hi <= b for a, b in comps[tau])
+
+    def covers_space(tau):
+        if cover.ambient == AMBIENT_LINE:
+            return False
+        return all(covered(cover.intervals[i], tau) for i in range(n))
+
+    elements = set()
+    for sigma in range(1, full + 1):
+        if inter[sigma] is not None:
+            continue
+        low_bits = [sigma & ~(1 << i) for i in range(n) if sigma >> i & 1]
+        if all(sub == 0 or inter[sub] is not None for sub in low_bits):
+            elements.add((sigma, 0))
+
+    for sigma in range(1, full + 1):
+        u_sigma = inter[sigma]
+        if u_sigma is None:
+            continue
+        rest = full ^ sigma
+        for tau in reference_submasks(rest):
+            if tau == 0 or covers_space(tau) or not covered(u_sigma, tau):
+                continue
+            sigma_min = all(
+                sub == 0 or inter[sub] is None or not covered(inter[sub], tau)
+                for sub in (sigma & ~(1 << i) for i in range(n) if sigma >> i & 1))
+            if not sigma_min:
+                continue
+            tau_min = all(
+                sub == 0 or not covered(u_sigma, sub)
+                for sub in (tau & ~(1 << i) for i in range(n) if tau >> i & 1))
+            if tau_min:
+                elements.add((sigma, tau))
+
+    if cover.ambient == AMBIENT_UNION:
+        for tau in range(1, full + 1):
+            if not covers_space(tau):
+                continue
+            subs = [tau & ~(1 << i) for i in range(n) if tau >> i & 1]
+            if all(sub == 0 or not covers_space(sub) for sub in subs):
+                elements.add((0, tau))
+
+    return elements
+
+
+def reference_code_of_intervals(cover):
+    """Membership masks at every endpoint, every midpoint between
+    neighbouring endpoints and, on the whole line, a point past each end."""
+    pts = sorted({e for iv in cover.intervals for e in iv})
+    samples = pts + [(a + b) / 2 for a, b in zip(pts, pts[1:])]
+    if cover.ambient == AMBIENT_LINE:
+        samples += [pts[0] - 1, pts[-1] + 1]
+    masks = {sum(1 << i for i, (a, b) in enumerate(cover.intervals) if a < x < b)
+             for x in samples}
+    if cover.ambient == AMBIENT_UNION:
+        masks.discard(0)
+    return masks
+
+
+def random_cover(rng, n, ambient):
+    """Intervals on a small grid of rationals, so that endpoints often
+    touch; some copy an earlier interval and some nest inside one."""
+    grid = sorted({Fraction(k, d) for k in range(-6, 7) for d in (1, 2, 3)})
+    ivs = []
+    while len(ivs) < n:
+        roll = rng.random()
+        if ivs and roll < 0.15:
+            ivs.append(rng.choice(ivs))
+            continue
+        if ivs and roll < 0.3:
+            lo, hi = rng.choice(ivs)
+            inside = [x for x in grid if lo <= x <= hi]
+        else:
+            inside = grid
+        a, b = sorted(rng.sample(inside, 2))
+        ivs.append((a, b))
+    return IntervalCover(tuple(ivs), ambient)
+
+
+# Covers per set count, in each ambient; the reference costs up to 3^n
+# Fraction comparisons per cover.
+DIFFERENTIAL_COVERS = {1: 40, 2: 60, 3: 60, 4: 60, 5: 40, 6: 25, 7: 12, 8: 6}
+
+
+def differential_covers():
+    rng = random.Random(83)
+    for n, count in DIFFERENTIAL_COVERS.items():
+        for ambient in (AMBIENT_LINE, AMBIENT_UNION):
+            for _ in range(count):
+                yield random_cover(rng, n, ambient)
+
+
+class TestCellMasksAgainstFractionGeometry:
+    def test_covers_have_the_shapes_named(self):
+        covers = list(differential_covers())
+        ends = [[e for iv in cov.intervals for e in iv] for cov in covers]
+        assert any(len(set(e)) < len(e) for e in ends)  # touching or shared ends
+        assert any(len(set(cov.intervals)) < cov.n for cov in covers)  # duplicates
+        assert any(a < c and d < b for cov in covers
+                   for a, b in cov.intervals for c, d in cov.intervals)  # strictly nested
+        assert any(e.denominator > 1 for row in ends for e in row)
+
+    def test_cf_from_intervals(self):
+        for cov in differential_covers():
+            got = {(e.plus, e.minus) for e in cf_from_intervals(cov).elements}
+            assert got == reference_cf_from_intervals(cov), cover_to_json_obj(cov)
+
+    def test_code_of_intervals(self):
+        for cov in differential_covers():
+            got = code_of_intervals(cov)
+            assert got == Code.from_masks(cov.n, reference_code_of_intervals(cov)), \
+                cover_to_json_obj(cov)
+
+
 class TestPolygon:
     def test_triangle_coordinates(self):
         cov = cr_k_polygon(3)

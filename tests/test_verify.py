@@ -1,10 +1,13 @@
-"""Orbit-reduced exhaustive sweeps against brute force over every code."""
+"""Sweeps against brute force: orbit-reduced exhaustive ones over every
+code, sampled ones over the seeded draws, for every worker count."""
 
+import random
 from functools import lru_cache
 from itertools import permutations
 
 import pytest
 
+from neurocode import verify
 from neurocode.codes import Code, ElementaryMap, apply_elementary_map, union_closure_condition
 from neurocode.graphs import ccg, diameter, is_connected, is_regular
 from neurocode.verify import (
@@ -86,6 +89,46 @@ def test_run_sweep_matches_brute_force(n, predicate):
     assert expected or (n, predicate) == (1, small_connected)
     for jobs in (1, 2):
         assert _run_sweep(predicate, n, True, None, 0, jobs) == ((1 << (1 << n)) - 1, expected)
+
+
+@pytest.mark.parametrize("predicate", PREDICATES, ids=lambda p: p.__name__)
+@pytest.mark.parametrize("n, sample, seed", [(2, 60, 5), (3, 500, 5), (4, 3000, 11)])
+def test_sampled_sweep_same_for_every_jobs(n, sample, seed, predicate):
+    rng = random.Random(seed)
+    draws = [rng.randrange(1, 1 << (1 << n)) for _ in range(sample)]
+    expected = sorted(idx for idx in draws if predicate(brute_code(n, idx)))
+    assert expected
+    for jobs in (1, 2, 3):
+        assert _run_sweep(predicate, n, False, sample, seed, jobs) == (sample, expected)
+
+
+class InlinePool:
+    """Stands in for ProcessPoolExecutor and records the chunks it is given."""
+    chunks = []
+
+    def __init__(self, max_workers):
+        assert max_workers == 2
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def map(self, fn, tasks):
+        tasks = list(tasks)
+        InlinePool.chunks = [task[2] for task in tasks]
+        return map(fn, tasks)
+
+
+def test_sampled_sweep_splits_draws_between_workers(monkeypatch):
+    monkeypatch.setattr(verify, "ProcessPoolExecutor", InlinePool)
+    scanned, bad = _run_sweep(odd_size, 3, False, 500, 7, 2)
+    rng = random.Random(7)
+    assert [idx for chunk in InlinePool.chunks for idx in chunk] == \
+        [rng.randrange(1, 256) for _ in range(500)]
+    assert len(InlinePool.chunks) > 1
+    assert (scanned, bad) == _run_sweep(odd_size, 3, False, 500, 7, 1)
 
 
 def test_known_violation_counts():

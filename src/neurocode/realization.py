@@ -1,24 +1,29 @@
 """Exact verification of convex cover realizations.
 
 Covers are families of 1D open intervals or 2D closed segments with
-rational endpoints. The realized code of a cover is computed from the exact
-arrangement of endpoints and intersections; no floating point anywhere, so
-realized codes are invariant under rational rescaling.
+rational endpoints, at most one set per neuron. The realized code of a
+cover is computed from the exact arrangement of endpoints and
+intersections; no floating point anywhere, so realized codes are invariant
+under rational rescaling.
 
 An interval arrangement is sampled once, on endpoint ranks, and reduced to
 the membership masks of its cells. Those masks answer every question the
 canonical form of the cover asks (is U_sigma empty, does a union of other
 sets contain it, does it cover the stimulus space) with integer tests, so
 `cf_from_intervals` compares no rationals after the first sort.
+
+A segment cover is scaled to integer coordinates and each segment sampled
+on the ranks of the parameters where the others' meets with it begin and
+end; the only division is the `Fraction` of each parameter.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
-from .codes import Code
+from .codes import MAX_NEURONS, Code, submasks
 from .ideal import CanonicalForm, PseudoMonomial
-from .codes import submasks
 
 AMBIENT_LINE = "line"
 AMBIENT_UNION = "union"
@@ -39,6 +44,12 @@ def _as_fraction(value) -> Fraction:
     raise ValueError(f"exact rational required, got {value!r} ({type(value).__name__})")
 
 
+def _check_set_count(sets: tuple) -> None:
+    # one neuron per set: reject an oversize cover before reading its geometry
+    if len(sets) > MAX_NEURONS:
+        raise ValueError(f"cover has {len(sets)} sets; at most {MAX_NEURONS} are allowed")
+
+
 @dataclass(frozen=True)
 class IntervalCover:
     """Open intervals U_1..U_n with exact endpoints; the stimulus space is
@@ -48,6 +59,7 @@ class IntervalCover:
     ambient: str = AMBIENT_LINE
 
     def __post_init__(self) -> None:
+        _check_set_count(self.intervals)
         fixed = []
         for a, b in self.intervals:
             a, b = _as_fraction(a), _as_fraction(b)
@@ -73,6 +85,7 @@ class SegmentCover:
     segments: tuple[tuple[Point, Point], ...]
 
     def __post_init__(self) -> None:
+        _check_set_count(self.segments)
         fixed = []
         for p, q in self.segments:
             p = (_as_fraction(p[0]), _as_fraction(p[1]))
@@ -124,8 +137,8 @@ def code_of_intervals(cover: IntervalCover) -> Code:
 def cc_m_intervals(m: int) -> IntervalCover:
     """The nested cover (i, m) for i = 1..m-1 realizing the chain code on
     the whole line."""
-    if m < 2:
-        raise ValueError(f"chain cover needs m >= 2, got {m}")
+    if not 2 <= m <= MAX_NEURONS + 1:
+        raise ValueError(f"chain cover needs 2 <= m <= {MAX_NEURONS + 1}, got {m}")
     return IntervalCover(tuple((Fraction(i), Fraction(m)) for i in range(1, m)),
                          AMBIENT_LINE)
 
@@ -187,85 +200,69 @@ def cr_k_polygon(k: int) -> SegmentCover:
     convex position, so consecutive edges share exactly one point and
     non-consecutive edges are disjoint, like the regular k-gon.
     """
-    if k < 3:
-        raise ValueError(f"polygon cover needs k >= 3, got {k}")
+    if not 3 <= k <= MAX_NEURONS:
+        raise ValueError(f"polygon cover needs 3 <= k <= {MAX_NEURONS}, got {k}")
     pts = [(Fraction(j), Fraction(j * j)) for j in range(k)]
     segments = tuple((pts[i], pts[(i + 1) % k]) for i in range(k))
     return SegmentCover(segments)
 
 
-def _cross(o: Point, a: Point, b: Point) -> Fraction:
-    return (a[0] - o[0]) * (b[1] - o[1]) - (a[1] - o[1]) * (b[0] - o[0])
-
-
-def _on_segment(pt: Point, seg: tuple[Point, Point]) -> bool:
-    p, q = seg
-    if _cross(p, q, pt) != 0:
-        return False
-    dx, dy = q[0] - p[0], q[1] - p[1]
-    t_num = (pt[0] - p[0]) * dx + (pt[1] - p[1]) * dy
-    return 0 <= t_num <= dx * dx + dy * dy
-
-
-def _intersection_params(seg: tuple[Point, Point], other: tuple[Point, Point]) -> list[Fraction]:
-    """Parameters on `seg` where its intersection with `other` begins/ends.
-
-    Empty when disjoint, one value for a transversal or touching point, two
-    for the ends of a collinear overlap.
-    """
-    p, pq = seg
-    q, qd = other
-    d1 = (pq[0] - p[0], pq[1] - p[1])
-    d2 = (qd[0] - q[0], qd[1] - q[1])
-    diff = (q[0] - p[0], q[1] - p[1])
-    denom = d1[0] * d2[1] - d1[1] * d2[0]
-    if denom != 0:
-        t = (diff[0] * d2[1] - diff[1] * d2[0]) / denom
-        s = (diff[0] * d1[1] - diff[1] * d1[0]) / denom
-        if 0 <= t <= 1 and 0 <= s <= 1:
-            return [t]
-        return []
-    if diff[0] * d1[1] - diff[1] * d1[0] != 0:
-        return []
-    dd = d1[0] * d1[0] + d1[1] * d1[1]
-    t0 = (diff[0] * d1[0] + diff[1] * d1[1]) / dd
-    t1 = ((diff[0] + d2[0]) * d1[0] + (diff[1] + d2[1]) * d1[1]) / dd
-    lo, hi = min(t0, t1), max(t0, t1)
-    lo, hi = max(lo, Fraction(0)), min(hi, Fraction(1))
+def _meet_range(p: tuple[int, int], d: tuple[int, int],
+                q: tuple[int, int], e: tuple[int, int]) -> tuple[Fraction, Fraction] | None:
+    """Closed range [lo, hi] of the t in [0, 1] with p + t*d on the segment
+    q + s*e, s in [0, 1], or None: lo == hi for a crossing or touching point,
+    the clipped ends of a collinear overlap. Integer cross and dot products
+    decide; each end is one `Fraction`."""
+    (px, py), (dx, dy), (qx, qy), (ex, ey) = p, d, q, e
+    wx, wy = qx - px, qy - py
+    den = dx * ey - dy * ex
+    if den:
+        t = wx * ey - wy * ex
+        s = wx * dy - wy * dx
+        if den < 0:
+            den, t, s = -den, -t, -s
+        if 0 <= t <= den and 0 <= s <= den:
+            t = Fraction(t, den)
+            return t, t
+        return None
+    if wx * dy - wy * dx:
+        return None
+    dd = dx * dx + dy * dy
+    a = wx * dx + wy * dy
+    b = a + ex * dx + ey * dy
+    lo, hi = max(min(a, b), 0), min(max(a, b), dd)
     if lo > hi:
-        return []
-    if lo == hi:
-        return [lo]
-    return [lo, hi]
+        return None
+    return Fraction(lo, dd), Fraction(hi, dd)
 
 
 def code_of_segments(cover: SegmentCover) -> Code:
     """Realized code of a closed segment cover over the union of the segments.
 
-    Along each segment the membership mask changes only where another
-    segment's intersection begins or ends, so sampling those parameters and
-    the midpoints between them captures every codeword.
+    Coordinates are scaled by the LCM of their denominators to plain ints,
+    which realizes the same code. Along segment i the mask changes only where
+    another segment's meet with it begins or ends, so the samples work on
+    the ranks r of those parameters, 0 and 1: sample 2r sits on a parameter,
+    2r + 1 between ranks r and r + 1, and segment j holds the samples over
+    twice the ranks of its meet's ends.
     """
-    segs = cover.segments
-    k = cover.k
+    coords = [c for p, q in cover.segments for c in (*p, *q)]
+    scale = math.lcm(*(c.denominator for c in coords))
+    x = [c.numerator * (scale // c.denominator) for c in coords]
+    segs = [((x[i], x[i + 1]), (x[i + 2] - x[i], x[i + 3] - x[i + 1]))
+            for i in range(0, len(x), 4)]
     masks = set()
-    for i, seg in enumerate(segs):
-        ts = {Fraction(0), Fraction(1)}
-        for j, other in enumerate(segs):
-            if j != i:
-                ts.update(_intersection_params(seg, other))
-        tlist = sorted(ts)
-        samples = list(tlist)
-        samples.extend((a + b) / 2 for a, b in zip(tlist, tlist[1:]))
-        (px, py), (qx, qy) = seg
-        for t in samples:
-            pt = (px + t * (qx - px), py + t * (qy - py))
-            mask = 0
-            for j, other in enumerate(segs):
-                if _on_segment(pt, other):
-                    mask |= 1 << j
-            masks.add(mask)
-    return Code.from_masks(k, masks)
+    for i, (p, d) in enumerate(segs):
+        meets = [(span, 1 << j) for j, (q, e) in enumerate(segs)
+                 if j != i and (span := _meet_range(p, d, q, e))]
+        params = sorted({0, 1, *(t for span, _ in meets for t in span)})
+        rank = {t: 2 * r for r, t in enumerate(params)}
+        samples = [1 << i] * (2 * len(params) - 1)
+        for (lo, hi), bit in meets:
+            for s in range(rank[lo], rank[hi] + 1):
+                samples[s] |= bit
+        masks.update(samples)
+    return Code.from_masks(cover.k, masks)
 
 
 def cover_to_json_obj(cover: IntervalCover | SegmentCover) -> dict:

@@ -210,6 +210,18 @@ class TestRealize:
         status, _, err = run(capsys, "realize", cover, "--cf")
         assert status == 2
 
+    def test_oversize_family_exits_2_at_once(self, capsys):
+        status, out, err = run(capsys, "realize", "--family", "cc:1000000")
+        assert (status, out) == (2, "")
+        assert "m <= 65, got 1000000" in err
+
+    def test_oversize_cover_json_exits_2(self, capsys):
+        cover = json.dumps({"kind": "segments",
+                            "sets": [[[i, 0], [i, 1]] for i in range(65)]})
+        status, out, err = run(capsys, "realize", cover)
+        assert (status, out) == (2, "")
+        assert "bad cover JSON: cover has 65 sets; at most 64" in err
+
 
 # Each cover document must exit 2 with a message, not a traceback or a
 # cover read from ill-typed values.

@@ -6,7 +6,7 @@ from fractions import Fraction
 
 import pytest
 
-from neurocode.codes import Code, cc_family, cr_family
+from neurocode.codes import MAX_NEURONS, Code, cc_family, cr_family
 from neurocode.ideal import CanonicalForm, canonical_form, cf_cc_formula
 from neurocode.realization import (
     AMBIENT_LINE,
@@ -40,6 +40,11 @@ class TestIntervalCover:
         with pytest.raises(ValueError):
             IntervalCover((), AMBIENT_LINE)
 
+    def test_rejects_more_sets_than_neurons(self):
+        assert intervals([(i, i + 1) for i in range(MAX_NEURONS)]).n == MAX_NEURONS
+        with pytest.raises(ValueError, match=f"65 sets; at most {MAX_NEURONS}"):
+            intervals([(i, i + 1) for i in range(MAX_NEURONS + 1)])
+
 
 class TestCodeOfIntervals:
     def test_chain_three(self):
@@ -72,6 +77,9 @@ class TestCcIntervals:
     def test_bound(self):
         with pytest.raises(ValueError):
             cc_m_intervals(1)
+        assert cc_m_intervals(MAX_NEURONS + 1).n == MAX_NEURONS
+        with pytest.raises(ValueError, match=f"m <= {MAX_NEURONS + 1}, got {MAX_NEURONS + 2}"):
+            cc_m_intervals(MAX_NEURONS + 2)
 
     def test_family_range(self):
         for m in range(2, 13):
@@ -290,6 +298,9 @@ class TestPolygon:
     def test_bound(self):
         with pytest.raises(ValueError):
             cr_k_polygon(2)
+        assert cr_k_polygon(MAX_NEURONS).k == MAX_NEURONS
+        with pytest.raises(ValueError, match=f"k <= {MAX_NEURONS}, got {MAX_NEURONS + 1}"):
+            cr_k_polygon(MAX_NEURONS + 1)
 
 
 class TestCodeOfSegments:
@@ -315,6 +326,11 @@ class TestCodeOfSegments:
     def test_degenerate_segment_rejected(self):
         with pytest.raises(ValueError):
             SegmentCover((self.seg(1, 1, 1, 1),))
+
+    def test_rejects_more_sets_than_neurons(self):
+        assert SegmentCover(tuple(self.seg(i, 0, i, 1) for i in range(MAX_NEURONS))).k == MAX_NEURONS
+        with pytest.raises(ValueError, match=f"65 sets; at most {MAX_NEURONS}"):
+            SegmentCover(tuple(self.seg(i, 0, i, 1) for i in range(MAX_NEURONS + 1)))
 
     def test_t_junction(self):
         cov = SegmentCover((self.seg(0, 0, 2, 0), self.seg(1, 0, 1, 2)))
@@ -366,6 +382,161 @@ class TestCollinearSegmentsAgainst1dReference:
                 if m:
                     masks.add(m)
             assert got == Code.from_masks(k, masks)
+
+
+# The Fraction point sampler that the integer rank sampler replaced, kept as
+# a reference that shares no code with the library: the old helpers and
+# sampling loop without their docstrings and type hints, returning the set
+# of realized masks.
+def reference_cross(o, a, b):
+    return (a[0] - o[0]) * (b[1] - o[1]) - (a[1] - o[1]) * (b[0] - o[0])
+
+
+def reference_on_segment(pt, seg):
+    p, q = seg
+    if reference_cross(p, q, pt) != 0:
+        return False
+    dx, dy = q[0] - p[0], q[1] - p[1]
+    t_num = (pt[0] - p[0]) * dx + (pt[1] - p[1]) * dy
+    return 0 <= t_num <= dx * dx + dy * dy
+
+
+def reference_intersection_params(seg, other):
+    p, pq = seg
+    q, qd = other
+    d1 = (pq[0] - p[0], pq[1] - p[1])
+    d2 = (qd[0] - q[0], qd[1] - q[1])
+    diff = (q[0] - p[0], q[1] - p[1])
+    denom = d1[0] * d2[1] - d1[1] * d2[0]
+    if denom != 0:
+        t = (diff[0] * d2[1] - diff[1] * d2[0]) / denom
+        s = (diff[0] * d1[1] - diff[1] * d1[0]) / denom
+        if 0 <= t <= 1 and 0 <= s <= 1:
+            return [t]
+        return []
+    if diff[0] * d1[1] - diff[1] * d1[0] != 0:
+        return []
+    dd = d1[0] * d1[0] + d1[1] * d1[1]
+    t0 = (diff[0] * d1[0] + diff[1] * d1[1]) / dd
+    t1 = ((diff[0] + d2[0]) * d1[0] + (diff[1] + d2[1]) * d1[1]) / dd
+    lo, hi = min(t0, t1), max(t0, t1)
+    lo, hi = max(lo, Fraction(0)), min(hi, Fraction(1))
+    if lo > hi:
+        return []
+    if lo == hi:
+        return [lo]
+    return [lo, hi]
+
+
+def reference_code_of_segments(cover):
+    segs = cover.segments
+    masks = set()
+    for i, seg in enumerate(segs):
+        ts = {Fraction(0), Fraction(1)}
+        for j, other in enumerate(segs):
+            if j != i:
+                ts.update(reference_intersection_params(seg, other))
+        tlist = sorted(ts)
+        samples = list(tlist)
+        samples.extend((a + b) / 2 for a, b in zip(tlist, tlist[1:]))
+        (px, py), (qx, qy) = seg
+        for t in samples:
+            pt = (px + t * (qx - px), py + t * (qy - py))
+            mask = 0
+            for j, other in enumerate(segs):
+                if reference_on_segment(pt, other):
+                    mask |= 1 << j
+            masks.add(mask)
+    return masks
+
+
+SEGMENT_GRIDS = ([Fraction(j) for j in range(-2, 3)],
+                 [Fraction(j, 3) for j in range(-4, 5)])
+ON_LINE_PARAMS = [Fraction(j, 6) for j in range(-6, 13)]
+
+
+def random_segment_cover(rng, k):
+    """Segments on a coarse grid of integers or of thirds; some copy an
+    earlier segment, start at one of its ends, at a point inside it, or lie
+    on its line, so that the meets of every kind occur."""
+    grid = rng.choice(SEGMENT_GRIDS)
+    segs = []
+    while len(segs) < k:
+        fresh = (rng.choice(grid), rng.choice(grid)), (rng.choice(grid), rng.choice(grid))
+        if segs and rng.random() < 0.4:
+            a, b = rng.choice(segs)
+            on = [tuple(a[c] + t * (b[c] - a[c]) for c in (0, 1))
+                  for t in rng.sample(ON_LINE_PARAMS, 2)]
+            p, q = rng.choice([(a, b), (a, fresh[1]), (on[0], fresh[1]), tuple(on)])
+        else:
+            p, q = fresh
+        if p != q:
+            segs.append((p, q) if rng.random() < 0.5 else (q, p))
+    return SegmentCover(tuple(segs))
+
+
+# Covers per segment count; the reference costs O(k^3) Fraction operations.
+DIFFERENTIAL_SEGMENT_COVERS = {1: 20, 2: 60, 3: 60, 4: 60, 5: 50, 6: 40, 7: 30, 8: 30}
+
+
+def differential_segment_covers():
+    rng = random.Random(89)
+    for k, count in DIFFERENTIAL_SEGMENT_COVERS.items():
+        for _ in range(count):
+            yield random_segment_cover(rng, k)
+
+
+def meet_kinds(s1, s2):
+    """Names of the ways two segments meet, by plain Fraction geometry."""
+    (p, q), (r, t) = s1, s2
+    kinds = set()
+    side = reference_cross
+
+    def inside(pt, a, b):  # strictly between a and b on their line
+        return side(a, b, pt) == 0 and min(a, b) < pt < max(a, b)
+
+    if {p, q} == {r, t}:
+        return {"identical"}
+    if {p, q} & {r, t}:
+        kinds.add("shared endpoint")
+    if side(p, q, r) == 0 and side(p, q, t) == 0:
+        if max(min(p, q), min(r, t)) < min(max(p, q), max(r, t)):
+            kinds.add("collinear overlap")
+        return kinds
+    if any(inside(e, a, b) for e, (a, b) in ((r, s1), (t, s1), (p, s2), (q, s2))):
+        kinds.add("T-junction")
+    den = side((0, 0), (q[0] - p[0], q[1] - p[1]), (t[0] - r[0], t[1] - r[1]))
+    if den:
+        u = side(p, r, t) / den
+        if 0 < u < 1 and side(p, q, r) * side(p, q, t) < 0:
+            x, y = p[0] + u * (q[0] - p[0]), p[1] + u * (q[1] - p[1])
+            if x.denominator > 1 or y.denominator > 1:
+                kinds.add("crossing off the integers")
+    return kinds
+
+
+class TestRankSamplerAgainstFractionSampler:
+    def test_covers_have_the_meets_named(self):
+        kinds = set()
+        for cov in differential_segment_covers():
+            for i, s1 in enumerate(cov.segments):
+                for s2 in cov.segments[i + 1:]:
+                    kinds |= meet_kinds(s1, s2)
+        assert kinds == {"identical", "shared endpoint", "collinear overlap",
+                         "T-junction", "crossing off the integers"}
+
+    def test_random_covers(self):
+        for cov in differential_segment_covers():
+            assert code_of_segments(cov) == \
+                Code.from_masks(cov.k, reference_code_of_segments(cov)), cover_to_json_obj(cov)
+
+    def test_scaled_polygons(self):
+        rng = random.Random(97)
+        for k in range(3, 13):
+            scale = Fraction(rng.randint(1, 30), rng.randint(1, 30))
+            cov = SegmentCover(tuple(((p[0] * scale, p[1] * scale), (q[0] * scale, q[1] * scale))
+                                     for p, q in cr_k_polygon(k).segments))
+            assert code_of_segments(cov) == Code.from_masks(k, reference_code_of_segments(cov))
 
 
 class TestScalingInvariance:

@@ -114,7 +114,7 @@ def _graph_summary(g) -> tuple[dict, list[str]]:
     diam = diameter(g)
     summary = {
         "vertices": len(g.vertices),
-        "edges": len(g.edges),
+        "edges": sum(bits.bit_count() for bits in g.nbrs) // 2,
         "connected": is_connected(g),
         "complete": is_complete(g),
         "regular": regular_k,

@@ -4,51 +4,42 @@ relationship complex built from a canonical form, and its 1-skeleton."""
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from typing import Hashable
+from dataclasses import dataclass
 
 from .codes import Code, Codeword, SimplicialComplex, _maximal_masks, indices_of
 from .ideal import CanonicalForm
 
 
-def _vertex_key(v: Hashable):
-    return v.sort_key() if isinstance(v, Codeword) else v
-
-
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True)
 class CodeGraph:
-    """Undirected graph with unique hashable vertex labels and no loops;
-    `nbrs[i]` is the bitset of the positions adjacent to `vertices[i]`."""
+    """Undirected graph on unique hashable vertex labels, kept in the order
+    given; `nbrs[i]` is the bitset of the positions adjacent to `vertices[i]`."""
 
     vertices: tuple
-    edges: frozenset[frozenset]
-    nbrs: tuple[int, ...] = field(init=False, repr=False)
+    nbrs: tuple[int, ...]
 
     def __post_init__(self) -> None:
-        verts = tuple(sorted(set(self.vertices), key=_vertex_key))
-        edges = frozenset(frozenset(e) for e in self.edges)
-        pos = {v: i for i, v in enumerate(verts)}
-        nbrs = [0] * len(verts)
-        for e in edges:
-            if len(e) != 2:
-                raise ValueError(f"edge {set(e)} must join two distinct vertices")
-            u, v = e
-            i, j = pos.get(u), pos.get(v)
-            if i is None or j is None:
-                raise ValueError(f"edge {set(e)} has an unknown endpoint")
-            nbrs[i] |= 1 << j
-            nbrs[j] |= 1 << i
-        object.__setattr__(self, "vertices", verts)
-        object.__setattr__(self, "edges", edges)
-        object.__setattr__(self, "nbrs", tuple(nbrs))
+        m = len(self.vertices)
+        if len(set(self.vertices)) != m or len(self.nbrs) != m:
+            raise ValueError(f"{len(self.nbrs)} neighbour bitsets for {m} vertices, "
+                             f"{len(set(self.vertices))} of them distinct")
+        for i, bits in enumerate(self.nbrs):
+            if bits >> m or bits >> i & 1:
+                raise ValueError(f"neighbour bitset {bits} of vertex {i} is negative, "
+                                 f"has a bit beyond {m - 1} or a loop")
+            while bits:
+                j = (bits & -bits).bit_length() - 1
+                if not self.nbrs[j] >> i & 1:
+                    raise ValueError(f"edge {i}-{j} is set on one side only")
+                bits &= bits - 1
 
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, CodeGraph):
-            return NotImplemented
-        return set(self.vertices) == set(other.vertices) and self.edges == other.edges
+    @property
+    def edges(self) -> frozenset[frozenset]:
+        """The edge set, as vertex pairs, derived from `nbrs`."""
+        return frozenset(frozenset(e) for e in self.sorted_edges())
 
     def adjacent(self, u, v) -> bool:
-        return frozenset((u, v)) in self.edges
+        return bool(self.nbrs[self.vertices.index(u)] >> self.vertices.index(v) & 1)
 
     def sorted_edges(self) -> list[tuple]:
         verts = self.vertices
@@ -58,15 +49,16 @@ class CodeGraph:
 
 def ccg(code: Code) -> CodeGraph:
     """Codeword containment graph: an edge wherever one word strictly
-    contains the other."""
-    words = code.sorted_words
-    edges = set()
-    for i, a in enumerate(words):
-        for b in words[i + 1:]:
-            ab = a.bits & b.bits
-            if ab == a.bits or ab == b.bits:
-                edges.add(frozenset((a, b)))
-    return CodeGraph(words, frozenset(edges))
+    contains the other. `code.masks` ascend by (size, mask), so only a later
+    word can strictly contain an earlier one."""
+    masks = code.masks
+    nbrs = [0] * len(masks)
+    for i, a in enumerate(masks):
+        for j in range(i + 1, len(masks)):
+            if masks[j] & a == a:
+                nbrs[i] |= 1 << j
+                nbrs[j] |= 1 << i
+    return CodeGraph(code.sorted_words, tuple(nbrs))
 
 
 def _layers(g: CodeGraph, start: int) -> list[int]:
@@ -92,8 +84,7 @@ def is_connected(g: CodeGraph) -> bool:
 
 
 def is_complete(g: CodeGraph) -> bool:
-    m = len(g.vertices)
-    return len(g.edges) == m * (m - 1) // 2
+    return is_regular(g, len(g.vertices) - 1)
 
 
 def is_regular(g: CodeGraph, k: int) -> bool:
@@ -167,17 +158,18 @@ def grg(cf: CanonicalForm) -> CodeGraph:
     supports = _minimal_supports(cf)
     vertices = [i for i in range(1, n + 1)
                 if not any(s & ~(1 << (i - 1)) == 0 for s in supports)]
-    edges = set()
+    nbrs = [0] * len(vertices)
     for a, i in enumerate(vertices):
-        for j in vertices[a + 1:]:
-            pair = (1 << (i - 1)) | (1 << (j - 1))
+        for b in range(a + 1, len(vertices)):
+            pair = (1 << (i - 1)) | (1 << (vertices[b] - 1))
             if not any(s & ~pair == 0 for s in supports):
-                edges.add(frozenset((i, j)))
-    return CodeGraph(tuple(vertices), frozenset(edges))
+                nbrs[a] |= 1 << b
+                nbrs[b] |= 1 << a
+    return CodeGraph(tuple(vertices), tuple(nbrs))
 
 
 def to_dot(g: CodeGraph) -> str:
-    """Deterministic DOT text: all vertices first, then edges, both sorted."""
+    """Deterministic DOT text: all vertices first, then edges, in vertex order."""
     lines = ["graph {"]
     for v in g.vertices:
         lines.append(f'  "{v}";')

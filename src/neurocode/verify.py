@@ -15,6 +15,7 @@ from .codes import (
     DELETE,
     DUPLICATE,
     INCLUSION,
+    MAX_NEURONS,
     PERMUTATION,
     Code,
     ElementaryMap,
@@ -48,13 +49,20 @@ SAMPLED_MAX_NEURONS = 8
 # A sampled code costs 50 us (n=4, parity) to 9 ms (n=8, union-closure), so
 # the largest sampled sweep runs from about a minute to a few hours.
 MAX_SAMPLE = 1_000_000
+# Largest max_n where a suite's cost explodes: there its default run takes
+# 3-12 s on 2 vCPUs, one neuron higher 29-52 s (measurements in README).
+COMPLETE_ISO_MAX_NEURONS = 6
+PRESERVE_CONNECTED_MAX_NEURONS = 11
+CF_THEOREMS_MAX_NEURONS = 9
 
 
-def _at_least(low: int, **values) -> None:
-    """Reject the first given parameter below `low`, naming it."""
+def _in_range(low: int, high: int | None = None, /, **values) -> None:
+    """Reject the first given parameter below `low` or above `high`, naming it."""
     for name, value in values.items():
         if value is not None and value < low:
             raise ValueError(f"{name} must be at least {low}, got {value}")
+        if value is not None and high is not None and value > high:
+            raise ValueError(f"{name} must be at most {high}, got {value}")
 
 
 @dataclass
@@ -220,9 +228,8 @@ def _sweep_suite(name: str, violation, doc: str):
     orbit and reports the answer for all of them."""
     def suite(n: int = 3, exhaustive: bool | None = None, sample: int | None = None,
               seed: int = DEFAULT_SEED, jobs: int = 1) -> SuiteResult:
-        _at_least(1, n=n, sample=sample, jobs=jobs)
-        if sample is not None and sample > MAX_SAMPLE:
-            raise ValueError(f"sample must be at most {MAX_SAMPLE}, got {sample}")
+        _in_range(1, n=n, sample=sample, jobs=jobs)
+        _in_range(1, MAX_SAMPLE, sample=sample)
         if exhaustive is None:
             exhaustive = sample is None and n <= EXHAUSTIVE_MAX_NEURONS
         scanned, bad = _run_sweep(violation, n, exhaustive, sample, seed, jobs)
@@ -298,7 +305,8 @@ def preserve_connected_suite(trials: int = 250, seed: int = DEFAULT_SEED,
                              max_n: int = 6) -> SuiteResult:
     """Elementary maps are morphisms, so connected containment graphs must
     stay connected in the image."""
-    _at_least(1, trials=trials, max_n=max_n)
+    _in_range(1, trials=trials)
+    _in_range(1, PRESERVE_CONNECTED_MAX_NEURONS, max_n=max_n)
     rng = random.Random(seed)
     hits = 0
     counter = None
@@ -325,7 +333,8 @@ def preserve_connected_suite(trials: int = 250, seed: int = DEFAULT_SEED,
 def preserve_complete_suite(trials: int = 250, seed: int = DEFAULT_SEED,
                             max_n: int = 6) -> SuiteResult:
     """Images of complete codes under elementary maps stay complete."""
-    _at_least(1, trials=trials, max_n=max_n)
+    _in_range(1, trials=trials)
+    _in_range(1, MAX_NEURONS - 1, max_n=max_n)  # a map may add a neuron
     rng = random.Random(seed)
     counter = None
     bad = 0
@@ -362,7 +371,7 @@ def _all_chain_codes(n: int):
 def complete_iso_suite(max_n: int = 5) -> SuiteResult:
     """Every complete code is isomorphic to the chain code of its size via
     the constructed sorting map."""
-    _at_least(1, max_n=max_n)
+    _in_range(1, COMPLETE_ISO_MAX_NEURONS, max_n=max_n)
     counter = None
     scanned = 0
     bad = 0
@@ -388,8 +397,8 @@ def cf_theorems_suite(trials: int = 200, seed: int = DEFAULT_SEED,
                       max_n: int = 6) -> SuiteResult:
     """The five canonical-form transformation rules, replayed against the
     canonical form of the actual image code."""
-    _at_least(1, trials=trials)
-    _at_least(2, max_n=max_n)
+    _in_range(1, trials=trials)
+    _in_range(2, CF_THEOREMS_MAX_NEURONS, max_n=max_n)
     result = SuiteResult("cf-theorems", {"trials": trials, "seed": seed, "max_n": max_n})
     for kind in CF_THEOREM_KINDS:
         rng = random.Random(f"{seed}:{kind}")
@@ -413,13 +422,13 @@ def cf_theorems_suite(trials: int = 200, seed: int = DEFAULT_SEED,
 def grg_families_suite(max_m: int = 10, max_k: int = 10) -> SuiteResult:
     """Relationship graphs of the named families: edgeless for chains,
     a single cycle for the cyclic codes."""
-    _at_least(3, max_m=max_m)
-    _at_least(4, max_k=max_k)
+    _in_range(3, max_m=max_m)
+    _in_range(4, max_k=max_k)
     result = SuiteResult("grg-families", {"max_m": max_m, "max_k": max_k})
     bad_m = []
     for m in range(3, max_m + 1):
         g = grg(canonical_form(cc_family(m)))
-        if g.edges or list(g.vertices) != list(range(1, m)):
+        if any(g.nbrs) or list(g.vertices) != list(range(1, m)):
             bad_m.append(m)
     result.checks.append(Check(
         "chain-grg-disconnected", not bad_m,
@@ -452,8 +461,8 @@ def realizations_suite(max_family: int = 12, random_covers: int = 100,
                        seed: int = DEFAULT_SEED) -> SuiteResult:
     """Exact realized codes of the two constructive families, plus the
     cover-to-canonical-form theorem on random interval covers."""
-    _at_least(3, max_family=max_family)
-    _at_least(1, random_covers=random_covers)
+    _in_range(3, max_family=max_family)
+    _in_range(1, random_covers=random_covers)
     result = SuiteResult("realizations", {"max_family": max_family,
                                           "random_covers": random_covers, "seed": seed})
     bad_m = [m for m in range(2, max_family + 1)

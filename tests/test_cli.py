@@ -5,7 +5,7 @@ import json
 
 import pytest
 
-from neurocode import cli
+from neurocode import cli, verify
 from neurocode.verify import SUITES, Check, SuiteResult, parity_suite, union_closure_suite
 
 
@@ -406,6 +406,39 @@ def test_verify_rejects_bad_input(capsys, monkeypatch, argv, env_jobs, needles):
     assert out == ""
     for needle in needles:
         assert needle in err
+
+
+class CodeDrawn(Exception):
+    pass
+
+
+# suite, its largest --n, and the generator whose cost explodes above it
+VERIFY_N_CAPS = [
+    ("complete-iso", 6, "_all_chain_codes"),
+    ("preserve-connected", 11, "_random_code"),
+    ("preserve-complete", 63, "_random_chain_code"),
+    ("cf-theorems", 9, "_random_code"),
+]
+
+
+@pytest.mark.parametrize("suite, cap, generator", VERIFY_N_CAPS,
+                         ids=[suite for suite, _, _ in VERIFY_N_CAPS])
+def test_verify_n_above_cap_exits_2_before_drawing(capsys, monkeypatch, suite, cap, generator):
+    def drawn(*args):
+        raise CodeDrawn(generator)
+
+    monkeypatch.setattr(verify, generator, drawn)
+    with pytest.raises(CodeDrawn):
+        cli.main(["verify", suite, "--n", str(cap)])
+
+    def forbidden(*args):
+        pytest.fail(f"verify {suite} --n {cap + 1} called {generator}")
+
+    monkeypatch.setattr(verify, generator, forbidden)
+    status, out, err = run(capsys, "verify", suite, "--n", str(cap + 1))
+    assert status == 2
+    assert out == ""
+    assert f"max_n must be at most {cap}, got {cap + 1} (from --n {cap + 1})" in err
 
 
 # Pairs of command lines where the first sets a flag or input that the

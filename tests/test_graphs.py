@@ -125,16 +125,12 @@ class TestPredicates:
 
     def test_ccg_edge_iff_strict_containment(self):
         rng = random.Random(31)
-        for _ in range(60):
-            c = random_code(rng, rng.randint(1, 5))
-            g = ccg(c)
-            words = list(c.words)
-            for a in words:
-                for b in words:
-                    if a == b:
-                        continue
-                    sa, sb = set(a.indices), set(b.indices)
-                    assert g.adjacent(a, b) == (sa < sb or sb < sa)
+        codes = [Code.from_masks(n, [p for p in range(1 << n) if idx >> p & 1])
+                 for n in range(1, 4) for idx in range(1, 1 << (1 << n))]
+        codes += [random_code(rng, rng.randint(1, 6)) for _ in range(60)]
+        for c in codes:
+            assert ccg(c).edges == {frozenset((a, b)) for a in c.words for b in c.words
+                                    if a.ispropersubset(b)}
 
     def test_complete_iff_pairwise_comparable(self):
         rng = random.Random(37)
@@ -148,15 +144,24 @@ class TestPredicates:
 
 class TestCodeGraphContainer:
     def test_rejects_loops_and_strangers(self):
-        with pytest.raises(ValueError):
-            CodeGraph((1, 2), frozenset({frozenset((1,))}))
-        with pytest.raises(ValueError):
-            CodeGraph((1, 2), frozenset({frozenset((1, 3))}))
+        for vertices, nbrs, why in [
+            ((1, 1), (0, 0), "1 of them distinct"),
+            ((1, 2), (0b10,), "1 neighbour bitsets for 2 vertices"),
+            ((1, 2), (0b01, 0), "bitset 1 of vertex 0"),
+            ((1, 2), (0b100, 0b000), "bitset 4 of vertex 0"),
+            ((1, 2), (-2, 0b01), "bitset -2 of vertex 0"),
+            ((1, 2), (0b10, 0b00), "edge 0-1 is set on one side only"),
+        ]:
+            with pytest.raises(ValueError, match=why):
+                CodeGraph(vertices, nbrs)
 
-    def test_vertex_order_is_canonical(self):
-        g = CodeGraph((3, 1, 2), frozenset())
-        assert g.vertices == (1, 2, 3)
-        assert g == CodeGraph((2, 3, 1), frozenset())
+    def test_vertex_order_is_kept(self):
+        g = CodeGraph(("b", "a", "c"), (0b010, 0b001, 0b000))
+        assert g.vertices == ("b", "a", "c")
+        assert g.adjacent("a", "b") and not g.adjacent("a", "c")
+        assert g.edges == {frozenset(("a", "b"))}
+        assert g == CodeGraph(("b", "a", "c"), (0b010, 0b001, 0b000))
+        assert g != CodeGraph(("a", "b", "c"), (0b010, 0b001, 0b000))
 
 
 def floyd_warshall(g):
@@ -348,9 +353,9 @@ class TestDot:
         ])
 
     def test_plain_labels(self):
-        g = CodeGraph(("a", "b"), frozenset({frozenset(("a", "b"))}))
+        g = CodeGraph(("a", "b"), (0b10, 0b01))
         assert to_dot(g) == 'graph {\n  "a";\n  "b";\n  "a" -- "b";\n}'
 
     def test_vertex_only(self):
-        g = CodeGraph((2, 1), frozenset())
+        g = CodeGraph((1, 2), (0, 0))
         assert to_dot(g) == 'graph {\n  "1";\n  "2";\n}'

@@ -20,6 +20,7 @@ from .codes import (
     INCLUSION,
     Code,
     CodeParseError,
+    Codeword,
     ElementaryMap,
     apply_elementary_map,
     cc_family,
@@ -161,7 +162,7 @@ def _cmd_graph(args):
         if args.which == "gr-complex":
             sc = gr_complex(cf)
             outputs["complex"] = complex_to_json_obj(sc)
-            lines = ["facets: " + "; ".join(f.label for f in sc.sorted_facets)]
+            lines = ["facets: " + "; ".join(str(Codeword(sc.n, f)) for f in sc.facets)]
             return _digest(digest_src), outputs, [], lines
         g = grg(cf)
     outputs["graph"] = graph_to_json_obj(g)

@@ -1,15 +1,17 @@
 """Neural codes as bitmask combinatorics.
 
-A codeword is a subset of the neurons 1..n held as an integer mask, a code
-is a nonempty set of codewords, and everything downstream (trunks,
-morphism checks, elementary code maps, the named chain/cycle families)
-reduces to integer mask arithmetic. All types are immutable values.
+A codeword is a subset of the neurons 1..n held as an integer mask, and a
+code is n plus a nonempty tuple of distinct masks sorted by (size, mask).
+Everything downstream (trunks, morphism checks, elementary code maps, the
+named chain/cycle families) is integer mask arithmetic; `Codeword` objects
+are built only at the API edge, when a code is iterated or a map or trunk
+is returned. All types are immutable values.
 """
 
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
 MAX_NEURONS = 64
@@ -17,6 +19,22 @@ MAX_NEURONS = 64
 
 class CodeParseError(ValueError):
     """Raised when code text or JSON does not match the input grammar."""
+
+
+def _neuron_count(n: int) -> int:
+    if not 1 <= n <= MAX_NEURONS:
+        raise ValueError(f"neuron count must be in 1..{MAX_NEURONS}, got {n}")
+    return n
+
+
+def _sorted_masks(n: int, masks: Iterable[int]) -> tuple[int, ...]:
+    """Distinct masks sorted by (size, mask), each checked against 1..n."""
+    _neuron_count(n)
+    ordered = sorted(set(masks), key=lambda m: (m.bit_count(), m))
+    if ordered and (min(ordered) < 0 or max(ordered) >> n):
+        bad = next(m for m in ordered if m < 0 or m >> n)
+        raise ValueError(f"codeword {bad:#x} has neurons outside 1..{n}")
+    return tuple(ordered)
 
 
 def _json_neuron_count(obj: dict, what: str) -> int:
@@ -70,8 +88,7 @@ class Codeword:
     bits: int
 
     def __post_init__(self) -> None:
-        if not 1 <= self.n <= MAX_NEURONS:
-            raise ValueError(f"neuron count must be in 1..{MAX_NEURONS}, got {self.n}")
+        _neuron_count(self.n)
         if self.bits < 0 or self.bits >> self.n:
             raise ValueError(f"codeword {self.bits:#x} has neurons outside 1..{self.n}")
 
@@ -101,9 +118,6 @@ class Codeword:
     def intersection(self, other: "Codeword") -> "Codeword":
         return Codeword(self.n, self.bits & other.bits)
 
-    def sort_key(self) -> tuple[int, int]:
-        return (self.bits.bit_count(), self.bits)
-
     @property
     def label(self) -> str:
         return "{%s}" % ",".join(str(i) for i in self.indices)
@@ -114,50 +128,40 @@ class Codeword:
 
 @dataclass(frozen=True)
 class Code:
-    """A nonempty set of distinct codewords on a common neuron set; the words
-    sorted by (size, mask) and their masks are computed once."""
+    """A nonempty set of codewords on neurons 1..n, held as distinct masks
+    sorted by (size, mask); iterating yields them as `Codeword`s."""
 
     n: int
-    words: frozenset[Codeword]
-    sorted_words: tuple[Codeword, ...] = field(init=False, repr=False, compare=False)
-    masks: tuple[int, ...] = field(init=False, repr=False, compare=False)
+    masks: tuple[int, ...]
 
     def __post_init__(self) -> None:
-        words = frozenset(self.words)
-        object.__setattr__(self, "words", words)
-        if not 1 <= self.n <= MAX_NEURONS:
-            raise ValueError(f"neuron count must be in 1..{MAX_NEURONS}, got {self.n}")
-        if not words:
+        masks = _sorted_masks(self.n, self.masks)
+        if not masks:
             raise ValueError("a code must contain at least one codeword")
-        for w in words:
-            if w.n != self.n:
-                raise ValueError(f"codeword {w} is on {w.n} neurons, code is on {self.n}")
-        ordered = tuple(sorted(words, key=Codeword.sort_key))
-        object.__setattr__(self, "sorted_words", ordered)
-        object.__setattr__(self, "masks", tuple(w.bits for w in ordered))
+        object.__setattr__(self, "masks", masks)
 
     @classmethod
     def from_masks(cls, n: int, masks: Iterable[int]) -> "Code":
-        return cls(n, frozenset(Codeword(n, m) for m in masks))
+        return cls(n, masks)
 
     @classmethod
     def from_indices(cls, n: int, words: Iterable[Iterable[int]]) -> "Code":
-        return cls(n, frozenset(Codeword.from_indices(n, ix) for ix in words))
+        return cls(n, [mask_from_indices(ix, n) for ix in words])
 
     def __len__(self) -> int:
-        return len(self.words)
+        return len(self.masks)
 
     def __iter__(self) -> Iterator[Codeword]:
-        return iter(self.sorted_words)
+        return (Codeword(self.n, m) for m in self.masks)
 
     def __contains__(self, word: Codeword) -> bool:
-        return word in self.words
+        return word.n == self.n and word.bits in self.masks
 
     def to_text(self) -> str:
-        return ";".join(str(w) for w in self.sorted_words)
+        return ";".join(str(w) for w in self)
 
     def to_json_obj(self) -> dict:
-        return {"n": self.n, "words": [list(w.indices) for w in self.sorted_words]}
+        return {"n": self.n, "words": [list(indices_of(m)) for m in self.masks]}
 
     @classmethod
     def from_json_obj(cls, obj: dict) -> "Code":
@@ -249,45 +253,29 @@ def _maximal_masks(masks: Iterable[int]) -> list[int]:
 
 @dataclass(frozen=True)
 class SimplicialComplex:
-    """A downward-closed face set on neurons 1..n, stored by maximal faces."""
+    """A downward-closed face set on neurons 1..n, held as its facets: an
+    antichain of masks sorted by (size, mask)."""
 
     n: int
-    facets: frozenset[Codeword]
+    facets: tuple[int, ...]
 
     def __post_init__(self) -> None:
-        facets = frozenset(self.facets)
+        facets = _sorted_masks(self.n, self.facets)
         object.__setattr__(self, "facets", facets)
-        if not 1 <= self.n <= MAX_NEURONS:
-            raise ValueError(f"neuron count must be in 1..{MAX_NEURONS}, got {self.n}")
-        for f in facets:
-            if f.n != self.n:
-                raise ValueError(f"facet {f} is on {f.n} neurons, complex is on {self.n}")
-        for f in facets:
-            for g in facets:
-                if f is not g and f.bits != g.bits and f.bits & g.bits == f.bits:
-                    raise ValueError(f"facet {f} is contained in facet {g}")
-
-    @property
-    def sorted_facets(self) -> tuple[Codeword, ...]:
-        return tuple(sorted(self.facets, key=Codeword.sort_key))
+        # a facet can only lie inside a later one, which is at least as large
+        for i, f in enumerate(facets):
+            for g in facets[i + 1:]:
+                if g & f == f:
+                    raise ValueError(f"facet {Codeword(self.n, f)} is contained "
+                                     f"in facet {Codeword(self.n, g)}")
 
     def __contains__(self, face: Codeword) -> bool:
-        return any(face.bits & f.bits == face.bits for f in self.facets)
-
-    def faces(self) -> Iterator[Codeword]:
-        """All faces; exponential in facet size, intended for small n."""
-        seen: set[int] = set()
-        for f in self.facets:
-            for sub in submasks(f.bits):
-                if sub not in seen:
-                    seen.add(sub)
-                    yield Codeword(self.n, sub)
+        return any(face.bits & f == face.bits for f in self.facets)
 
 
 def simplicial_complex(code: Code) -> SimplicialComplex:
     """The complex of all subsets of codewords, by its maximal codewords."""
-    masks = _maximal_masks(code.masks)
-    return SimplicialComplex(code.n, frozenset(Codeword(code.n, m) for m in masks))
+    return SimplicialComplex(code.n, _maximal_masks(code.masks))
 
 
 def trunk(code: Code, sigma: Codeword) -> frozenset[Codeword]:
@@ -295,24 +283,26 @@ def trunk(code: Code, sigma: Codeword) -> frozenset[Codeword]:
     if sigma.n != code.n:
         raise ValueError(f"trunk seed is on {sigma.n} neurons, code is on {code.n}")
     s = sigma.bits
-    return frozenset(w for w in code.words if w.bits & s == s)
+    return frozenset(Codeword(code.n, m) for m in code.masks if m & s == s)
+
+
+def _is_trunk(masks: Sequence[int], members: Sequence[int]) -> bool:
+    """Distinct masks of a code form a trunk, or are empty, iff exactly
+    len(members) codewords contain their intersection: the trunk of that
+    intersection holds them all. No mask contains the empty intersection -1."""
+    inter = -1
+    for m in members:
+        inter &= m
+    return sum(m & inter == inter for m in masks) == len(members)
 
 
 def is_trunk(code: Code, words: Iterable[Codeword]) -> bool:
-    """Decide whether a subset of the code is empty or a trunk.
-
-    A nonempty trunk always equals the trunk of the intersection of its
-    members, so a single trunk computation settles the question.
-    """
-    ws = frozenset(words)
-    if not ws <= code.words:
+    """Decide whether a subset of the code is empty or a trunk."""
+    words = frozenset(words)
+    members = [w.bits for w in words]
+    if any(w.n != code.n for w in words) or not set(members) <= set(code.masks):
         raise ValueError("candidate trunk must be a subset of the code's words")
-    if not ws:
-        return True
-    inter = (1 << code.n) - 1
-    for w in ws:
-        inter &= w.bits
-    return trunk(code, Codeword(code.n, inter)) == ws
+    return _is_trunk(code.masks, members)
 
 
 @dataclass(frozen=True)
@@ -326,27 +316,31 @@ class CodeMap:
     def __post_init__(self) -> None:
         assignment = dict(self.assignment)
         object.__setattr__(self, "assignment", assignment)
-        if set(assignment) != set(self.domain.words):
+        domain, codomain = self.domain, self.codomain
+        sources, targets = set(domain.masks), set(codomain.masks)
+        if len(assignment) != len(sources) or not all(
+                w.n == domain.n and w.bits in sources for w in assignment):
             raise ValueError("assignment must cover exactly the domain codewords")
         for w, img in assignment.items():
-            if img not in self.codomain.words:
+            if img.n != codomain.n or img.bits not in targets:
                 raise ValueError(f"image {img} of {w} is not in the codomain")
 
     @classmethod
     def from_function(cls, domain: Code, codomain: Code,
                       fn: Callable[[Codeword], Codeword]) -> "CodeMap":
-        return cls(domain, codomain, {w: fn(w) for w in domain.words})
+        return cls(domain, codomain, {w: fn(w) for w in domain})
 
     @classmethod
     def identity(cls, code: Code) -> "CodeMap":
-        return cls(code, code, {w: w for w in code.words})
+        return cls(code, code, {w: w for w in code})
 
     def __call__(self, word: Codeword) -> Codeword:
         return self.assignment[word]
 
     def is_bijective(self) -> bool:
-        images = set(self.assignment.values())
-        return len(images) == len(self.domain.words) and images == set(self.codomain.words)
+        # the images lie in the codomain, so onto means as many as it has
+        images = {img.bits for img in self.assignment.values()}
+        return len(images) == len(self.domain) == len(self.codomain)
 
     def inverse(self) -> "CodeMap":
         if not self.is_bijective():
@@ -357,12 +351,9 @@ class CodeMap:
 
 def is_morphism(f: CodeMap) -> bool:
     """True iff the preimage of every simple trunk of the codomain is a trunk."""
-    for i in range(1, f.codomain.n + 1):
-        bit = 1 << (i - 1)
-        pre = frozenset(w for w in f.domain.words if f.assignment[w].bits & bit)
-        if not is_trunk(f.domain, pre):
-            return False
-    return True
+    pairs = [(w.bits, img.bits) for w, img in f.assignment.items()]
+    return all(_is_trunk(f.domain.masks, [w for w, img in pairs if img >> i & 1])
+               for i in range(f.codomain.n))
 
 
 def is_isomorphism(f: CodeMap) -> bool:
@@ -371,13 +362,8 @@ def is_isomorphism(f: CodeMap) -> bool:
 
 
 def check_monotone(f: CodeMap) -> bool:
-    words = list(f.domain.words)
-    for w1 in words:
-        im1 = f.assignment[w1]
-        for w2 in words:
-            if w1.bits & w2.bits == w1.bits and not im1.issubset(f.assignment[w2]):
-                return False
-    return True
+    pairs = [(w.bits, img.bits) for w, img in f.assignment.items()]
+    return all(a & b != a or ia & ib == ia for a, ia in pairs for b, ib in pairs)
 
 
 PERMUTATION = "permutation"
@@ -471,51 +457,48 @@ def apply_elementary_map(code: Code, spec: ElementaryMap) -> tuple[Code, CodeMap
     The image code is f(C).  For every variant except inclusion the code map's
     codomain is the image; for inclusion it is the (larger) target code.
     """
-    n = code.n
+    n = out = code.n
     if spec.kind == PERMUTATION:
         perm = _validate_perm(spec.perm, n)
-        move = lambda w: Codeword(n, permute_mask(w.bits, perm))
+        move = lambda m: permute_mask(m, perm)
     elif spec.kind == ADD_TRIVIAL_ON:
-        move = lambda w: Codeword(n + 1, w.bits | (1 << n))
+        out, move = n + 1, lambda m: m | (1 << n)
     elif spec.kind == ADD_TRIVIAL_OFF:
-        move = lambda w: Codeword(n + 1, w.bits)
+        out, move = n + 1, lambda m: m
     elif spec.kind == DUPLICATE:
         bit = 1 << (_validate_neuron(spec, n) - 1)
-        move = lambda w: Codeword(n + 1, w.bits | (1 << n) if w.bits & bit else w.bits)
+        out, move = n + 1, lambda m: m | (1 << n) if m & bit else m
     elif spec.kind == DELETE:
         i = _validate_neuron(spec, n)
-        move = lambda w: Codeword(n - 1, delete_shift_mask(w.bits, i))
+        out, move = n - 1, lambda m: delete_shift_mask(m, i)
     elif spec.kind == INCLUSION:
         target = spec.target
-        if target is None or target.n != n or not code.words <= target.words:
+        if target is None or target.n != n or not set(code.masks) <= set(target.masks):
             raise ValueError("inclusion target must contain the source code on the same neurons")
-        image = code
-        cmap = CodeMap(code, target, {w: w for w in code.words})
-        return image, cmap
+        return code, CodeMap(code, target, {w: w for w in code})
     else:
         raise ValueError(f"unknown elementary map kind {spec.kind!r}")
-    assignment = {w: move(w) for w in code.words}
-    images = frozenset(assignment.values())
-    image = Code(next(iter(images)).n, images)
-    return image, CodeMap(code, image, assignment)
+    moved = [move(m) for m in code.masks]
+    image = Code(out, moved)
+    return image, CodeMap(code, image, {Codeword(n, m): Codeword(out, t)
+                                        for m, t in zip(code.masks, moved)})
 
 
 def cc_family(m: int) -> Code:
     """The chain code {∅, {1}, {1,2}, ..., {1..m-1}} on max(m-1, 1) neurons."""
     if m < 1:
         raise ValueError(f"chain family needs m >= 1, got {m}")
-    n = max(m - 1, 1)
-    return Code(n, frozenset(Codeword(n, (1 << i) - 1) for i in range(m)))
+    n = _neuron_count(max(m - 1, 1))
+    return Code(n, [(1 << i) - 1 for i in range(m)])
 
 
 def cr_family(k: int) -> Code:
     """Singletons plus cyclically consecutive pairs on k neurons, 2k words."""
     if k < 3:
         raise ValueError(f"cycle family needs k >= 3, got {k}")
-    words = [Codeword(k, 1 << i) for i in range(k)]
-    words += [Codeword(k, (1 << i) | (1 << (i + 1))) for i in range(k - 1)]
-    words.append(Codeword(k, 1 | (1 << (k - 1))))
-    return Code(k, frozenset(words))
+    _neuron_count(k)
+    pairs = [(1 << i) | (1 << (i + 1)) for i in range(k - 1)]
+    return Code(k, [1 << i for i in range(k)] + pairs + [1 | (1 << (k - 1))])
 
 
 def complete_iso(code: Code) -> CodeMap:
@@ -524,12 +507,13 @@ def complete_iso(code: Code) -> CodeMap:
     The codewords of a complete code are strictly ordered by inclusion; the
     i-th smallest is sent to {1,...,i-1}.
     """
-    words = code.sorted_words
-    for a, b in zip(words, words[1:]):
-        if not a.ispropersubset(b):
-            raise ValueError(f"code is not complete: {a} and {b} are incomparable")
-    target = cc_family(len(words))
-    return CodeMap(code, target, dict(zip(words, target.sorted_words)))
+    masks = code.masks
+    for a, b in zip(masks, masks[1:]):
+        if a & b != a:
+            raise ValueError(f"code is not complete: {Codeword(code.n, a)} and "
+                             f"{Codeword(code.n, b)} are incomparable")
+    target = cc_family(len(masks))
+    return CodeMap(code, target, dict(zip(code, target)))
 
 
 def union_closure_condition(code: Code) -> bool:

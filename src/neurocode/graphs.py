@@ -58,7 +58,7 @@ def ccg(code: Code) -> CodeGraph:
             if masks[j] & a == a:
                 nbrs[i] |= 1 << j
                 nbrs[j] |= 1 << i
-    return CodeGraph(code.sorted_words, tuple(nbrs))
+    return CodeGraph(tuple(code), tuple(nbrs))
 
 
 def _layers(g: CodeGraph, start: int) -> list[int]:
@@ -113,6 +113,12 @@ def diameter(g: CodeGraph) -> int | float:
     return worst
 
 
+# cr:64 and cc:65, the largest built-in inputs, visit 3970 and 2080 masks.
+# n/2 disjoint supports x_{2i-1}x_{2i} visit 2^(n/2+1) - 1, and the facet
+# pass is quadratic in them: 2.6 s at n=24 (Python 3.11); n=64 never ends.
+GR_COMPLEX_MAX_VISITS = 5000
+
+
 def _minimal_supports(cf: CanonicalForm) -> list[int]:
     supports = {f.support for f in cf.elements}
     return sorted(s for s in supports
@@ -125,7 +131,8 @@ def gr_complex(cf: CanonicalForm) -> SimplicialComplex:
     A set sigma is a face iff no canonical-form element has its variable
     support inside sigma, so the complex is the independence complex of the
     support hypergraph. Facets are found by descending from the full set,
-    branching on one violated support at a time.
+    branching on one violated support at a time; a descent that visits more
+    than GR_COMPLEX_MAX_VISITS masks raises ValueError.
     """
     n = cf.n
     supports = _minimal_supports(cf)
@@ -138,6 +145,9 @@ def gr_complex(cf: CanonicalForm) -> SimplicialComplex:
         if mask in visited:
             continue
         visited.add(mask)
+        if len(visited) > GR_COMPLEX_MAX_VISITS:
+            raise ValueError(f"general relationship complex too large: its facet search "
+                             f"passed {GR_COMPLEX_MAX_VISITS} neuron sets")
         violated = next((s for s in supports if s & mask == s), None)
         if violated is None:
             independent.append(mask)
@@ -147,8 +157,7 @@ def gr_complex(cf: CanonicalForm) -> SimplicialComplex:
             low = bits & -bits
             stack.append(mask & ~low)
             bits ^= low
-    facets = _maximal_masks(independent)
-    return SimplicialComplex(n, frozenset(Codeword(n, m) for m in facets))
+    return SimplicialComplex(n, _maximal_masks(independent))
 
 
 def grg(cf: CanonicalForm) -> CodeGraph:
@@ -191,4 +200,4 @@ def _json_vertex(v):
 
 
 def complex_to_json_obj(sc: SimplicialComplex) -> dict:
-    return {"n": sc.n, "facets": [list(indices_of(f.bits)) for f in sc.sorted_facets]}
+    return {"n": sc.n, "facets": [list(indices_of(f)) for f in sc.facets]}

@@ -11,7 +11,7 @@ import time
 from contextlib import contextmanager
 
 from neurocode import cli
-from neurocode.codes import Code, Codeword, cc_family, cr_family, parse_code
+from neurocode.codes import Code, Codeword, cc_family, cr_family, indices_of, parse_code
 from neurocode.graphs import ccg, gr_complex, grg, is_connected, is_regular
 from neurocode.ideal import (
     CanonicalForm,
@@ -142,7 +142,7 @@ def test_c06_grg_fixtures():
         ]
         for n, elements, facets in cases:
             sc = gr_complex(CanonicalForm.from_indices(n, elements))
-            assert {f.indices for f in sc.facets} == facets
+            assert {indices_of(f) for f in sc.facets} == facets
 
 
 def test_c07_duality_propositions():

@@ -2,10 +2,12 @@
 
 import hashlib
 import json
+import time
 
 import pytest
 
 from neurocode import cli, verify
+from neurocode.graphs import GR_COMPLEX_MAX_VISITS
 from neurocode.verify import SUITES, Check, SuiteResult, parity_suite, union_closure_suite
 
 
@@ -183,6 +185,27 @@ class TestMap:
     def test_bad_spec_exits_2(self, capsys):
         status, _, err = run(capsys, "map", "--delete", "5", "{1};{1,2}")
         assert status == 2
+
+
+def test_oversize_family_exits_2_before_building_masks(capsys):
+    for argv, n in [(["family", "cc:1000000"], 999999),
+                    (["family", "cr:1000000"], 1000000),
+                    (["graph", "ccg", "--family", "cc:1000000"], 999999),
+                    (["cf", "--family", "cr:1000000"], 1000000)]:
+        status, out, err = run(capsys, *argv)
+        assert (status, out) == (2, "")
+        assert f"neuron count must be in 1..64, got {n}" in err
+
+
+def test_gr_complex_search_exits_2_past_its_limit(capsys):
+    # n/2 disjoint supports x_{2i-1}x_{2i}: 2^(n/2) facets
+    cf = json.dumps({"n": 32, "cf": [{"plus": [2 * i + 1, 2 * i + 2], "minus": []}
+                                     for i in range(16)]})
+    start = time.perf_counter()
+    status, out, err = run(capsys, "graph", "gr-complex", "--cf", cf)
+    assert time.perf_counter() - start < 2
+    assert (status, out) == (2, "")
+    assert f"facet search passed {GR_COMPLEX_MAX_VISITS} neuron sets" in err
 
 
 class TestRealize:

@@ -1,6 +1,8 @@
 """Code-core: parsing, trunks, morphism checks, elementary maps, families."""
 
 import random
+import re
+from itertools import permutations
 
 import pytest
 
@@ -10,11 +12,13 @@ from neurocode.codes import (
     CodeParseError,
     Codeword,
     ElementaryMap,
+    SimplicialComplex,
     apply_elementary_map,
     cc_family,
     check_monotone,
     complete_iso,
     cr_family,
+    indices_of,
     is_isomorphism,
     is_morphism,
     is_trunk,
@@ -66,10 +70,6 @@ class TestCode:
         with pytest.raises(ValueError):
             Code(2, frozenset())
 
-    def test_rejects_mixed_neuron_counts(self):
-        with pytest.raises(ValueError):
-            Code(2, frozenset({word(2, 1), word(3, 1)}))
-
     def test_display_order(self):
         c = code(3, (1, 2), (), (3,), (1,))
         assert c.to_text() == "{};{1};{3};{1,2}"
@@ -99,13 +99,26 @@ class TestCode:
         with pytest.raises(CodeParseError):
             Code.from_json_obj(obj)
 
-    def test_sorted_words_and_masks_fixed_at_construction(self):
-        c = code(3, (1, 2), (), (3,), (1,))
-        assert c.sorted_words == tuple(sorted(c.words, key=Codeword.sort_key))
+    def test_masks_deduplicated_sorted_and_checked(self):
+        masks = (0b011, 0b000, 0b100, 0b001, 0b011)
+        c = Code(3, masks)
         assert c.masks == (0b000, 0b001, 0b100, 0b011)
-        assert c.sorted_words is c.sorted_words
-        assert c == Code(3, frozenset(reversed(c.sorted_words)))
-        assert hash(c) == hash(Code(3, c.words))
+        assert tuple(c) == (word(3), word(3, 1), word(3, 3), word(3, 1, 2))
+        for order in permutations(masks):
+            assert Code(3, order) == c and hash(Code(3, order)) == hash(c)
+        for n, bad, message in [
+            (3, [], "a code must contain at least one codeword"),
+            (3, [1, -1], "codeword -0x1 has neurons outside 1..3"),
+            (3, [1, 0b1000], "codeword 0x8 has neurons outside 1..3"),
+            (0, [0], "neuron count must be in 1..64, got 0"),
+        ]:
+            with pytest.raises(ValueError, match=re.escape(message)):
+                Code(n, bad)
+        assert SimplicialComplex(3, (0b110, 0b001, 0b110)).facets == (0b001, 0b110)
+        with pytest.raises(ValueError, match=re.escape("facet {1} is contained in facet {1,2}")):
+            SimplicialComplex(2, (0b11, 0b01))
+        with pytest.raises(ValueError, match="codeword 0x4 has neurons outside 1..2"):
+            SimplicialComplex(2, (0b01, 0b100))
 
 
 class TestParseCode:
@@ -153,29 +166,23 @@ class TestParseCode:
 class TestSimplicialComplex:
     def test_chain_code(self):
         sc = simplicial_complex(code(2, (), (1,), (1, 2)))
-        assert {f.indices for f in sc.facets} == {(1, 2)}
+        assert {indices_of(f) for f in sc.facets} == {(1, 2)}
 
     def test_fig1a_code(self):
         c = code(3, (1,), (2,), (1, 3), (1, 2, 3))
         sc = simplicial_complex(c)
-        assert {f.indices for f in sc.facets} == {(1, 2, 3)}
+        assert {indices_of(f) for f in sc.facets} == {(1, 2, 3)}
         assert word(3, 2, 3) in sc
 
     def test_fig1b_code(self):
         c = code(5, (1, 3), (1, 2, 5), (1, 2, 3, 5), (1, 2, 4, 5))
         sc = simplicial_complex(c)
-        assert {f.indices for f in sc.facets} == {(1, 2, 3, 5), (1, 2, 4, 5)}
+        assert {indices_of(f) for f in sc.facets} == {(1, 2, 3, 5), (1, 2, 4, 5)}
         assert word(5, 1, 2, 3, 4, 5) not in sc
-
-    def test_faces_downward_closed(self):
-        sc = simplicial_complex(code(3, (1, 2), (2, 3)))
-        faces = {f.indices for f in sc.faces()}
-        assert faces == {(), (1,), (2,), (3,), (1, 2), (2, 3)}
 
     def test_facet_antichain_enforced(self):
         with pytest.raises(ValueError):
-            from neurocode.codes import SimplicialComplex
-            SimplicialComplex(2, frozenset({word(2, 1), word(2, 1, 2)}))
+            SimplicialComplex(2, (0b01, 0b11))
 
 
 class TestTrunk:
@@ -185,12 +192,12 @@ class TestTrunk:
 
     def test_empty_sigma_gives_whole_code(self):
         c = code(2, (), (1,), (1, 2))
-        assert trunk(c, word(2)) == c.words
+        assert trunk(c, word(2)) == frozenset(c)
 
     def test_chain_trunk_is_tail(self):
         # in the chain code, the trunk of any word is the tail above it
         c = cc_family(6)
-        words = c.sorted_words
+        words = tuple(c)
         for k, w in enumerate(words):
             assert trunk(c, w) == frozenset(words[k:])
 
@@ -212,15 +219,19 @@ class TestTrunk:
             c = Code.from_masks(n, rng.sample(range(1 << n), rng.randint(1, 1 << n)))
             sigma = rng.randrange(1 << n)
             everywhere = all(m & sigma == sigma for m in c.masks)
-            assert (trunk(c, Codeword(n, sigma)) == c.words) == everywhere
+            assert (trunk(c, Codeword(n, sigma)) == frozenset(c)) == everywhere
+
+
+def mask_trunks(c):
+    """Every trunk of c as a frozenset of masks, the empty one included,
+    from every sigma over the neuron set."""
+    return {frozenset()} | {frozenset(m for m in c.masks if m & sigma == sigma)
+                            for sigma in range(1 << c.n)}
 
 
 def is_trunk_oracle(c, ws):
-    """Exhaustive reference: try every sigma over the neuron set."""
-    if not ws:
-        return True
-    return any(trunk(c, Codeword(c.n, sigma)) == ws
-               for sigma in range(1 << c.n))
+    """Exhaustive reference on masks, sharing no code with `is_trunk`."""
+    return frozenset(w.bits for w in ws) in mask_trunks(c)
 
 
 class TestIsTrunk:
@@ -240,7 +251,7 @@ class TestIsTrunk:
         for idx in range(1, 1 << 8):
             masks = [p for p in range(8) if idx >> p & 1]
             c = Code.from_masks(3, masks)
-            words = list(c.words)
+            words = list(frozenset(c))
             for sub in range(1 << len(words)):
                 ws = frozenset(w for i, w in enumerate(words) if sub >> i & 1)
                 assert is_trunk(c, ws) == is_trunk_oracle(c, ws)
@@ -315,17 +326,12 @@ class TestMorphisms:
 
 
 def is_morphism_by_definition(f):
-    """Reference check: preimages of *all* trunks of the codomain are trunks,
-    not just the simple ones."""
-    cod = f.codomain
-    trunks = {frozenset()}
-    for sigma in range(1 << cod.n):
-        trunks.add(trunk(cod, Codeword(cod.n, sigma)))
-    for t in trunks:
-        pre = frozenset(w for w in f.domain.words if f.assignment[w] in t)
-        if not is_trunk(f.domain, pre):
-            return False
-    return True
+    """Reference check on masks: preimages of *all* trunks of the codomain
+    are trunks, not just the simple ones."""
+    image = {w.bits: img.bits for w, img in f.assignment.items()}
+    domain_trunks = mask_trunks(f.domain)
+    return all(frozenset(m for m in f.domain.masks if image[m] in t) in domain_trunks
+               for t in mask_trunks(f.codomain))
 
 
 def test_simple_trunk_criterion_matches_definition():
@@ -335,8 +341,8 @@ def test_simple_trunk_criterion_matches_definition():
         n1, n2 = rng.randint(1, 3), rng.randint(1, 3)
         dom = Code.from_masks(n1, rng.sample(range(1 << n1), rng.randint(1, 1 << n1)))
         cod = Code.from_masks(n2, rng.sample(range(1 << n2), rng.randint(1, 1 << n2)))
-        cwords = list(cod.words)
-        f = CodeMap(dom, cod, {w: rng.choice(cwords) for w in dom.words})
+        cwords = list(frozenset(cod))
+        f = CodeMap(dom, cod, {w: rng.choice(cwords) for w in frozenset(dom)})
         expected = is_morphism_by_definition(f)
         assert is_morphism(f) == expected
         morphisms += expected
@@ -348,24 +354,37 @@ def all_codes(n):
         yield Code.from_masks(n, [p for p in range(1 << n) if idx >> p & 1])
 
 
+def all_small_maps():
+    """Every function between every pair of codes on up to 2 neurons."""
+    codes = [c for n in (1, 2) for c in all_codes(n)]
+    for dom in codes:
+        dwords = list(frozenset(dom))
+        for cod in codes:
+            cwords = list(frozenset(cod))
+            total = len(cwords) ** len(dwords)
+            for stamp in range(total):
+                assignment = {}
+                s = stamp
+                for w in dwords:
+                    assignment[w] = cwords[s % len(cwords)]
+                    s //= len(cwords)
+                yield CodeMap(dom, cod, assignment)
+
+
+def test_is_morphism_matches_definition_exhaustively():
+    morphisms = 0
+    for f in all_small_maps():
+        expected = is_morphism_by_definition(f)
+        assert is_morphism(f) == expected
+        morphisms += expected
+    assert morphisms > 0
+
+
 class TestMorphismImpliesMonotone:
     def test_exhaustive_small(self):
-        # every function between every pair of codes on up to 2 neurons
-        codes = [c for n in (1, 2) for c in all_codes(n)]
-        for dom in codes:
-            dwords = list(dom.words)
-            for cod in codes:
-                cwords = list(cod.words)
-                total = len(cwords) ** len(dwords)
-                for stamp in range(total):
-                    assignment = {}
-                    s = stamp
-                    for w in dwords:
-                        assignment[w] = cwords[s % len(cwords)]
-                        s //= len(cwords)
-                    f = CodeMap(dom, cod, assignment)
-                    if is_morphism(f):
-                        assert check_monotone(f)
+        for f in all_small_maps():
+            if is_morphism(f):
+                assert check_monotone(f)
 
     def test_randomized_three_neurons(self):
         rng = random.Random(11)
@@ -373,8 +392,8 @@ class TestMorphismImpliesMonotone:
         for _ in range(4000):
             dom = Code.from_masks(3, rng.sample(range(8), rng.randint(1, 8)))
             cod = Code.from_masks(3, rng.sample(range(8), rng.randint(1, 8)))
-            cwords = list(cod.words)
-            f = CodeMap(dom, cod, {w: rng.choice(cwords) for w in dom.words})
+            cwords = list(frozenset(cod))
+            f = CodeMap(dom, cod, {w: rng.choice(cwords) for w in frozenset(dom)})
             if is_morphism(f):
                 checked += 1
                 assert check_monotone(f)
@@ -487,7 +506,7 @@ class TestCompleteIso:
     def test_chain_maps_to_itself_shape(self):
         c = cc_family(5)
         f = complete_iso(c)
-        assert all(f(w).indices == w.indices for w in c.words)
+        assert all(f(w).indices == w.indices for w in frozenset(c))
 
     def test_incomparable_rejected(self):
         with pytest.raises(ValueError):

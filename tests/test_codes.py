@@ -99,6 +99,20 @@ class TestCode:
         with pytest.raises(CodeParseError):
             Code.from_json_obj(obj)
 
+    def test_rejects_mixed_neuron_counts(self):
+        with pytest.raises(ValueError):
+            Code(2, [word(2, 1).bits, word(3, 3).bits])
+        with pytest.raises(ValueError):
+            Code.from_indices(2, [(1,), (3,)])
+
+    def test_sorted_words_and_masks_fixed_at_construction(self):
+        c = code(3, (1, 2), (), (3,), (1,))
+        assert c.masks == (0b000, 0b001, 0b100, 0b011)
+        assert [w.bits for w in c] == sorted(c.masks, key=lambda m: (m.bit_count(), m))
+        assert c.masks is c.masks
+        assert c == Code(3, reversed(c.masks))
+        assert hash(c) == hash(Code(3, frozenset(c.masks)))
+
     def test_masks_deduplicated_sorted_and_checked(self):
         masks = (0b011, 0b000, 0b100, 0b001, 0b011)
         c = Code(3, masks)

@@ -7,7 +7,7 @@ import math
 from dataclasses import dataclass
 
 from .codes import Code, Codeword, SimplicialComplex, _maximal_masks, indices_of
-from .ideal import CanonicalForm
+from .ideal import CanonicalForm, _minimal_pairs
 
 
 @dataclass(frozen=True)
@@ -119,12 +119,6 @@ def diameter(g: CodeGraph) -> int | float:
 GR_COMPLEX_MAX_VISITS = 5000
 
 
-def _minimal_supports(cf: CanonicalForm) -> list[int]:
-    supports = {f.support for f in cf.elements}
-    return sorted(s for s in supports
-                  if not any(t != s and t & s == t for t in supports))
-
-
 def gr_complex(cf: CanonicalForm) -> SimplicialComplex:
     """General relationship complex: all neuron sets supporting no element.
 
@@ -135,7 +129,7 @@ def gr_complex(cf: CanonicalForm) -> SimplicialComplex:
     than GR_COMPLEX_MAX_VISITS masks raises ValueError.
     """
     n = cf.n
-    supports = _minimal_supports(cf)
+    supports = sorted(s for s, _ in _minimal_pairs((p | m, 0) for p, m in cf.elements))
     full = (1 << n) - 1
     visited: set[int] = set()
     independent: list[int] = []
@@ -164,7 +158,7 @@ def grg(cf: CanonicalForm) -> CodeGraph:
     """General relationship graph, the 1-skeleton of the relationship complex,
     computed directly from element supports."""
     n = cf.n
-    supports = _minimal_supports(cf)
+    supports = sorted(s for s, _ in _minimal_pairs((p | m, 0) for p, m in cf.elements))
     vertices = [i for i in range(1, n + 1)
                 if not any(s & ~(1 << (i - 1)) == 0 for s in supports)]
     nbrs = [0] * len(vertices)

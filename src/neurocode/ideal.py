@@ -1,17 +1,21 @@
-"""Pseudo-monomial arithmetic and canonical forms of neural ideals.
+"""Pseudo-monomials and canonical forms of neural ideals.
 
 A pseudo-monomial is a product of plain variables and complemented
-variables over disjoint index sets, held as a pair of masks. The canonical
-form of a code's neural ideal has one production path, the codeword-at-a-time
-update of Petersen et al. (Neural ideals in SageMath, 2018) on (plus, minus)
-mask pairs, and one independent check, a full 3^n vanishing sweep (the
-definition-based oracle) that shares no code with it.
+variables over disjoint index sets, held as a (plus, minus) pair of masks
+with no neuron count of its own; a `CanonicalForm` is n plus its distinct
+pairs sorted by (degree, plus, minus), checked against n once. The
+canonical form of a code's neural ideal has one production path, the
+codeword-at-a-time update of Petersen et al. (Neural ideals in SageMath,
+2018) on (plus, minus) mask pairs, bounded by CF_MAX_WORK, and one
+independent check, a full 3^n vanishing sweep (the definition-based
+oracle) that shares no code with it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable
+from itertools import islice
+from typing import Iterable, Iterator, NamedTuple
 
 from .codes import (
     ADD_TRIVIAL_OFF,
@@ -25,6 +29,7 @@ from .codes import (
     ElementaryMap,
     _is_index_list,
     _json_neuron_count,
+    _neuron_count,
     _validate_neuron,
     _validate_perm,
     delete_shift_mask,
@@ -36,45 +41,34 @@ from .codes import (
 
 ORACLE_MAX_NEURONS = 12
 
-
-class _ZeroPolynomial:
-    """Sentinel for a product that collapsed to zero; never stored in sets."""
-
-    __slots__ = ()
-
-    def __repr__(self) -> str:
-        return "ZERO"
-
-    def __bool__(self) -> bool:
-        return False
+# Fold work, counted before each update: the form's size plus |grow| * |kept|,
+# the pairs the divisor tests can reach; 12-50M units/s (Python 3.11).
+# cr:64 takes 385k, cf-theorems at its --n cap 687k, random n=16 codes of 64
+# words 100M. The form's size alone misses the divisor tests: n=32 with 64
+# words spends 13 s in them while the forms sum to 84k elements.
+CF_MAX_WORK = 20_000_000
 
 
-ZERO = _ZeroPolynomial()
+def _degree_key(pair: tuple[int, int]) -> tuple[int, int, int]:
+    p, m = pair
+    return ((p | m).bit_count(), p, m)
 
 
-@dataclass(frozen=True, slots=True)
-class PseudoMonomial:
+class PseudoMonomial(NamedTuple):
     """Product of x_i over `plus` and (1-x_j) over `minus`, disjoint masks.
 
     plus = minus = 0 encodes the constant 1; it is legal as a value but is
-    never emitted in a canonical form.
+    never emitted in a canonical form. The pair carries no neuron count;
+    `CanonicalForm` checks its elements against its own n.
     """
 
-    n: int
     plus: int
     minus: int
-
-    def __post_init__(self) -> None:
-        full = (1 << self.n) - 1
-        if self.plus < 0 or self.plus & ~full or self.minus < 0 or self.minus & ~full:
-            raise ValueError(f"masks {self.plus:#x}/{self.minus:#x} outside neurons 1..{self.n}")
-        if self.plus & self.minus:
-            raise ValueError("a variable cannot appear both plain and complemented")
 
     @classmethod
     def from_indices(cls, n: int, plus: Iterable[int] = (),
                      minus: Iterable[int] = ()) -> "PseudoMonomial":
-        return cls(n, mask_from_indices(plus, n), mask_from_indices(minus, n))
+        return cls(mask_from_indices(plus, n), mask_from_indices(minus, n))
 
     @property
     def degree(self) -> int:
@@ -92,27 +86,10 @@ class PseudoMonomial:
         return (self.plus & other.plus == self.plus
                 and self.minus & other.minus == self.minus)
 
-    def __mul__(self, other: "PseudoMonomial"):
-        if self.n != other.n:
-            raise ValueError("cannot multiply pseudo-monomials on different neuron counts")
-        plus = self.plus | other.plus
-        minus = self.minus | other.minus
-        if plus & minus:
-            return ZERO
-        return PseudoMonomial(self.n, plus, minus)
-
-    def sort_key(self) -> tuple[int, int, int]:
-        return (self.degree, self.plus, self.minus)
-
     def to_text(self) -> str:
-        factors = []
-        for i in range(1, self.n + 1):
-            bit = 1 << (i - 1)
-            if self.plus & bit:
-                factors.append(f"x{i}")
-            elif self.minus & bit:
-                factors.append(f"(1-x{i})")
-        return "*".join(factors) if factors else "1"
+        factors = [f"x{i}" if self.plus >> (i - 1) & 1 else f"(1-x{i})"
+                   for i in indices_of(self.plus | self.minus)]
+        return "*".join(factors) or "1"
 
     def __str__(self) -> str:
         return self.to_text()
@@ -121,53 +98,56 @@ class PseudoMonomial:
 def rho(word: Codeword) -> PseudoMonomial:
     """The characteristic pseudo-monomial of a codeword: 1 exactly there."""
     full = (1 << word.n) - 1
-    return PseudoMonomial(word.n, word.bits, full ^ word.bits)
+    return PseudoMonomial(word.bits, full ^ word.bits)
 
 
 @dataclass(frozen=True)
 class CanonicalForm:
-    """A set of pseudo-monomials on a common neuron count.
+    """Pseudo-monomials on neurons 1..n, held as distinct `PseudoMonomial`
+    pairs sorted by (degree, plus, minus).
 
-    Outputs of the canonical-form algorithms are divisibility-minimal
-    antichains; the container itself only enforces per-element validity so
-    that redundant generating sets can still be fed to the graph builders.
+    The constructor takes any iterable of (plus, minus) int pairs. Outputs
+    of the canonical-form algorithms are divisibility-minimal antichains;
+    the container itself only checks each pair (in range, disjoint, not the
+    constant 1) so that redundant generating sets can still be fed to the
+    graph builders.
     """
 
     n: int
-    elements: frozenset[PseudoMonomial]
+    elements: tuple[PseudoMonomial, ...]
 
     def __post_init__(self) -> None:
-        elements = frozenset(self.elements)
-        object.__setattr__(self, "elements", elements)
-        for f in elements:
-            if f.n != self.n:
-                raise ValueError(f"element {f} is on {f.n} neurons, form is on {self.n}")
-            if f.plus == 0 and f.minus == 0:
-                raise ValueError("the constant 1 cannot appear in a canonical form")
+        n = _neuron_count(self.n)
+        pairs = sorted({(p, m) for p, m in self.elements}, key=_degree_key)
+        for p, m in pairs:
+            # a negative mask shifts to -1, so this also rejects negatives
+            if (p | m) >> n:
+                raise ValueError(f"masks {p:#x}/{m:#x} outside neurons 1..{n}")
+            if p & m:
+                raise ValueError("a variable cannot appear both plain and complemented")
+        if pairs and pairs[0] == (0, 0):
+            raise ValueError("the constant 1 cannot appear in a canonical form")
+        object.__setattr__(self, "elements", tuple(map(PseudoMonomial._make, pairs)))
 
     @classmethod
     def from_indices(cls, n: int,
                      elements: Iterable[tuple[Iterable[int], Iterable[int]]]) -> "CanonicalForm":
-        return cls(n, frozenset(PseudoMonomial.from_indices(n, p, m) for p, m in elements))
-
-    @property
-    def sorted_elements(self) -> tuple[PseudoMonomial, ...]:
-        return tuple(sorted(self.elements, key=PseudoMonomial.sort_key))
+        return cls(n, [PseudoMonomial.from_indices(n, p, m) for p, m in elements])
 
     def __len__(self) -> int:
         return len(self.elements)
 
-    def __iter__(self):
-        return iter(self.sorted_elements)
+    def __iter__(self) -> Iterator[PseudoMonomial]:
+        return iter(self.elements)
 
     def to_text_lines(self) -> list[str]:
-        return [f.to_text() for f in self.sorted_elements]
+        return [f.to_text() for f in self.elements]
 
     def to_json_obj(self) -> dict:
         return {
             "n": self.n,
-            "cf": [{"plus": list(indices_of(f.plus)), "minus": list(indices_of(f.minus))}
-                   for f in self.sorted_elements],
+            "cf": [{"plus": list(indices_of(p)), "minus": list(indices_of(m))}
+                   for p, m in self.elements],
         }
 
     @classmethod
@@ -195,11 +175,15 @@ class CanonicalForm:
 
 
 def _minimal_pairs(pairs: Iterable[tuple[int, int]]) -> list[tuple[int, int]]:
-    """Divisibility-minimal (plus, minus) pairs, ascending-degree scan."""
-    ordered = sorted(set(pairs), key=lambda pm: ((pm[0] | pm[1]).bit_count(), pm[0], pm[1]))
+    """Divisibility-minimal (plus, minus) pairs in (degree, plus, minus)
+    order. A distinct divisor has lower degree, so each pair is tested only
+    against the first `lower` kept pairs, those of lower degree."""
     kept: list[tuple[int, int]] = []
-    for p, m in ordered:
-        if not any(kp & p == kp and km & m == km for kp, km in kept):
+    degree = lower = 0
+    for p, m in sorted(set(pairs), key=_degree_key):
+        if (p | m).bit_count() != degree:
+            degree, lower = (p | m).bit_count(), len(kept)
+        if not any(kp & p == kp and km & m == km for kp, km in islice(kept, lower)):
             kept.append((p, m))
     return kept
 
@@ -216,11 +200,14 @@ def canonical_form(code: Code) -> CanonicalForm:
 
     - A kept divisor of g*(x_b - c_b) cannot divide g, so it holds x_b - c_b.
     - No new product divides another: every g agrees with c, every x_b - c_b does not.
+
+    Raises ValueError before an update would take the work past CF_MAX_WORK.
     """
     n = code.n
     full = (1 << n) - 1
     first, *rest = code.masks
     form = [(0, bit) if first & bit else (bit, 0) for bit in (1 << j for j in range(n))]
+    work = 0
     for c in rest:
         kept = []
         grow = []
@@ -235,6 +222,10 @@ def canonical_form(code: Code) -> CanonicalForm:
                 b = disagree & -disagree
                 disagree ^= b
                 by_literal.setdefault(b, []).append((p, m))
+        work += len(form) + len(grow) * len(kept)
+        if work > CF_MAX_WORK:
+            raise ValueError(f"canonical form too large: its fold passed {CF_MAX_WORK} "
+                             f"units of work")
         form = kept
         for p, m in grow:
             free = full & ~(p | m)
@@ -247,7 +238,7 @@ def canonical_form(code: Code) -> CanonicalForm:
                         break
                 else:
                     form.append((plus, minus))
-    return CanonicalForm(n, frozenset(PseudoMonomial(n, p, m) for p, m in form))
+    return CanonicalForm(n, form)
 
 
 def canonical_form_oracle(code: Code) -> CanonicalForm:
@@ -270,8 +261,7 @@ def canonical_form_oracle(code: Code) -> CanonicalForm:
                     break
             else:
                 vanishing.append((plus, minus))
-    pairs = _minimal_pairs(vanishing)
-    return CanonicalForm(n, frozenset(PseudoMonomial(n, p, m) for p, m in pairs))
+    return CanonicalForm(n, _minimal_pairs(vanishing))
 
 
 def predict_cf(cf: CanonicalForm, spec: ElementaryMap) -> CanonicalForm:
@@ -284,37 +274,29 @@ def predict_cf(cf: CanonicalForm, spec: ElementaryMap) -> CanonicalForm:
     n = cf.n
     if spec.kind == PERMUTATION:
         perm = _validate_perm(spec.perm, n)
-        return CanonicalForm(n, frozenset(
-            PseudoMonomial(n, permute_mask(f.plus, perm), permute_mask(f.minus, perm))
-            for f in cf.elements))
-    if spec.kind == ADD_TRIVIAL_ON:
-        lifted = {PseudoMonomial(n + 1, f.plus, f.minus) for f in cf.elements}
-        lifted.add(PseudoMonomial(n + 1, 0, 1 << n))
-        return CanonicalForm(n + 1, frozenset(lifted))
-    if spec.kind == ADD_TRIVIAL_OFF:
-        lifted = {PseudoMonomial(n + 1, f.plus, f.minus) for f in cf.elements}
-        lifted.add(PseudoMonomial(n + 1, 1 << n, 0))
-        return CanonicalForm(n + 1, frozenset(lifted))
+        return CanonicalForm(n, [(permute_mask(p, perm), permute_mask(m, perm))
+                                 for p, m in cf.elements])
+    if spec.kind in (ADD_TRIVIAL_ON, ADD_TRIVIAL_OFF):
+        hi = 1 << n
+        return CanonicalForm(n + 1, [*cf.elements,
+                                     (0, hi) if spec.kind == ADD_TRIVIAL_ON else (hi, 0)])
     if spec.kind == DUPLICATE:
         bit = 1 << (_validate_neuron(spec, n) - 1)
         hi = 1 << n
-        parts = {(f.plus, f.minus) for f in cf.elements}
-        for f in cf.elements:
-            if f.plus & bit:
-                parts.add(((f.plus ^ bit) | hi, f.minus))
-            if f.minus & bit:
-                parts.add((f.plus, (f.minus ^ bit) | hi))
+        parts = set(cf.elements)
+        for p, m in cf.elements:
+            if p & bit:
+                parts.add(((p ^ bit) | hi, m))
+            if m & bit:
+                parts.add((p, (m ^ bit) | hi))
         parts.add((bit, hi))
         parts.add((hi, bit))
-        pairs = _minimal_pairs(parts)
-        return CanonicalForm(n + 1, frozenset(PseudoMonomial(n + 1, p, m) for p, m in pairs))
+        return CanonicalForm(n + 1, _minimal_pairs(parts))
     if spec.kind == DELETE:
         i = _validate_neuron(spec, n)
         bit = 1 << (i - 1)
-        kept = {f for f in cf.elements if not (f.plus | f.minus) & bit}
-        return CanonicalForm(n - 1, frozenset(
-            PseudoMonomial(n - 1, delete_shift_mask(f.plus, i), delete_shift_mask(f.minus, i))
-            for f in kept))
+        return CanonicalForm(n - 1, [(delete_shift_mask(p, i), delete_shift_mask(m, i))
+                                     for p, m in cf.elements if not (p | m) & bit])
     if spec.kind == INCLUSION:
         raise ValueError("no canonical-form transform is defined for inclusion maps")
     raise ValueError(f"unknown elementary map kind {spec.kind!r}")
@@ -325,9 +307,8 @@ def cf_cc_formula(m: int) -> CanonicalForm:
     if m < 3:
         raise ValueError(f"chain closed form needs m >= 3, got {m}")
     n = m - 1
-    elements = {PseudoMonomial(n, 1 << (i - 1), 1 << (j - 1))
-                for i in range(2, n + 1) for j in range(1, i)}
-    return CanonicalForm(n, frozenset(elements))
+    return CanonicalForm(n, [(1 << (i - 1), 1 << (j - 1))
+                             for i in range(2, n + 1) for j in range(1, i)])
 
 
 def cf_cr_formula(k: int) -> CanonicalForm:
@@ -340,12 +321,8 @@ def cf_cr_formula(k: int) -> CanonicalForm:
     if k < 3:
         raise ValueError(f"cycle closed form needs k >= 3, got {k}")
     full = (1 << k) - 1
-    elements = {PseudoMonomial(k, 0, full)}
     if k == 3:
-        elements.add(PseudoMonomial(k, full, 0))
-    else:
-        for i in range(2, k + 1):
-            for j in range(1, i):
-                if (i - j) % k not in (1, k - 1):
-                    elements.add(PseudoMonomial(k, (1 << (i - 1)) | (1 << (j - 1)), 0))
-    return CanonicalForm(k, frozenset(elements))
+        return CanonicalForm(k, [(0, full), (full, 0)])
+    return CanonicalForm(k, [(0, full)] + [
+        ((1 << (i - 1)) | (1 << (j - 1)), 0)
+        for i in range(2, k + 1) for j in range(1, i) if (i - j) % k not in (1, k - 1)])

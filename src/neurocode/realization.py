@@ -23,7 +23,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from .codes import MAX_NEURONS, Code, submasks
-from .ideal import CanonicalForm, PseudoMonomial
+from .ideal import CanonicalForm
 
 AMBIENT_LINE = "line"
 AMBIENT_UNION = "union"
@@ -175,7 +175,7 @@ def cf_from_intervals(cover: IntervalCover) -> CanonicalForm:
         lower = [sigma ^ 1 << i for i in range(n) if sigma >> i & 1]
         if not within[sigma]:
             if all(within[sub] for sub in lower):
-                elements.add(PseudoMonomial(n, sigma, 0))
+                elements.add((sigma, 0))
             continue
         for tau in submasks(full ^ sigma):
             if tau == 0 or covers_space[tau] or not covered(sigma, tau):
@@ -183,14 +183,14 @@ def cf_from_intervals(cover: IntervalCover) -> CanonicalForm:
             if any(sub and covered(sub, tau) for sub in lower):
                 continue
             if not any(covered(sigma, tau ^ 1 << j) for j in range(n) if tau >> j & 1):
-                elements.add(PseudoMonomial(n, sigma, tau))
+                elements.add((sigma, tau))
 
     for tau in range(1, full + 1):
         if covers_space[tau] and not any(
                 covers_space[tau ^ 1 << j] for j in range(n) if tau >> j & 1):
-            elements.add(PseudoMonomial(n, 0, tau))
+            elements.add((0, tau))
 
-    return CanonicalForm(n, frozenset(elements))
+    return CanonicalForm(n, elements)
 
 
 def cr_k_polygon(k: int) -> SegmentCover:

@@ -2,12 +2,14 @@
 
 import hashlib
 import json
+import random
 import time
 
 import pytest
 
 from neurocode import cli, verify
 from neurocode.graphs import GR_COMPLEX_MAX_VISITS
+from neurocode.ideal import CF_MAX_WORK
 from neurocode.verify import SUITES, Check, SuiteResult, parity_suite, union_closure_suite
 
 
@@ -206,6 +208,19 @@ def test_gr_complex_search_exits_2_past_its_limit(capsys):
     assert time.perf_counter() - start < 2
     assert (status, out) == (2, "")
     assert f"facet search passed {GR_COMPLEX_MAX_VISITS} neuron sets" in err
+
+
+def test_cf_fold_exits_2_past_its_work_limit(capsys):
+    # 64 random words on n=14 need about twice the work limit; without the
+    # limit the fold takes 2-3 s and prints a form of thousands of elements
+    rng = random.Random(14)
+    words = ";".join("{%s}" % ",".join(str(i + 1) for i in range(14) if w >> i & 1)
+                     for w in rng.sample(range(1 << 14), 64))
+    start = time.perf_counter()
+    status, out, err = run(capsys, "cf", f"n=14\n{words}")
+    assert time.perf_counter() - start < 5
+    assert (status, out) == (2, "")
+    assert f"fold passed {CF_MAX_WORK} units of work" in err
 
 
 class TestRealize:

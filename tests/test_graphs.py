@@ -20,7 +20,7 @@ from neurocode.graphs import (
     is_regular,
     to_dot,
 )
-from neurocode.ideal import CanonicalForm, PseudoMonomial, canonical_form, predict_cf
+from neurocode.ideal import CanonicalForm, canonical_form, predict_cf
 
 
 def code(n, *words):
@@ -240,8 +240,8 @@ def random_cf(rng, n, max_elements=4):
         plus = rng.randrange(1 << n)
         minus = rng.randrange(1 << n) & ~plus
         if plus or minus:
-            els.add(PseudoMonomial(n, plus, minus))
-    return CanonicalForm(n, frozenset(els))
+            els.add((plus, minus))
+    return CanonicalForm(n, els)
 
 
 class TestGrComplex:

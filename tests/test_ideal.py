@@ -1,14 +1,15 @@
 """Neural ideal: pseudo-monomial arithmetic, canonical forms, transforms."""
 
 import random
+import re
 
 import pytest
 
 from neurocode.codes import Code, Codeword, ElementaryMap, apply_elementary_map, cc_family, cr_family, permute_mask
 from neurocode.ideal import (
-    ZERO,
     CanonicalForm,
     PseudoMonomial,
+    _minimal_pairs,
     canonical_form,
     canonical_form_oracle,
     cf_cc_formula,
@@ -32,10 +33,12 @@ def random_code(rng, n):
 
 class TestPseudoMonomial:
     def test_validation(self):
-        with pytest.raises(ValueError):
-            PseudoMonomial(2, 0b01, 0b01)
-        with pytest.raises(ValueError):
-            PseudoMonomial(2, 0b100, 0)
+        # the pair holds no n; the container rejects overlapping and
+        # out-of-range masks
+        with pytest.raises(ValueError, match="both plain and complemented"):
+            CanonicalForm(2, [PseudoMonomial(0b01, 0b01)])
+        with pytest.raises(ValueError, match="outside neurons 1..2"):
+            CanonicalForm(2, [PseudoMonomial(0b100, 0)])
 
     def test_degree_and_support(self):
         f = pm(3, (1,), (2, 3))
@@ -45,7 +48,7 @@ class TestPseudoMonomial:
     def test_text(self):
         assert pm(3, (2,), (1, 3)).to_text() == "(1-x1)*x2*(1-x3)"
         assert pm(3, (1, 3)).to_text() == "x1*x3"
-        assert PseudoMonomial(3, 0, 0).to_text() == "1"
+        assert PseudoMonomial(0, 0).to_text() == "1"
 
 
 class TestRho:
@@ -89,11 +92,6 @@ class TestDividesMultiply:
         f = pm(3, (1,), (2,))
         assert f.divides(f)
         assert not pm(3, (1,)).divides(pm(3, (), (1,)))
-
-    def test_multiply(self):
-        assert pm(2, (1,)) * pm(2, (), (2,)) == pm(2, (1,), (2,))
-        assert pm(2, (1,)) * pm(2, (1,)) == pm(2, (1,))
-        assert (pm(2, (1,)) * pm(2, (), (1,))) is ZERO
 
 
 class TestCanonicalForm:
@@ -160,8 +158,7 @@ class TestCanonicalForm:
         for v in {0, full, 0b0110 & full}:
             missing = Code.from_masks(n, [w for w in range(full + 1) if w != v])
             assert canonical_form(missing) == CanonicalForm(n, frozenset({rho(Codeword(n, v))}))
-            linear = {PseudoMonomial(n, 0, 1 << j) if v >> j & 1 else PseudoMonomial(n, 1 << j, 0)
-                      for j in range(n)}
+            linear = {(0, 1 << j) if v >> j & 1 else (1 << j, 0) for j in range(n)}
             assert canonical_form(Code.from_masks(n, [v])) == CanonicalForm(n, frozenset(linear))
 
     def test_oracle_neuron_cap(self):
@@ -197,20 +194,52 @@ class TestCanonicalForm:
             perm = list(range(1, n + 1))
             rng.shuffle(perm)
             image, _ = apply_elementary_map(c, ElementaryMap.permutation(perm))
-            moved = CanonicalForm(n, frozenset(
-                PseudoMonomial(n, permute_mask(f.plus, perm), permute_mask(f.minus, perm))
-                for f in canonical_form(c).elements))
+            moved = CanonicalForm(n, [(permute_mask(p, perm), permute_mask(m, perm))
+                                      for p, m in canonical_form(c).elements])
             assert canonical_form(image) == moved
 
 
 class TestCanonicalFormContainer:
+    def test_pairs_deduplicated_sorted_and_checked(self):
+        pairs = [(0b100, 0b001), (0b010, 0), (0b001, 0b010), (0b010, 0), (0, 0b101), (0b011, 0)]
+        cf = CanonicalForm(3, pairs)
+        # (degree, plus, minus) order, duplicates dropped, items are pairs
+        assert cf.elements == ((0b010, 0), (0, 0b101), (0b001, 0b010), (0b011, 0), (0b100, 0b001))
+        assert all(type(f) is PseudoMonomial for f in cf.elements)
+        assert (cf.elements[1].plus, cf.elements[1].minus) == (0, 0b101)
+        assert tuple(cf) == cf.elements and len(cf) == 5
+        for same in (pairs[::-1], frozenset(pairs), [PseudoMonomial(p, m) for p, m in pairs],
+                     iter(pairs)):
+            other = CanonicalForm(3, same)
+            assert other == cf and hash(other) == hash(cf)
+        assert CanonicalForm(4, pairs) != cf
+        for n, bad, message in [
+            (3, [(0b001, 0), (0b1000, 0)], "masks 0x8/0x0 outside neurons 1..3"),
+            (3, [(0, -1)], "masks 0x0/-0x1 outside neurons 1..3"),
+            (3, [(0b011, 0b010)], "a variable cannot appear both plain and complemented"),
+            (3, [(0b001, 0), (0, 0)], "the constant 1 cannot appear in a canonical form"),
+            (0, [], "neuron count must be in 1..64, got 0"),
+            (100, [], "neuron count must be in 1..64, got 100"),
+        ]:
+            with pytest.raises(ValueError, match=re.escape(message)):
+                CanonicalForm(n, bad)
+        # adding a neuron to a 64-neuron form leaves the neuron range
+        with pytest.raises(ValueError, match="neuron count must be in 1..64, got 65"):
+            predict_cf(canonical_form(Code(64, [0, 1])), ElementaryMap.add_trivial_on())
+
     def test_rejects_constant(self):
         with pytest.raises(ValueError):
-            CanonicalForm(2, frozenset({PseudoMonomial(2, 0, 0)}))
+            CanonicalForm(2, frozenset({PseudoMonomial(0, 0)}))
 
     def test_rejects_mixed_n(self):
-        with pytest.raises(ValueError):
-            CanonicalForm(2, frozenset({pm(3, (1,))}))
+        # pairs carry no n, so an element from a larger n shows up as a mask
+        # beyond the form's neurons, or as overlapping masks
+        with pytest.raises(ValueError, match="outside neurons 1..2"):
+            CanonicalForm(2, [pm(3, (3,))])
+        with pytest.raises(ValueError, match="outside neurons 1..2"):
+            CanonicalForm(2, [pm(3, (1,), (2, 3))])
+        with pytest.raises(ValueError, match="both plain and complemented"):
+            CanonicalForm(3, [(0b011, 0b110)])
 
     def test_allows_redundant_generators(self):
         # non-minimal generating sets are accepted so the relationship
@@ -225,6 +254,39 @@ class TestCanonicalFormContainer:
     def test_sorted_rendering(self):
         cf = cf_of(3, ((2,), (1, 3)), ((1, 3), ()), ((1,), (2,)))
         assert cf.to_text_lines() == ["x1*(1-x2)", "x1*x3", "(1-x1)*x2*(1-x3)"]
+
+
+def minimal_by_all_pairs(pairs):
+    """Reference: the pairs that no other distinct pair divides."""
+    distinct = set(pairs)
+    return sorted(f for f in distinct
+                  if not any(g != f and g[0] & f[0] == g[0] and g[1] & f[1] == g[1]
+                             for g in distinct))
+
+
+class TestMinimalPairs:
+    def test_matches_all_pairs_check(self):
+        rng = random.Random(61)
+        for _ in range(400):
+            n = rng.randint(1, 7)
+            blank = rng.randint(1, 4)  # weight of "neuron absent": mixes degrees
+            pairs = []
+            for _ in range(rng.randint(0, 40)):
+                plus = minus = 0
+                for i in range(n):
+                    role = rng.choices((0, 1, 2), weights=(blank, 1, 1))[0]
+                    plus |= (role == 1) << i
+                    minus |= (role == 2) << i
+                pairs.append((plus, minus))
+            pairs += rng.choices(pairs, k=len(pairs) // 3) if pairs else []
+            got = _minimal_pairs(pairs)
+            assert sorted(got) == minimal_by_all_pairs(pairs)
+            assert got == sorted(got, key=lambda f: ((f[0] | f[1]).bit_count(), f))
+
+    def test_matches_all_pairs_check_on_family_supports(self):
+        for code in (cc_family(65), cr_family(64)):
+            supports = [(p | m, 0) for p, m in canonical_form(code).elements]
+            assert sorted(_minimal_pairs(supports)) == minimal_by_all_pairs(supports)
 
 
 class TestPredictCf:

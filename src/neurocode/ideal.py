@@ -6,9 +6,10 @@ with no neuron count of its own; a `CanonicalForm` is n plus its distinct
 pairs sorted by (degree, plus, minus), checked against n once. The
 canonical form of a code's neural ideal has one production path, the
 codeword-at-a-time update of Petersen et al. (Neural ideals in SageMath,
-2018) on (plus, minus) mask pairs, bounded by CF_MAX_WORK, and one
-independent check, a full 3^n vanishing sweep (the definition-based
-oracle) that shares no code with it.
+2018) on (plus, minus) mask pairs, bounded by CF_MAX_WORK, whose divisor
+index holds only the kept elements that disagree with the new codeword at a
+single neuron; and one independent check, a full 3^n vanishing sweep (the
+definition-based oracle) that shares no code with it.
 """
 
 from __future__ import annotations
@@ -42,10 +43,13 @@ from .codes import (
 ORACLE_MAX_NEURONS = 12
 
 # Fold work, counted before each update: the form's size plus |grow| * |kept|,
-# the pairs the divisor tests can reach; 12-50M units/s (Python 3.11).
-# cr:64 takes 385k, cf-theorems at its --n cap 687k, random n=16 codes of 64
-# words 100M. The form's size alone misses the divisor tests: n=32 with 64
-# words spends 13 s in them while the forms sum to 84k elements.
+# a bound on the divisor tests, which scan only the kept elements that
+# disagree with c at one neuron; 65-150M units/s near the limit (2 vCPUs,
+# Python 3.11.7), so a rejection comes within about 0.3 s. cr:64 takes 385k,
+# cf-theorems at its --n cap 687k, random n=16 codes of 64 words 100-200M.
+# The form's size alone misses the divisor tests: a random n=32 code of 64
+# words passes the limit while its forms sum to 38k elements, and runs for
+# minutes without it.
 CF_MAX_WORK = 20_000_000
 
 
@@ -194,13 +198,16 @@ def canonical_form(code: Code) -> CanonicalForm:
     Starts from the linear generators x_j - c_j of the first codeword c. At
     each next codeword c, the elements f with f(c) = 0 are kept; each g with
     g(c) = 1 is replaced by g*(x_b - c_b) for every neuron b outside its
-    support, unless a kept element divides that product. Kept elements are
-    indexed by the neurons where they disagree with c. Two facts make the
-    update cheap and keep the form an antichain with no minimization pass:
+    support, unless a kept element divides that product. Three facts make
+    the update cheap and keep the form an antichain with no minimization pass:
 
     - A kept divisor of g*(x_b - c_b) cannot divide g, so it holds x_b - c_b.
     - No new product divides another: every g agrees with c, every x_b - c_b does not.
+    - A kept divisor disagrees with c at b alone, since the product does, so
+      it divides exactly when its support less b lies in g's support.
 
+    Kept elements are therefore indexed only when they disagree with c at a
+    single neuron b, as their supports less b; each g is held as its support.
     Raises ValueError before an update would take the work past CF_MAX_WORK.
     """
     n = code.n
@@ -211,33 +218,31 @@ def canonical_form(code: Code) -> CanonicalForm:
     for c in rest:
         kept = []
         grow = []
-        by_literal: dict[int, list[tuple[int, int]]] = {}
+        by_literal: dict[int, list[int]] = {}
         for p, m in form:
             disagree = (p & ~c) | (m & c)
             if not disagree:
-                grow.append((p, m))
+                grow.append(p | m)
                 continue
             kept.append((p, m))
-            while disagree:
-                b = disagree & -disagree
-                disagree ^= b
-                by_literal.setdefault(b, []).append((p, m))
+            if not disagree & (disagree - 1):
+                by_literal.setdefault(disagree, []).append((p | m) ^ disagree)
         work += len(form) + len(grow) * len(kept)
         if work > CF_MAX_WORK:
             raise ValueError(f"canonical form too large: its fold passed {CF_MAX_WORK} "
                              f"units of work")
         form = kept
-        for p, m in grow:
-            free = full & ~(p | m)
+        for s in grow:
+            free = full & ~s
             while free:
                 b = free & -free
                 free ^= b
-                plus, minus = (p, m | b) if c & b else (p | b, m)
-                for kp, km in by_literal.get(b, ()):
-                    if kp & plus == kp and km & minus == km:
+                for r in by_literal.get(b, ()):
+                    if r & s == r:
                         break
                 else:
-                    form.append((plus, minus))
+                    plus = (s & c) | (b & ~c)
+                    form.append((plus, (s | b) ^ plus))
     return CanonicalForm(n, form)
 
 

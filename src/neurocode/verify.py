@@ -296,8 +296,14 @@ def _random_spec(rng: random.Random, code: Code,
         return ElementaryMap.duplicate(rng.randint(1, n))
     if kind == DELETE:
         return ElementaryMap.delete(rng.randint(1, n))
-    extra = rng.sample(range(1 << n), min(1 << n, rng.randint(1, 4)))
-    words = set(code.masks) | set(extra)
+    k = min(1 << n, rng.randint(1, 4))
+    if n < 63:
+        extra = set(rng.sample(range(1 << n), k))
+    else:  # len(range(1 << 63)) overflows; k distinct draws instead
+        extra = set()
+        while len(extra) < k:
+            extra.add(rng.getrandbits(n))
+    words = set(code.masks) | extra
     return ElementaryMap.inclusion(Code.from_masks(n, words))
 
 

@@ -479,6 +479,18 @@ def test_verify_n_above_cap_exits_2_before_drawing(capsys, monkeypatch, suite, c
     assert f"max_n must be at most {cap}, got {cap + 1} (from --n {cap + 1})" in err
 
 
+# Both draw an inclusion map on 63 neurons, whose extra words
+# rng.sample(range(1 << 63), ...) could not draw: len() of that range
+# overflows.
+@pytest.mark.parametrize("argv", [["--n", "63"], ["--n", "63", "--trials", "1", "--seed", "52"]],
+                         ids=["default trials", "seed 52"])
+def test_preserve_complete_runs_at_its_cap(capsys, argv):
+    status, out, err = run(capsys, "verify", "preserve-complete", *argv, "--json")
+    assert (status, err) == (0, "")
+    (check,) = json.loads(out)["checks"]
+    assert check["passed"] and check["detail"].endswith(", 0 violations")
+
+
 # Pairs of command lines where the first sets a flag or input that the
 # second leaves out, so a parser that kept state between calls would show.
 PARSER_STATE_ARGV = [

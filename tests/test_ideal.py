@@ -5,6 +5,7 @@ import re
 
 import pytest
 
+from neurocode import ideal, verify
 from neurocode.codes import Code, Codeword, ElementaryMap, apply_elementary_map, cc_family, cr_family, permute_mask
 from neurocode.ideal import (
     CanonicalForm,
@@ -25,6 +26,11 @@ def pm(n, plus=(), minus=()):
 
 def cf_of(n, *elements):
     return CanonicalForm.from_indices(n, elements)
+
+
+# fold work of cr:64: the form's size plus |grow| * |kept|, summed over its
+# update steps
+CR64_WORK = 385057
 
 
 def random_code(rng, n):
@@ -148,6 +154,26 @@ class TestCanonicalForm:
         for m in range(3, 29):
             assert canonical_form(cc_family(m)) == cf_cc_formula(m)
             assert canonical_form(cr_family(m)) == cf_cr_formula(m)
+
+    def test_matches_oracle_on_every_small_code(self):
+        # every code on n <= 3 and the smallest code of each relabeling
+        # orbit at n = 4: 4256 codes
+        codes = [verify._code_from_index(n, idx)
+                 for n in (1, 2, 3) for idx in range(1, 1 << (1 << n))]
+        codes += [verify._code_from_index(4, idx)
+                  for idx in verify._orbit_representatives(4, verify._orbit_tables(4))]
+        assert len(codes) == 4256
+        for c in codes:
+            assert canonical_form(c) == canonical_form_oracle(c), c.to_text()
+
+    def test_work_limit_is_exact_on_cr64(self, monkeypatch):
+        # cr:64 takes exactly CR64_WORK units; pinning the count keeps a
+        # change to the fold from silently changing what the limit admits
+        monkeypatch.setattr(ideal, "CF_MAX_WORK", CR64_WORK - 1)
+        with pytest.raises(ValueError, match=f"fold passed {CR64_WORK - 1} units"):
+            canonical_form(cr_family(64))
+        monkeypatch.setattr(ideal, "CF_MAX_WORK", CR64_WORK)
+        assert canonical_form(cr_family(64)) == cf_cr_formula(64)
 
     @pytest.mark.parametrize("n", [1, 4, 8, 10])
     def test_closed_form_edge_cases(self, n):

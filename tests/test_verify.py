@@ -8,13 +8,14 @@ from itertools import permutations
 import pytest
 
 from neurocode import verify
-from neurocode.codes import Code, ElementaryMap, apply_elementary_map, union_closure_condition
+from neurocode.codes import INCLUSION, Code, ElementaryMap, apply_elementary_map, union_closure_condition
 from neurocode.graphs import ccg, diameter, is_connected, is_regular
 from neurocode.verify import (
     _orbit,
     _orbit_representatives,
     _orbit_tables,
     _parity_violation,
+    _random_spec,
     _run_sweep,
     _union_closure_violation,
 )
@@ -152,3 +153,21 @@ def test_sweep_predicates_invariant_under_permutation(n):
         for spec in maps:
             image, _ = apply_elementary_map(code, spec)
             assert structure(image) == expected, (code.to_text(), spec.describe())
+
+
+@pytest.mark.parametrize("n", [1, 2, 5, 62, 63, 64])
+def test_random_inclusion_adds_distinct_words(n):
+    # below 63 neurons the seeded draw is rng.sample over every word, as
+    # the pinned reports were recorded with; from 63 on that range cannot
+    # be sampled, and the words are distinct getrandbits(n) draws
+    code = Code.from_masks(n, [0])
+    for seed in range(40):
+        target = _random_spec(random.Random(seed), code, [INCLUSION]).target
+        rng = random.Random(seed)
+        rng.choice([INCLUSION])
+        k = min(1 << n, rng.randint(1, 4))
+        if n < 63:
+            assert set(target.masks) == {0, *rng.sample(range(1 << n), k)}
+        else:
+            assert len(target.masks) == k + 1
+            assert all(0 <= w < 1 << n for w in target.masks)

@@ -2,17 +2,18 @@
 
 A codeword is a subset of the neurons 1..n held as an integer mask, and a
 code is n plus a nonempty tuple of distinct masks sorted by (size, mask).
-Everything downstream (trunks, morphism checks, elementary code maps, the
-named chain/cycle families) is integer mask arithmetic; `Codeword` objects
-are built only at the API edge, when a code is iterated or a map or trunk
-is returned. All types are immutable values.
+A code map holds the image mask of each domain mask, in the domain's
+order. Everything downstream (trunks, morphism checks, elementary code maps,
+the named chain/cycle families) is integer mask arithmetic; `Codeword`
+objects are built only at the API edge, when a code is iterated, or a map is
+called, or a trunk is returned. All types are immutable values.
 """
 
 from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from typing import Callable, Iterable, Iterator, Mapping, Sequence
+from typing import Iterable, Iterator, Sequence
 
 MAX_NEURONS = 64
 
@@ -70,6 +71,10 @@ def indices_of(mask: int) -> tuple[int, ...]:
     return tuple(out)
 
 
+def _label(mask: int) -> str:
+    return "{%s}" % ",".join(str(i) for i in indices_of(mask))
+
+
 def submasks(mask: int) -> Iterator[int]:
     """All submasks of `mask`, descending, ending with 0."""
     sub = mask
@@ -106,21 +111,9 @@ class Codeword:
     def __contains__(self, neuron: int) -> bool:
         return 1 <= neuron <= self.n and bool(self.bits >> (neuron - 1) & 1)
 
-    def issubset(self, other: "Codeword") -> bool:
-        return self.bits & other.bits == self.bits
-
-    def ispropersubset(self, other: "Codeword") -> bool:
-        return self.bits != other.bits and self.bits & other.bits == self.bits
-
-    def union(self, other: "Codeword") -> "Codeword":
-        return Codeword(self.n, self.bits | other.bits)
-
-    def intersection(self, other: "Codeword") -> "Codeword":
-        return Codeword(self.n, self.bits & other.bits)
-
     @property
     def label(self) -> str:
-        return "{%s}" % ",".join(str(i) for i in self.indices)
+        return _label(self.bits)
 
     def __str__(self) -> str:
         return self.label
@@ -307,51 +300,43 @@ def is_trunk(code: Code, words: Iterable[Codeword]) -> bool:
 
 @dataclass(frozen=True)
 class CodeMap:
-    """A total function from the codewords of one code into another."""
+    """A total function from the codewords of one code into another:
+    `images[k]` is the codomain mask that `domain.masks[k]` goes to."""
 
     domain: Code
     codomain: Code
-    assignment: Mapping[Codeword, Codeword]
+    images: tuple[int, ...]
 
     def __post_init__(self) -> None:
-        assignment = dict(self.assignment)
-        object.__setattr__(self, "assignment", assignment)
-        domain, codomain = self.domain, self.codomain
-        sources, targets = set(domain.masks), set(codomain.masks)
-        if len(assignment) != len(sources) or not all(
-                w.n == domain.n and w.bits in sources for w in assignment):
+        images = tuple(self.images)
+        object.__setattr__(self, "images", images)
+        if len(images) != len(self.domain.masks):
             raise ValueError("assignment must cover exactly the domain codewords")
-        for w, img in assignment.items():
-            if img.n != codomain.n or img.bits not in targets:
-                raise ValueError(f"image {img} of {w} is not in the codomain")
-
-    @classmethod
-    def from_function(cls, domain: Code, codomain: Code,
-                      fn: Callable[[Codeword], Codeword]) -> "CodeMap":
-        return cls(domain, codomain, {w: fn(w) for w in domain})
-
-    @classmethod
-    def identity(cls, code: Code) -> "CodeMap":
-        return cls(code, code, {w: w for w in code})
+        targets = set(self.codomain.masks)
+        for m, img in zip(self.domain.masks, images):
+            if img not in targets:
+                shown = _label(img) if isinstance(img, int) and img >= 0 else repr(img)
+                raise ValueError(f"image {shown} of {_label(m)} is not in the codomain")
 
     def __call__(self, word: Codeword) -> Codeword:
-        return self.assignment[word]
+        if word not in self.domain:
+            raise ValueError(f"{word} is not a codeword of the domain")
+        return Codeword(self.codomain.n, self.images[self.domain.masks.index(word.bits)])
 
     def is_bijective(self) -> bool:
         # the images lie in the codomain, so onto means as many as it has
-        images = {img.bits for img in self.assignment.values()}
-        return len(images) == len(self.domain) == len(self.codomain)
+        return len(set(self.images)) == len(self.domain) == len(self.codomain)
 
     def inverse(self) -> "CodeMap":
         if not self.is_bijective():
             raise ValueError("only bijective code maps have an inverse")
-        return CodeMap(self.codomain, self.domain,
-                       {img: w for w, img in self.assignment.items()})
+        back = dict(zip(self.images, self.domain.masks))
+        return CodeMap(self.codomain, self.domain, [back[m] for m in self.codomain.masks])
 
 
 def is_morphism(f: CodeMap) -> bool:
     """True iff the preimage of every simple trunk of the codomain is a trunk."""
-    pairs = [(w.bits, img.bits) for w, img in f.assignment.items()]
+    pairs = list(zip(f.domain.masks, f.images))
     return all(_is_trunk(f.domain.masks, [w for w, img in pairs if img >> i & 1])
                for i in range(f.codomain.n))
 
@@ -362,7 +347,7 @@ def is_isomorphism(f: CodeMap) -> bool:
 
 
 def check_monotone(f: CodeMap) -> bool:
-    pairs = [(w.bits, img.bits) for w, img in f.assignment.items()]
+    pairs = list(zip(f.domain.masks, f.images))
     return all(a & b != a or ia & ib == ia for a, ia in pairs for b, ib in pairs)
 
 
@@ -475,13 +460,12 @@ def apply_elementary_map(code: Code, spec: ElementaryMap) -> tuple[Code, CodeMap
         target = spec.target
         if target is None or target.n != n or not set(code.masks) <= set(target.masks):
             raise ValueError("inclusion target must contain the source code on the same neurons")
-        return code, CodeMap(code, target, {w: w for w in code})
+        return code, CodeMap(code, target, code.masks)
     else:
         raise ValueError(f"unknown elementary map kind {spec.kind!r}")
     moved = [move(m) for m in code.masks]
     image = Code(out, moved)
-    return image, CodeMap(code, image, {Codeword(n, m): Codeword(out, t)
-                                        for m, t in zip(code.masks, moved)})
+    return image, CodeMap(code, image, moved)
 
 
 def cc_family(m: int) -> Code:
@@ -513,7 +497,7 @@ def complete_iso(code: Code) -> CodeMap:
             raise ValueError(f"code is not complete: {Codeword(code.n, a)} and "
                              f"{Codeword(code.n, b)} are incomparable")
     target = cc_family(len(masks))
-    return CodeMap(code, target, dict(zip(code, target)))
+    return CodeMap(code, target, target.masks)
 
 
 def union_closure_condition(code: Code) -> bool:

@@ -2,7 +2,7 @@
 
 import random
 import re
-from itertools import permutations
+from itertools import permutations, product
 
 import pytest
 
@@ -12,6 +12,7 @@ from neurocode.codes import (
     CodeParseError,
     Codeword,
     ElementaryMap,
+    INCLUSION,
     SimplicialComplex,
     apply_elementary_map,
     cc_family,
@@ -48,11 +49,11 @@ class TestCodeword:
         assert str(word(2)) == "{}"
 
     def test_subset_relations(self):
-        a, b = word(3, 1), word(3, 1, 2)
-        assert a.issubset(b) and a.ispropersubset(b)
-        assert b.issubset(b) and not b.ispropersubset(b)
-        assert a.union(b) == b
-        assert a.intersection(b) == a
+        a, b = word(3, 1).bits, word(3, 1, 2).bits
+        assert (a, b) == (0b001, 0b011)
+        assert a & b == a != b  # {1} is a proper subset of {1,2}
+        assert a & b != b  # ... and {1,2} is not a subset of {1}
+        assert (a | b, a & b) == (b, a)
 
     def test_validation(self):
         with pytest.raises(ValueError):
@@ -280,33 +281,24 @@ class TestMorphisms:
 
     def test_identity_is_morphism(self):
         c = code(3, (1,), (2, 3))
-        assert is_morphism(CodeMap.identity(c))
+        assert is_morphism(CodeMap(c, c, c.masks))
 
     def test_two_point_codomain_cases(self):
         dom = code(2, (1,), (2,))
         cod = code(2, (), (1, 2))
-        send_up = CodeMap(dom, cod, {word(2, 1): word(2, 1, 2), word(2, 2): word(2)})
+        send_up = CodeMap(dom, cod, [0b11, 0b00])  # {1} -> {1,2}, {2} -> {}
         assert is_morphism(send_up)
-        constant = CodeMap(dom, cod, {word(2, 1): word(2, 1, 2),
-                                      word(2, 2): word(2, 1, 2)})
+        constant = CodeMap(dom, cod, [0b11, 0b11])
         assert is_morphism(constant)  # preimage is the whole code, a trunk of ∅
 
     def test_negative_examples_found_by_search(self):
         dom = code(2, (1,), (2,), (1, 2))
         cod = code(2, (1,), (2,))
         # f(12)=2: preimage of Tk(1) is {{1}}, not a trunk (its closure is {1,12})
-        f = CodeMap(dom, cod, {
-            word(2, 1): word(2, 1),
-            word(2, 2): word(2, 2),
-            word(2, 1, 2): word(2, 2),
-        })
+        f = CodeMap(dom, cod, [0b01, 0b10, 0b10])
         assert not is_morphism(f)
         # f(12)=1: now the preimage of Tk(2) is {{2}}, equally not a trunk
-        g = CodeMap(dom, cod, {
-            word(2, 1): word(2, 1),
-            word(2, 2): word(2, 2),
-            word(2, 1, 2): word(2, 1),
-        })
+        g = CodeMap(dom, cod, [0b01, 0b10, 0b01])
         assert not is_morphism(g)
 
     def test_isomorphism_example(self):
@@ -318,31 +310,65 @@ class TestMorphisms:
 
     def test_identity_is_isomorphism(self):
         c = code(3, (1,), (1, 3))
-        assert is_isomorphism(CodeMap.identity(c))
+        assert is_isomorphism(CodeMap(c, c, c.masks))
 
     def test_non_injective_is_not_isomorphism(self):
         dom = code(2, (1,), (1, 2))
         cod = code(2, (1,), (1, 2))
-        f = CodeMap(dom, cod, {word(2, 1): word(2, 1), word(2, 1, 2): word(2, 1)})
+        f = CodeMap(dom, cod, [0b01, 0b01])  # {1} and {1,2} both go to {1}
         assert not is_isomorphism(f)
 
     def test_monotone_negative(self):
         dom = code(2, (1,), (1, 2))
         cod = code(2, (1,), (2,))
-        f = CodeMap(dom, cod, {word(2, 1): word(2, 2), word(2, 1, 2): word(2, 1)})
+        f = CodeMap(dom, cod, [0b10, 0b01])  # {1} -> {2}, {1,2} -> {1}
         assert not check_monotone(f)
 
     def test_constant_map_is_monotone(self):
         dom = code(2, (1,), (2,), (1, 2))
         cod = code(1, (1,))
-        f = CodeMap.from_function(dom, cod, lambda w: word(1, 1))
+        f = CodeMap(dom, cod, [0b1] * len(dom))
         assert check_monotone(f)
+
+    def test_constructor_rejects_wrong_image_count(self):
+        dom = code(2, (1,), (2,))
+        with pytest.raises(ValueError, match="^assignment must cover exactly "
+                                             "the domain codewords$"):
+            CodeMap(dom, dom, [0b01])
+        with pytest.raises(ValueError, match="^assignment must cover exactly "
+                                             "the domain codewords$"):
+            CodeMap(dom, dom, [0b01, 0b10, 0b01])
+
+    def test_constructor_rejects_image_outside_codomain(self):
+        dom = code(2, (1,), (2,))
+        cod = code(2, (), (1, 2))
+        with pytest.raises(ValueError, match=re.escape(
+                "image {1} of {2} is not in the codomain")):
+            CodeMap(dom, cod, [0b11, 0b01])
+        with pytest.raises(ValueError, match=re.escape(
+                "image {3} of {1} is not in the codomain")):
+            CodeMap(dom, cod, [0b100, 0b00])
+        with pytest.raises(ValueError, match=re.escape(
+                "image -1 of {1} is not in the codomain")):
+            CodeMap(dom, cod, [-1, 0b00])
+
+    def test_call_rejects_words_outside_the_domain(self):
+        dom = code(2, (1,), (1, 2))
+        f = CodeMap(dom, dom, dom.masks)
+        assert f(word(2, 1, 2)) == word(2, 1, 2)
+        with pytest.raises(ValueError, match=re.escape(
+                "{2} is not a codeword of the domain")):
+            f(word(2, 2))
+        # same mask as the domain word {1}, but on 3 neurons
+        with pytest.raises(ValueError, match=re.escape(
+                "{1} is not a codeword of the domain")):
+            f(Codeword(3, 0b1))
 
 
 def is_morphism_by_definition(f):
     """Reference check on masks: preimages of *all* trunks of the codomain
     are trunks, not just the simple ones."""
-    image = {w.bits: img.bits for w, img in f.assignment.items()}
+    image = dict(zip(f.domain.masks, f.images))
     domain_trunks = mask_trunks(f.domain)
     return all(frozenset(m for m in f.domain.masks if image[m] in t) in domain_trunks
                for t in mask_trunks(f.codomain))
@@ -355,8 +381,7 @@ def test_simple_trunk_criterion_matches_definition():
         n1, n2 = rng.randint(1, 3), rng.randint(1, 3)
         dom = Code.from_masks(n1, rng.sample(range(1 << n1), rng.randint(1, 1 << n1)))
         cod = Code.from_masks(n2, rng.sample(range(1 << n2), rng.randint(1, 1 << n2)))
-        cwords = list(frozenset(cod))
-        f = CodeMap(dom, cod, {w: rng.choice(cwords) for w in frozenset(dom)})
+        f = CodeMap(dom, cod, [rng.choice(cod.masks) for _ in dom.masks])
         expected = is_morphism_by_definition(f)
         assert is_morphism(f) == expected
         morphisms += expected
@@ -372,17 +397,9 @@ def all_small_maps():
     """Every function between every pair of codes on up to 2 neurons."""
     codes = [c for n in (1, 2) for c in all_codes(n)]
     for dom in codes:
-        dwords = list(frozenset(dom))
         for cod in codes:
-            cwords = list(frozenset(cod))
-            total = len(cwords) ** len(dwords)
-            for stamp in range(total):
-                assignment = {}
-                s = stamp
-                for w in dwords:
-                    assignment[w] = cwords[s % len(cwords)]
-                    s //= len(cwords)
-                yield CodeMap(dom, cod, assignment)
+            for images in product(cod.masks, repeat=len(dom)):
+                yield CodeMap(dom, cod, images)
 
 
 def test_is_morphism_matches_definition_exhaustively():
@@ -406,8 +423,7 @@ class TestMorphismImpliesMonotone:
         for _ in range(4000):
             dom = Code.from_masks(3, rng.sample(range(8), rng.randint(1, 8)))
             cod = Code.from_masks(3, rng.sample(range(8), rng.randint(1, 8)))
-            cwords = list(frozenset(cod))
-            f = CodeMap(dom, cod, {w: rng.choice(cwords) for w in frozenset(dom)})
+            f = CodeMap(dom, cod, [rng.choice(cod.masks) for _ in dom.masks])
             if is_morphism(f):
                 checked += 1
                 assert check_monotone(f)
@@ -486,6 +502,10 @@ class TestElementaryMaps:
             spec = _random_spec(rng, c)
             _, cmap = apply_elementary_map(c, spec)
             assert is_morphism(cmap), (c.to_text(), spec.describe())
+            if spec.kind == INCLUSION:
+                assert cmap.images == c.masks
+            else:  # onto its image code, as the preservation theorem needs
+                assert set(cmap.images) == set(cmap.codomain.masks)
 
 
 class TestFamilies:

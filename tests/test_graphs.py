@@ -131,14 +131,14 @@ class TestPredicates:
         for c in codes:
             assert ccg(c).edges == {frozenset((a, b))
                                     for a in frozenset(c) for b in frozenset(c)
-                                    if a.ispropersubset(b)}
+                                    if a.bits & b.bits == a.bits != b.bits}
 
     def test_complete_iff_pairwise_comparable(self):
         rng = random.Random(37)
         for _ in range(200):
             c = random_code(rng, rng.randint(1, 4))
             words = list(frozenset(c))
-            comparable = all(a.issubset(b) or b.issubset(a)
+            comparable = all(a.bits & b.bits in (a.bits, b.bits)
                              for a in words for b in words)
             assert is_complete(ccg(c)) == comparable
 

@@ -20,14 +20,15 @@ from .codes import (
     INCLUSION,
     Code,
     CodeParseError,
-    Codeword,
     ElementaryMap,
     apply_elementary_map,
     cc_family,
     cr_family,
     parse_code,
+    word_label,
 )
 from .graphs import (
+    CodeGraph,
     ccg,
     complex_to_json_obj,
     diameter,
@@ -146,6 +147,7 @@ def _cmd_graph(args):
         outputs["code"] = code.to_json_obj()
         digest_src = outputs["code"]
         g = ccg(code)
+        g = CodeGraph(tuple(map(word_label, g.vertices)), g.nbrs)
     else:
         if args.cf is not None:
             try:
@@ -162,7 +164,7 @@ def _cmd_graph(args):
         if args.which == "gr-complex":
             sc = gr_complex(cf)
             outputs["complex"] = complex_to_json_obj(sc)
-            lines = ["facets: " + "; ".join(str(Codeword(sc.n, f)) for f in sc.facets)]
+            lines = ["facets: " + "; ".join(map(word_label, sc.facets))]
             return _digest(digest_src), outputs, [], lines
         g = grg(cf)
     outputs["graph"] = graph_to_json_obj(g)
@@ -394,10 +396,15 @@ def main(argv: list[str] | None = None) -> int:
     if args.json:
         report = {"command": argv, "input_digest": digest,
                   "outputs": outputs, "checks": checks}
-        print(json.dumps(report, indent=2, sort_keys=True))
+        text = json.dumps(report, indent=2, sort_keys=True)
     else:
-        for line in lines:
-            print(line)
+        text = "\n".join(lines)
+    try:
+        print(text, flush=True)
+    except BrokenPipeError:
+        # The reader closed stdout early (`| head`); point fd 1 at devnull so
+        # that the flush at interpreter exit does not raise again.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
     return 0 if all(c["passed"] for c in checks) else 1
 
 

@@ -1,12 +1,12 @@
 """Neural codes as bitmask combinatorics.
 
-A codeword is a subset of the neurons 1..n held as an integer mask, and a
-code is n plus a nonempty tuple of distinct masks sorted by (size, mask).
-A code map holds the image mask of each domain mask, in the domain's
-order. Everything downstream (trunks, morphism checks, elementary code maps,
-the named chain/cycle families) is integer mask arithmetic; `Codeword`
-objects are built only at the API edge, when a code is iterated, or a map is
-called, or a trunk is returned. All types are immutable values.
+A codeword is a subset of the neurons 1..n held as an integer mask (bit i-1
+for neuron i) at every layer; `word_label` turns a mask into text like
+``{1,3}`` only where it is printed. A code is n plus a nonempty tuple of
+distinct masks sorted by (size, mask), and a code map holds the image mask of
+each domain mask, in the domain's order. Trunks, morphism checks, elementary
+code maps and the chain/cycle families are integer mask arithmetic on them.
+All types are immutable values.
 """
 
 from __future__ import annotations
@@ -61,6 +61,8 @@ def mask_from_indices(indices: Iterable[int], n: int) -> int:
 
 
 def indices_of(mask: int) -> tuple[int, ...]:
+    if mask < 0:
+        raise ValueError(f"mask {mask} is negative")
     out = []
     i = 1
     while mask:
@@ -71,8 +73,14 @@ def indices_of(mask: int) -> tuple[int, ...]:
     return tuple(out)
 
 
-def _label(mask: int) -> str:
+def word_label(mask: int) -> str:
+    """The text form of a codeword mask: ``{1,3}``, or ``{}`` for 0."""
     return "{%s}" % ",".join(str(i) for i in indices_of(mask))
+
+
+def _shown(mask) -> str:
+    """A mask as a label when it is one, else as its repr."""
+    return word_label(mask) if isinstance(mask, int) and mask >= 0 else repr(mask)
 
 
 def submasks(mask: int) -> Iterator[int]:
@@ -85,44 +93,10 @@ def submasks(mask: int) -> Iterator[int]:
         sub = (sub - 1) & mask
 
 
-@dataclass(frozen=True, slots=True)
-class Codeword:
-    """A subset of neurons 1..n; bit i-1 of `bits` holds neuron i."""
-
-    n: int
-    bits: int
-
-    def __post_init__(self) -> None:
-        _neuron_count(self.n)
-        if self.bits < 0 or self.bits >> self.n:
-            raise ValueError(f"codeword {self.bits:#x} has neurons outside 1..{self.n}")
-
-    @classmethod
-    def from_indices(cls, n: int, indices: Iterable[int]) -> "Codeword":
-        return cls(n, mask_from_indices(indices, n))
-
-    @property
-    def indices(self) -> tuple[int, ...]:
-        return indices_of(self.bits)
-
-    def __len__(self) -> int:
-        return self.bits.bit_count()
-
-    def __contains__(self, neuron: int) -> bool:
-        return 1 <= neuron <= self.n and bool(self.bits >> (neuron - 1) & 1)
-
-    @property
-    def label(self) -> str:
-        return _label(self.bits)
-
-    def __str__(self) -> str:
-        return self.label
-
-
 @dataclass(frozen=True)
 class Code:
     """A nonempty set of codewords on neurons 1..n, held as distinct masks
-    sorted by (size, mask); iterating yields them as `Codeword`s."""
+    sorted by (size, mask)."""
 
     n: int
     masks: tuple[int, ...]
@@ -144,14 +118,8 @@ class Code:
     def __len__(self) -> int:
         return len(self.masks)
 
-    def __iter__(self) -> Iterator[Codeword]:
-        return (Codeword(self.n, m) for m in self.masks)
-
-    def __contains__(self, word: Codeword) -> bool:
-        return word.n == self.n and word.bits in self.masks
-
     def to_text(self) -> str:
-        return ";".join(str(w) for w in self)
+        return ";".join(map(word_label, self.masks))
 
     def to_json_obj(self) -> dict:
         return {"n": self.n, "words": [list(indices_of(m)) for m in self.masks]}
@@ -259,11 +227,10 @@ class SimplicialComplex:
         for i, f in enumerate(facets):
             for g in facets[i + 1:]:
                 if g & f == f:
-                    raise ValueError(f"facet {Codeword(self.n, f)} is contained "
-                                     f"in facet {Codeword(self.n, g)}")
+                    raise ValueError(f"facet {word_label(f)} is contained in facet {word_label(g)}")
 
-    def __contains__(self, face: Codeword) -> bool:
-        return any(face.bits & f == face.bits for f in self.facets)
+    def __contains__(self, face: int) -> bool:
+        return any(face & f == face for f in self.facets)
 
 
 def simplicial_complex(code: Code) -> SimplicialComplex:
@@ -271,12 +238,10 @@ def simplicial_complex(code: Code) -> SimplicialComplex:
     return SimplicialComplex(code.n, _maximal_masks(code.masks))
 
 
-def trunk(code: Code, sigma: Codeword) -> frozenset[Codeword]:
-    """All codewords containing sigma; the whole code when sigma is empty."""
-    if sigma.n != code.n:
-        raise ValueError(f"trunk seed is on {sigma.n} neurons, code is on {code.n}")
-    s = sigma.bits
-    return frozenset(Codeword(code.n, m) for m in code.masks if m & s == s)
+def trunk(code: Code, sigma: int) -> frozenset[int]:
+    """The codeword masks containing sigma; the whole code when sigma is 0."""
+    _sorted_masks(code.n, (sigma,))
+    return frozenset(m for m in code.masks if m & sigma == sigma)
 
 
 def _is_trunk(masks: Sequence[int], members: Sequence[int]) -> bool:
@@ -289,13 +254,12 @@ def _is_trunk(masks: Sequence[int], members: Sequence[int]) -> bool:
     return sum(m & inter == inter for m in masks) == len(members)
 
 
-def is_trunk(code: Code, words: Iterable[Codeword]) -> bool:
-    """Decide whether a subset of the code is empty or a trunk."""
-    words = frozenset(words)
-    members = [w.bits for w in words]
-    if any(w.n != code.n for w in words) or not set(members) <= set(code.masks):
+def is_trunk(code: Code, masks: Iterable[int]) -> bool:
+    """Decide whether a set of the code's masks is empty or a trunk."""
+    members = set(masks)
+    if not members <= set(code.masks):
         raise ValueError("candidate trunk must be a subset of the code's words")
-    return _is_trunk(code.masks, members)
+    return _is_trunk(code.masks, list(members))
 
 
 @dataclass(frozen=True)
@@ -315,13 +279,12 @@ class CodeMap:
         targets = set(self.codomain.masks)
         for m, img in zip(self.domain.masks, images):
             if img not in targets:
-                shown = _label(img) if isinstance(img, int) and img >= 0 else repr(img)
-                raise ValueError(f"image {shown} of {_label(m)} is not in the codomain")
+                raise ValueError(f"image {_shown(img)} of {word_label(m)} is not in the codomain")
 
-    def __call__(self, word: Codeword) -> Codeword:
-        if word not in self.domain:
-            raise ValueError(f"{word} is not a codeword of the domain")
-        return Codeword(self.codomain.n, self.images[self.domain.masks.index(word.bits)])
+    def __call__(self, mask: int) -> int:
+        if mask not in self.domain.masks:
+            raise ValueError(f"{_shown(mask)} is not a codeword of the domain")
+        return self.images[self.domain.masks.index(mask)]
 
     def is_bijective(self) -> bool:
         # the images lie in the codomain, so onto means as many as it has
@@ -494,8 +457,8 @@ def complete_iso(code: Code) -> CodeMap:
     masks = code.masks
     for a, b in zip(masks, masks[1:]):
         if a & b != a:
-            raise ValueError(f"code is not complete: {Codeword(code.n, a)} and "
-                             f"{Codeword(code.n, b)} are incomparable")
+            raise ValueError(f"code is not complete: {word_label(a)} and {word_label(b)} "
+                             "are incomparable")
     target = cc_family(len(masks))
     return CodeMap(code, target, target.masks)
 

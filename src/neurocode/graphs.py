@@ -6,7 +6,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .codes import Code, Codeword, SimplicialComplex, _maximal_masks, indices_of
+from .codes import Code, SimplicialComplex, _maximal_masks, indices_of
 from .ideal import CanonicalForm, _minimal_pairs
 
 
@@ -48,9 +48,9 @@ class CodeGraph:
 
 
 def ccg(code: Code) -> CodeGraph:
-    """Codeword containment graph: an edge wherever one word strictly
-    contains the other. `code.masks` ascend by (size, mask), so only a later
-    word can strictly contain an earlier one."""
+    """Codeword containment graph on the code's masks: an edge wherever one
+    word strictly contains the other. `code.masks` ascend by (size, mask), so
+    only a later word can strictly contain an earlier one."""
     masks = code.masks
     nbrs = [0] * len(masks)
     for i, a in enumerate(masks):
@@ -58,7 +58,7 @@ def ccg(code: Code) -> CodeGraph:
             if masks[j] & a == a:
                 nbrs[i] |= 1 << j
                 nbrs[j] |= 1 << i
-    return CodeGraph(tuple(code), tuple(nbrs))
+    return CodeGraph(masks, tuple(nbrs))
 
 
 def _layers(g: CodeGraph, start: int) -> list[int]:
@@ -173,24 +173,13 @@ def grg(cf: CanonicalForm) -> CodeGraph:
 
 def to_dot(g: CodeGraph) -> str:
     """Deterministic DOT text: all vertices first, then edges, in vertex order."""
-    lines = ["graph {"]
-    for v in g.vertices:
-        lines.append(f'  "{v}";')
-    for u, v in g.sorted_edges():
-        lines.append(f'  "{u}" -- "{v}";')
-    lines.append("}")
-    return "\n".join(lines)
+    lines = [f'  "{v}";' for v in g.vertices]
+    lines += [f'  "{u}" -- "{v}";' for u, v in g.sorted_edges()]
+    return "\n".join(["graph {", *lines, "}"])
 
 
 def graph_to_json_obj(g: CodeGraph) -> dict:
-    return {
-        "vertices": [_json_vertex(v) for v in g.vertices],
-        "edges": [[_json_vertex(u), _json_vertex(v)] for u, v in g.sorted_edges()],
-    }
-
-
-def _json_vertex(v):
-    return v.label if isinstance(v, Codeword) else v
+    return {"vertices": list(g.vertices), "edges": [list(e) for e in g.sorted_edges()]}
 
 
 def complex_to_json_obj(sc: SimplicialComplex) -> dict:

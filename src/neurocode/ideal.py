@@ -26,11 +26,11 @@ from .codes import (
     INCLUSION,
     PERMUTATION,
     Code,
-    Codeword,
     ElementaryMap,
     _is_index_list,
     _json_neuron_count,
     _neuron_count,
+    _sorted_masks,
     _validate_neuron,
     _validate_perm,
     delete_shift_mask,
@@ -82,9 +82,8 @@ class PseudoMonomial(NamedTuple):
     def support(self) -> int:
         return self.plus | self.minus
 
-    def evaluate(self, word: Codeword | int) -> int:
-        bits = word.bits if isinstance(word, Codeword) else word
-        return 1 if (bits & self.plus == self.plus and bits & self.minus == 0) else 0
+    def evaluate(self, mask: int) -> int:
+        return 1 if (mask & self.plus == self.plus and mask & self.minus == 0) else 0
 
     def divides(self, other: "PseudoMonomial") -> bool:
         return (self.plus & other.plus == self.plus
@@ -99,10 +98,10 @@ class PseudoMonomial(NamedTuple):
         return self.to_text()
 
 
-def rho(word: Codeword) -> PseudoMonomial:
-    """The characteristic pseudo-monomial of a codeword: 1 exactly there."""
-    full = (1 << word.n) - 1
-    return PseudoMonomial(word.bits, full ^ word.bits)
+def rho(n: int, mask: int) -> PseudoMonomial:
+    """The pseudo-monomial on n neurons that is 1 exactly at `mask`."""
+    _sorted_masks(n, (mask,))
+    return PseudoMonomial(mask, ((1 << n) - 1) ^ mask)
 
 
 @dataclass(frozen=True)

@@ -11,7 +11,7 @@ import time
 from contextlib import contextmanager
 
 from neurocode import cli
-from neurocode.codes import Code, Codeword, cc_family, cr_family, indices_of, parse_code
+from neurocode.codes import Code, cc_family, cr_family, indices_of, parse_code
 from neurocode.graphs import ccg, gr_complex, grg, is_connected, is_regular
 from neurocode.ideal import (
     CanonicalForm,
@@ -51,7 +51,7 @@ def cf_of(n, *elements):
 
 
 def ccg_edges(c):
-    return {frozenset(w.indices for w in e) for e in ccg(c).edges}
+    return {frozenset(map(indices_of, e)) for e in ccg(c).edges}
 
 
 def pairs(*edge_list):

@@ -2,8 +2,12 @@
 
 import hashlib
 import json
+import os
 import random
+import subprocess
+import sys
 import time
+from pathlib import Path
 
 import pytest
 
@@ -133,6 +137,78 @@ def test_graph_json_byte_identical(capsys, argv, expected):
     status, out, _ = run(capsys, "graph", *argv, "--json")
     assert status == 0
     assert hashlib.sha256(out.encode()).hexdigest() == expected
+
+
+# sha256 of the text-mode stdout of each command line, recorded while the
+# CCG vertices, `Code.to_text` and the gr-complex facets line were still
+# printed through a `Codeword` object per word.
+TEXT_COVER = '{"kind": "intervals", "ambient": "union", "sets": [["0", "2"], ["1", "3"]]}'
+TEXT_SHA256 = [
+    (["cf", "{};{1,2};{2,3}"],
+     "73aa6028ee05ad3d88d7ceaf2e18b2611d8afe29651bd1aabc499343f11448c8"),
+    (["cf", "--family", "cr:5", "--oracle"],
+     "7f9740e736b74e70582c0709ef061617ba7b15311edb014bd02ea3e4437acbe2"),
+    (["graph", "ccg", "{1};{2};{1,3};{1,2,3}"],
+     "107f62ff9e76a12886ea56564927df8b08afa4f368c5441222ec87c296289903"),
+    (["graph", "ccg", "{};{1};{2};{1,2}", "--dot"],
+     "77872849c6bce416598cdd5dff589e1c9e25aedf8a52142e853800d0ca5facf3"),
+    (["graph", "ccg", "--family", "cr:5", "--dot"],
+     "02760509dcbb5b0cc4f1962cf4d571b3800d69defaa2eb4001cd37862e23d2c0"),
+    (["graph", "grg", "--family", "cr:6"],
+     "45b9dcb2cb2349595d0275172d30ed2dee37cda8583076fa62461acd2eeb9f54"),
+    (["graph", "grg", "--family", "cc:5", "--dot"],
+     "15475b05479d31e6c2fb059accd4e4ee64a2d8b47b9dccc3bb1a20d65871149e"),
+    (["graph", "gr-complex", "--family", "cr:5"],
+     "20e1ef844c06dcca7676ed88fd289ec13e020708fa3660d6f302b2acfc00782b"),
+    (["graph", "gr-complex", "--cf", GRAPH_CF5],
+     "36d93561eac581b16bfeaa6523df961b94e3de4dc6efab3c0c2f4e7ff7829d53"),
+    (["map", "--permute", "2,1,3", "{1};{2,3};{1,2}"],
+     "ce021cea79eef7a1be21c76149a088c579400f8bee6b2f7e9c3416f3506efe3a"),
+    (["map", "--add-on", "{};{1};{1,2}"],
+     "184231d07777408858ab45ccbc28af4724ccc09c45279839d642256152d82071"),
+    (["map", "--add-off", "{};{1};{1,2}"],
+     "4ffd2f7240fba2756653746ce9d1c91443fb059762f127fd4e37aa2519a2f0cd"),
+    (["map", "--duplicate", "1", "--family", "cc:3"],
+     "b862fbc0d4e77d34a7d01e8633d7d09e9cc8de646cc12d28e68084c8989edebc"),
+    (["map", "--delete", "3", "{1};{3};{1,2}"],
+     "61b285f79d1b511e15d087d0b864b0345676d4b7213a7ef5e76b942942e4444a"),
+    (["map", "--include", "{1};{2};{1,2}", "{1};{1,2}"],
+     "d57db525a1734fe42efb7fe917a8748a3d297ceab6ec06e2d4bb3aead7fecdd8"),
+    (["realize", TEXT_COVER, "--cf"],
+     "111aa1142568667c185c9fb2ec275cafbd53eee32db6e137039f49e79145365f"),
+    (["realize", "--family", "cc:4", "--cf"],
+     "5fa40081451e4acc1262d2f70fa36722930465f0539b4f5f09733dc88b2265b1"),
+    (["realize", "--family", "cr:4"],
+     "74bcc769367801b50b97c6312aa90a591ef4fdd6bc5df20c770ac807054f406c"),
+    (["family", "cc:4"],
+     "a9e69cea564dd672ba5ecab11289dc2266779996a2571514646205545b46322c"),
+    (["family", "cr:5"],
+     "dab1ad3a49414d6a3cd7b46e00734af61fdd2366e2114c5b945dd16cc5fc0bb2"),
+    (["verify", "complete-iso", "--n", "3"],
+     "91e7e40d94e6668832520645384e74b13f22d85a31b382a1bd646678acc193ac"),
+]
+
+
+@pytest.mark.parametrize("argv, expected", TEXT_SHA256,
+                         ids=[" ".join(argv) for argv, _ in TEXT_SHA256])
+def test_text_output_byte_identical(capsys, argv, expected):
+    status, out, _ = run(capsys, *argv)
+    assert status == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == expected
+
+
+@pytest.mark.parametrize("argv", [["cf", "--family", "cr:64", "--json"],
+                                  ["cf", "--family", "cr:64"]], ids=["json", "text"])
+def test_closed_stdout_exits_with_check_status(argv):
+    # The reader goes away before the first write, as `| head -c 10` does
+    # on a report larger than the pipe buffer.
+    env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).parents[1])}
+    proc = subprocess.Popen([sys.executable, "-m", "neurocode.cli", *argv], env=env,
+                            stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+    proc.stdout.close()
+    err = proc.stderr.read().decode()
+    assert proc.wait(timeout=60) == 0
+    assert "Traceback" not in err and "BrokenPipeError" not in err
 
 
 # Each command line gives inputs that cannot both apply; it must exit 2 with

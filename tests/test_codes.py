@@ -10,7 +10,6 @@ from neurocode.codes import (
     Code,
     CodeMap,
     CodeParseError,
-    Codeword,
     ElementaryMap,
     INCLUSION,
     SimplicialComplex,
@@ -23,12 +22,14 @@ from neurocode.codes import (
     is_isomorphism,
     is_morphism,
     is_trunk,
+    mask_from_indices,
     parse_code,
     simplicial_complex,
     trunk,
     union_closure_condition,
+    word_label,
 )
-from neurocode.ideal import canonical_form, predict_cf
+from neurocode.ideal import PseudoMonomial, canonical_form, predict_cf
 
 
 def code(n, *words):
@@ -36,20 +37,12 @@ def code(n, *words):
 
 
 def word(n, *indices):
-    return Codeword.from_indices(n, indices)
+    return mask_from_indices(indices, n)
 
 
 class TestCodeword:
-    def test_basic(self):
-        w = word(3, 1, 3)
-        assert len(w) == 2
-        assert 1 in w and 3 in w and 2 not in w
-        assert w.indices == (1, 3)
-        assert str(w) == "{1,3}"
-        assert str(word(2)) == "{}"
-
     def test_subset_relations(self):
-        a, b = word(3, 1).bits, word(3, 1, 2).bits
+        a, b = word(3, 1), word(3, 1, 2)
         assert (a, b) == (0b001, 0b011)
         assert a & b == a != b  # {1} is a proper subset of {1,2}
         assert a & b != b  # ... and {1,2} is not a subset of {1}
@@ -57,13 +50,20 @@ class TestCodeword:
 
     def test_validation(self):
         with pytest.raises(ValueError):
-            Codeword(0, 0)
-        with pytest.raises(ValueError):
-            Codeword(65, 0)
-        with pytest.raises(ValueError):
-            Codeword(2, 0b100)
-        with pytest.raises(ValueError):
             word(2, 3)
+        with pytest.raises(ValueError):
+            word(2, 0)
+
+    def test_labels(self):
+        assert word_label(word(3, 1, 3)) == "{1,3}"
+        assert word_label(0) == "{}"
+        assert indices_of(word(5, 2, 5)) == (2, 5)
+
+    def test_negative_mask_rejected_not_looped(self):
+        for call in (lambda: indices_of(-1), lambda: word_label(-1),
+                     lambda: PseudoMonomial(-1, 0).to_text()):
+            with pytest.raises(ValueError, match="^mask -1 is negative$"):
+                call()
 
 
 class TestCode:
@@ -102,14 +102,14 @@ class TestCode:
 
     def test_rejects_mixed_neuron_counts(self):
         with pytest.raises(ValueError):
-            Code(2, [word(2, 1).bits, word(3, 3).bits])
+            Code(2, [word(2, 1), word(3, 3)])
         with pytest.raises(ValueError):
             Code.from_indices(2, [(1,), (3,)])
 
     def test_sorted_words_and_masks_fixed_at_construction(self):
         c = code(3, (1, 2), (), (3,), (1,))
         assert c.masks == (0b000, 0b001, 0b100, 0b011)
-        assert [w.bits for w in c] == sorted(c.masks, key=lambda m: (m.bit_count(), m))
+        assert list(c.masks) == sorted(c.masks, key=lambda m: (m.bit_count(), m))
         assert c.masks is c.masks
         assert c == Code(3, reversed(c.masks))
         assert hash(c) == hash(Code(3, frozenset(c.masks)))
@@ -118,7 +118,7 @@ class TestCode:
         masks = (0b011, 0b000, 0b100, 0b001, 0b011)
         c = Code(3, masks)
         assert c.masks == (0b000, 0b001, 0b100, 0b011)
-        assert tuple(c) == (word(3), word(3, 1), word(3, 3), word(3, 1, 2))
+        assert c.masks == (word(3), word(3, 1), word(3, 3), word(3, 1, 2))
         for order in permutations(masks):
             assert Code(3, order) == c and hash(Code(3, order)) == hash(c)
         for n, bad, message in [
@@ -207,14 +207,21 @@ class TestTrunk:
 
     def test_empty_sigma_gives_whole_code(self):
         c = code(2, (), (1,), (1, 2))
-        assert trunk(c, word(2)) == frozenset(c)
+        assert trunk(c, word(2)) == frozenset(c.masks)
 
     def test_chain_trunk_is_tail(self):
         # in the chain code, the trunk of any word is the tail above it
         c = cc_family(6)
-        words = tuple(c)
-        for k, w in enumerate(words):
-            assert trunk(c, w) == frozenset(words[k:])
+        for k, w in enumerate(c.masks):
+            assert trunk(c, w) == frozenset(c.masks[k:])
+
+    @pytest.mark.parametrize("sigma, message", [
+        (-1, "codeword -0x1 has neurons outside 1..2"),
+        (0b100, "codeword 0x4 has neurons outside 1..2"),
+    ], ids=["negative", "beyond-n"])
+    def test_rejects_seed_outside_the_neurons(self, sigma, message):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            trunk(code(2, (), (1,), (1, 2)), sigma)
 
     def test_antitone(self):
         rng = random.Random(3)
@@ -223,8 +230,8 @@ class TestTrunk:
             c = Code.from_masks(n, rng.sample(range(1 << n), rng.randint(1, 1 << n)))
             s1 = rng.randrange(1 << n)
             s2 = s1 & rng.randrange(1 << n)  # s2 subset of s1
-            t1 = trunk(c, Codeword(n, s1))
-            t2 = trunk(c, Codeword(n, s2))
+            t1 = trunk(c, s1)
+            t2 = trunk(c, s2)
             assert t1 <= t2
 
     def test_trunk_is_whole_code_iff_sigma_in_every_word(self):
@@ -234,7 +241,7 @@ class TestTrunk:
             c = Code.from_masks(n, rng.sample(range(1 << n), rng.randint(1, 1 << n)))
             sigma = rng.randrange(1 << n)
             everywhere = all(m & sigma == sigma for m in c.masks)
-            assert (trunk(c, Codeword(n, sigma)) == frozenset(c)) == everywhere
+            assert (trunk(c, sigma) == frozenset(c.masks)) == everywhere
 
 
 def mask_trunks(c):
@@ -246,7 +253,7 @@ def mask_trunks(c):
 
 def is_trunk_oracle(c, ws):
     """Exhaustive reference on masks, sharing no code with `is_trunk`."""
-    return frozenset(w.bits for w in ws) in mask_trunks(c)
+    return frozenset(ws) in mask_trunks(c)
 
 
 class TestIsTrunk:
@@ -258,15 +265,17 @@ class TestIsTrunk:
 
     def test_requires_subset(self):
         c = code(2, (), (1,))
-        with pytest.raises(ValueError):
-            is_trunk(c, {word(2, 1, 2)})
+        for masks in ({word(2, 1, 2)}, {word(2, 1), 0b100}, {-1}):
+            with pytest.raises(ValueError, match="^candidate trunk must be a subset "
+                                                 "of the code's words$"):
+                is_trunk(c, masks)
 
     def test_against_sigma_enumeration(self):
         # every subset of every code on 3 neurons, versus the exhaustive check
         for idx in range(1, 1 << 8):
             masks = [p for p in range(8) if idx >> p & 1]
             c = Code.from_masks(3, masks)
-            words = list(frozenset(c))
+            words = c.masks
             for sub in range(1 << len(words)):
                 ws = frozenset(w for i, w in enumerate(words) if sub >> i & 1)
                 assert is_trunk(c, ws) == is_trunk_oracle(c, ws)
@@ -305,7 +314,7 @@ class TestMorphisms:
         c = code(4, (1, 2), (1, 2, 3), (1, 2, 3, 4))
         f = complete_iso(c)
         assert f.codomain == cc_family(3)
-        assert f(word(4, 1, 2)) == Codeword(2, 0)
+        assert f(word(4, 1, 2)) == 0
         assert is_isomorphism(f)
 
     def test_identity_is_isomorphism(self):
@@ -356,13 +365,10 @@ class TestMorphisms:
         dom = code(2, (1,), (1, 2))
         f = CodeMap(dom, dom, dom.masks)
         assert f(word(2, 1, 2)) == word(2, 1, 2)
-        with pytest.raises(ValueError, match=re.escape(
-                "{2} is not a codeword of the domain")):
-            f(word(2, 2))
-        # same mask as the domain word {1}, but on 3 neurons
-        with pytest.raises(ValueError, match=re.escape(
-                "{1} is not a codeword of the domain")):
-            f(Codeword(3, 0b1))
+        for mask, shown in [(word(2, 2), "{2}"), (0, "{}"), (0b100, "{3}"), (-1, "-1")]:
+            with pytest.raises(ValueError, match=f"^{re.escape(shown)} is not a "
+                                                 "codeword of the domain$"):
+                f(mask)
 
 
 def is_morphism_by_definition(f):
@@ -533,14 +539,14 @@ class TestFamilies:
 class TestCompleteIso:
     def test_example(self):
         f = complete_iso(code(4, (1, 2), (1, 2, 3), (1, 2, 3, 4)))
-        assert f(word(4, 1, 2)).indices == ()
-        assert f(word(4, 1, 2, 3)).indices == (1,)
-        assert f(word(4, 1, 2, 3, 4)).indices == (1, 2)
+        assert indices_of(f(word(4, 1, 2))) == ()
+        assert indices_of(f(word(4, 1, 2, 3))) == (1,)
+        assert indices_of(f(word(4, 1, 2, 3, 4))) == (1, 2)
 
     def test_chain_maps_to_itself_shape(self):
         c = cc_family(5)
         f = complete_iso(c)
-        assert all(f(w).indices == w.indices for w in frozenset(c))
+        assert all(f(w) == w for w in c.masks)
 
     def test_incomparable_rejected(self):
         with pytest.raises(ValueError):

@@ -7,7 +7,14 @@ from itertools import product as iproduct
 
 import pytest
 
-from neurocode.codes import Code, Codeword, ElementaryMap, indices_of, parse_code
+from neurocode.codes import (
+    Code,
+    ElementaryMap,
+    indices_of,
+    mask_from_indices,
+    parse_code,
+    word_label,
+)
 from neurocode.graphs import (
     CodeGraph,
     ccg,
@@ -32,7 +39,7 @@ def cf_of(n, *elements):
 
 
 def ccg_edges(c):
-    return {frozenset(w.indices for w in e) for e in ccg(c).edges}
+    return {frozenset(map(indices_of, e)) for e in ccg(c).edges}
 
 
 def pair(a, b):
@@ -100,21 +107,21 @@ class TestPredicates:
     def test_distance_on_cycle(self):
         from neurocode.codes import cr_family
         g = ccg(cr_family(4))
-        u = Codeword.from_indices(4, (1,))
-        v = Codeword.from_indices(4, (3,))
+        u = mask_from_indices((1,), 4)
+        v = mask_from_indices((3,), 4)
         assert distance(g, u, v) == 4
         assert diameter(g) == 4
 
     def test_distance_unreachable(self):
         g = ccg(code(3, (1,), (1, 2), (3,)))
-        assert distance(g, Codeword.from_indices(3, (3,)),
-                        Codeword.from_indices(3, (1,))) == math.inf
+        assert distance(g, mask_from_indices((3,), 3),
+                        mask_from_indices((1,), 3)) == math.inf
         assert diameter(g) == math.inf
 
     def test_distance_unknown_vertex(self):
         g = ccg(code(2, (1,)))
         with pytest.raises(ValueError):
-            distance(g, Codeword.from_indices(2, (2,)), Codeword.from_indices(2, (1,)))
+            distance(g, mask_from_indices((2,), 2), mask_from_indices((1,), 2))
 
     def test_single_vertex(self):
         g = ccg(code(2, (1,)))
@@ -129,17 +136,18 @@ class TestPredicates:
                  for n in range(1, 4) for idx in range(1, 1 << (1 << n))]
         codes += [random_code(rng, rng.randint(1, 6)) for _ in range(60)]
         for c in codes:
-            assert ccg(c).edges == {frozenset((a, b))
-                                    for a in frozenset(c) for b in frozenset(c)
-                                    if a.bits & b.bits == a.bits != b.bits}
+            assert ccg(c).edges == {frozenset((a, b)) for a in c.masks for b in c.masks
+                                    if a & b == a != b}
+
+    def test_ccg_vertices_are_the_code_masks(self):
+        for c in (code(3, (1, 2), (), (3,)), parse_code("12;16;56;45"), code(1, ())):
+            assert ccg(c).vertices == c.masks
 
     def test_complete_iff_pairwise_comparable(self):
         rng = random.Random(37)
         for _ in range(200):
             c = random_code(rng, rng.randint(1, 4))
-            words = list(frozenset(c))
-            comparable = all(a.bits & b.bits in (a.bits, b.bits)
-                             for a in words for b in words)
+            comparable = all(a & b in (a, b) for a in c.masks for b in c.masks)
             assert is_complete(ccg(c)) == comparable
 
 
@@ -264,7 +272,7 @@ class TestGrComplex:
             cf = random_cf(rng, n)
             sc = gr_complex(cf)
             for sigma in range(1 << n):
-                member = Codeword(n, sigma) in sc
+                member = sigma in sc
                 assert member == gr_member_by_gamma_products(cf, sigma)
 
     def test_one_skeleton_equals_grg(self):
@@ -274,12 +282,12 @@ class TestGrComplex:
             cf = random_cf(rng, n)
             sc = gr_complex(cf)
             g = grg(cf)
-            verts = {i for i in range(1, n + 1) if Codeword(n, 1 << (i - 1)) in sc}
+            verts = {i for i in range(1, n + 1) if 1 << (i - 1) in sc}
             assert set(g.vertices) == verts
             edges = set()
             for i in range(1, n + 1):
                 for j in range(i + 1, n + 1):
-                    if Codeword(n, (1 << (i - 1)) | (1 << (j - 1))) in sc:
+                    if (1 << (i - 1)) | (1 << (j - 1)) in sc:
                         edges.add(frozenset((i, j)))
             assert g.edges == edges
 
@@ -344,7 +352,10 @@ class TestGrgUnderElementaryMaps:
 
 class TestDot:
     def test_two_vertex_edge(self):
+        # the CLI's relabelled CCG gives the text of the labelled vertices
         g = ccg(code(1, (), (1,)))
+        assert to_dot(g) == 'graph {\n  "0";\n  "1";\n  "0" -- "1";\n}'
+        g = CodeGraph(tuple(map(word_label, g.vertices)), g.nbrs)
         assert to_dot(g) == '\n'.join([
             "graph {",
             '  "{}";',

@@ -6,7 +6,15 @@ import re
 import pytest
 
 from neurocode import ideal, verify
-from neurocode.codes import Code, Codeword, ElementaryMap, apply_elementary_map, cc_family, cr_family, permute_mask
+from neurocode.codes import (
+    Code,
+    ElementaryMap,
+    apply_elementary_map,
+    cc_family,
+    cr_family,
+    mask_from_indices,
+    permute_mask,
+)
 from neurocode.ideal import (
     CanonicalForm,
     PseudoMonomial,
@@ -59,22 +67,31 @@ class TestPseudoMonomial:
 
 class TestRho:
     def test_empty_word(self):
-        assert rho(Codeword(2, 0)) == pm(2, (), (1, 2))
+        assert rho(2, 0) == pm(2, (), (1, 2))
 
     def test_partial_word(self):
-        assert rho(Codeword.from_indices(3, (1, 2))) == pm(3, (1, 2), (3,))
+        assert rho(3, mask_from_indices((1, 2), 3)) == pm(3, (1, 2), (3,))
 
     def test_full_word(self):
-        assert rho(Codeword(3, 0b111)) == pm(3, (1, 2, 3))
+        assert rho(3, 0b111) == pm(3, (1, 2, 3))
 
     def test_characteristic_property(self):
         rng = random.Random(1)
         for _ in range(50):
             n = rng.randint(1, 6)
             v = rng.randrange(1 << n)
-            f = rho(Codeword(n, v))
+            f = rho(n, v)
             for c in range(1 << n):
                 assert f.evaluate(c) == (1 if c == v else 0)
+
+    @pytest.mark.parametrize("n, mask, message", [
+        (2, 0b100, "codeword 0x4 has neurons outside 1..2"),
+        (2, -1, "codeword -0x1 has neurons outside 1..2"),
+        (0, 0, "neuron count must be in 1..64, got 0"),
+    ], ids=["beyond-n", "negative", "no-neurons"])
+    def test_rejects_words_outside_the_neurons(self, n, mask, message):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            rho(n, mask)
 
 
 class TestEvaluate:
@@ -89,7 +106,7 @@ class TestEvaluate:
 
     def test_codeword_argument(self):
         f = pm(2, (1,))
-        assert f.evaluate(Codeword.from_indices(2, (1,))) == 1
+        assert f.evaluate(mask_from_indices((1,), 2)) == 1
 
 
 class TestDividesMultiply:
@@ -183,7 +200,7 @@ class TestCanonicalForm:
         assert canonical_form(Code.from_masks(n, range(full + 1))) == CanonicalForm(n, frozenset())
         for v in {0, full, 0b0110 & full}:
             missing = Code.from_masks(n, [w for w in range(full + 1) if w != v])
-            assert canonical_form(missing) == CanonicalForm(n, frozenset({rho(Codeword(n, v))}))
+            assert canonical_form(missing) == CanonicalForm(n, frozenset({rho(n, v)}))
             linear = {(0, 1 << j) if v >> j & 1 else (1 << j, 0) for j in range(n)}
             assert canonical_form(Code.from_masks(n, [v])) == CanonicalForm(n, frozenset(linear))
 
@@ -201,7 +218,7 @@ class TestCanonicalForm:
             in_code = set(c.masks)
             for v in range(1 << c.n):
                 if v not in in_code:
-                    r = rho(Codeword(c.n, v))
+                    r = rho(c.n, v)
                     assert any(f.divides(r) for f in cf.elements)
 
     def test_antichain(self):

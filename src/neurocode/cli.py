@@ -15,6 +15,7 @@ import json
 import math
 import os
 import sys
+from json.encoder import encode_basestring_ascii
 
 from .codes import (
     INCLUSION,
@@ -56,6 +57,43 @@ from .verify import DEFAULT_SEED, SUITES
 def _digest(obj) -> str:
     blob = json.dumps(obj, sort_keys=True, separators=(",", ":")).encode()
     return "sha256:" + hashlib.sha256(blob).hexdigest()
+
+
+def _render(obj, pad: str, out: list[str]) -> None:
+    """Append the chunks of `json.dumps(obj, indent=2, sort_keys=True)` to
+    `out` (`json` encodes in pure Python whenever `indent` is set); `pad` is a
+    newline plus the indent of `obj`'s line. A type other than a str-keyed
+    dict, list, tuple, str, int, bool or None raises TypeError."""
+    if isinstance(obj, str):
+        out.append(encode_basestring_ascii(obj))
+    elif obj is None:
+        out.append("null")
+    elif obj is True:
+        out.append("true")
+    elif obj is False:
+        out.append("false")
+    elif isinstance(obj, int):
+        out.append(int.__repr__(obj))
+    elif isinstance(obj, dict):
+        inner = pad + "  "
+        sep, comma = "{" + inner, "," + inner
+        for key in sorted(obj):
+            if not isinstance(key, str):
+                raise TypeError(f"dict key of type {type(key).__name__} in a report")
+            out += (sep, encode_basestring_ascii(key), ": ")
+            _render(obj[key], inner, out)
+            sep = comma
+        out.append(pad + "}" if obj else "{}")
+    elif isinstance(obj, (list, tuple)):
+        inner = pad + "  "
+        sep, comma = "[" + inner, "," + inner
+        for item in obj:
+            out.append(sep)
+            _render(item, inner, out)
+            sep = comma
+        out.append(pad + "]" if obj else "[]")
+    else:
+        raise TypeError(f"object of type {type(obj).__name__} in a report")
 
 
 def _family(spec: str, cc, cr):
@@ -396,7 +434,9 @@ def main(argv: list[str] | None = None) -> int:
     if args.json:
         report = {"command": argv, "input_digest": digest,
                   "outputs": outputs, "checks": checks}
-        text = json.dumps(report, indent=2, sort_keys=True)
+        out = []
+        _render(report, "\n", out)
+        text = "".join(out)
     else:
         text = "\n".join(lines)
     try:

@@ -628,6 +628,96 @@ class TestJsonReports:
         assert report["outputs"]["graph"]["edges"] == [[1, 2], [1, 4], [2, 3], [3, 4]]
 
 
+# Hand-built values for `cli._render`, covering what the `json` encoder
+# escapes or special-cases and the report builders seldom produce.
+RENDER_CASES = {
+    "strings": {"plain": "abc", "accent": "café", "astral": "\U0001d11e",
+                "controls": "\x00\x01\x1f\x7f\t\n\r\b\f", "quote": 'say "hi"',
+                "backslash": "a\\b", "line-separator": "\u2028\u2029", "empty": "",
+                "é-key": "sorted after ascii", "B": "upper before lower"},
+    "empties": {"dict": {}, "list": [], "tuple": (),
+                "nested": {"a": {}, "b": [[]], "c": [{}, (), [[], {}]], "d": {"e": {}}}},
+    "scalars": [True, 1, False, 0, None, -1, -(2**70), 2**64, 2**64 + 1, 10**40],
+    "nested": {"outputs": {"cf": {"n": 3, "cf": [{"plus": [1], "minus": (2, 3)}]}},
+               "rows": [[1, [2, [3, []]]], ({"x": None},)]},
+    "top-level list": [{"b": 1, "a": [True]}, "s", ()],
+    "top-level string": "é\n",
+    "top-level int": -5,
+    "top-level none": None,
+    "empty top-level dict": {},
+}
+
+
+@pytest.mark.parametrize("obj", list(RENDER_CASES.values()), ids=list(RENDER_CASES))
+def test_render_matches_json_dumps(obj):
+    out = []
+    cli._render(obj, "\n", out)
+    assert "".join(out) == json.dumps(obj, indent=2, sort_keys=True)
+
+
+@pytest.mark.parametrize("obj, type_name", [
+    ({"a": [1, 1.5]}, "float"),
+    ([{"set": {1, 2}}], "set"),
+    ({"outer": {1: "one"}}, "int"),
+], ids=["float", "set", "int key"])
+def test_render_rejects_other_types(obj, type_name):
+    with pytest.raises(TypeError, match=rf"\b{type_name}\b"):
+        cli._render(obj, "\n", [])
+
+
+ROUND_TRIP_COVER = json.dumps({"kind": "intervals", "ambient": "line",
+                               "sets": [["0", "2"], ["1", "7/2"], ["-1/3", "1/2"]]})
+ROUND_TRIP_CODE = "n=3;{};{1};{1,2};{2,3};{3}"
+
+# One command line per subcommand and flag that changes the report's shape,
+# and every verify suite at its smallest legal parameters.
+ROUND_TRIP_ARGV = [
+    ["cf", ROUND_TRIP_CODE],
+    ["cf", ROUND_TRIP_CODE, "--oracle"],
+    ["cf", "--family", "cr:4"],
+    ["graph", "ccg", ROUND_TRIP_CODE],
+    ["graph", "ccg", ROUND_TRIP_CODE, "--dot"],
+    ["graph", "grg", ROUND_TRIP_CODE],
+    ["graph", "grg", "--family", "cr:5", "--dot"],
+    ["graph", "grg", "--cf", GRAPH_CF5],
+    ["graph", "gr-complex", ROUND_TRIP_CODE],
+    ["graph", "gr-complex", "--cf", GRAPH_CF4],
+    ["map", "--permute", "3,1,2", ROUND_TRIP_CODE],
+    ["map", "--add-on", ROUND_TRIP_CODE],
+    ["map", "--add-off", ROUND_TRIP_CODE],
+    ["map", "--duplicate", "2", ROUND_TRIP_CODE],
+    ["map", "--delete", "1", ROUND_TRIP_CODE],
+    ["map", "--include", "n=3;{};{1};{1,2};{2,3};{3};{1,2,3}", ROUND_TRIP_CODE],
+    ["realize", ROUND_TRIP_COVER],
+    ["realize", ROUND_TRIP_COVER, "--cf"],
+    ["realize", "--family", "cc:4", "--cf"],
+    ["realize", "--family", "cr:4"],
+    ["family", "cr:4"],
+]
+SMALLEST_SUITE_ARGS = {
+    "parity": ["--n", "1"],
+    "union-closure": ["--n", "1"],
+    "preserve-connected": ["--n", "1", "--trials", "1"],
+    "preserve-complete": ["--n", "1", "--trials", "1"],
+    "complete-iso": ["--n", "1"],
+    "cf-theorems": ["--n", "2", "--trials", "1"],
+    "grg-families": ["--max", "4"],
+    "realizations": ["--max", "3", "--trials", "1"],
+}
+ROUND_TRIP_ARGV += [["verify", suite, *args] for suite, args in SMALLEST_SUITE_ARGS.items()]
+
+
+def test_round_trip_covers_every_suite():
+    assert set(SMALLEST_SUITE_ARGS) == set(SUITES)
+
+
+@pytest.mark.parametrize("argv", ROUND_TRIP_ARGV, ids=[" ".join(a) for a in ROUND_TRIP_ARGV])
+def test_json_report_round_trips_through_json(capsys, argv):
+    status, out, err = run(capsys, *argv, "--json")
+    assert (status, err) == (0, "")
+    assert out == json.dumps(json.loads(out), indent=2, sort_keys=True) + "\n"
+
+
 class TestFamily:
     def test_text(self, capsys):
         status, out, _ = run(capsys, "family", "cc:3")

@@ -51,7 +51,7 @@ from .realization import (
     cover_to_json_obj,
     cr_k_polygon,
 )
-from .verify import DEFAULT_SEED, SUITES
+from .verify import DEFAULT_SEED, MAX_JOBS, SUITES, Check
 
 
 def _digest(obj) -> str:
@@ -119,11 +119,6 @@ def _resolve_code(args) -> Code:
     return parse_code(args.code)
 
 
-def _check(name: str, passed: bool, detail: str, counterexample=None) -> dict:
-    return {"name": name, "passed": passed, "detail": detail,
-            "counterexample": counterexample}
-
-
 def _cf_lines(cf: CanonicalForm, title: str) -> list[str]:
     lines = [f"{title} ({len(cf)} elements):"]
     lines.extend(f"  {t}" for t in cf.to_text_lines())
@@ -142,8 +137,8 @@ def _cmd_cf(args):
         agree = oracle == cf
         counter = None if agree else {"incremental": cf.to_json_obj(),
                                       "oracle": oracle.to_json_obj()}
-        checks.append(_check("oracle-agreement", agree,
-                             "3^n vanishing sweep vs incremental fold", counter))
+        checks.append(Check("oracle-agreement", agree,
+                            "3^n vanishing sweep vs incremental fold", counter))
         lines.append(f"oracle agreement: {'PASS' if agree else 'FAIL'}")
     return _digest(outputs["code"]), outputs, checks, lines
 
@@ -255,8 +250,8 @@ def _cmd_map(args):
         counter = None if agree else {"code": code.to_text(), "map": spec.describe(),
                                       "predicted": predicted.to_json_obj(),
                                       "computed": image_cf.to_json_obj()}
-        checks.append(_check("cf-prediction", agree,
-                             "transformation rule vs canonical form of the image", counter))
+        checks.append(Check("cf-prediction", agree,
+                            "transformation rule vs canonical form of the image", counter))
         lines.append(f"prediction matches computed: {'PASS' if agree else 'FAIL'}")
     digest_src = {"code": outputs["code"], "map": spec.describe()}
     return _digest(digest_src), outputs, checks, lines
@@ -288,9 +283,8 @@ def _cmd_realize(args):
         agree = geometric == algebraic
         counter = None if agree else {"geometric": geometric.to_json_obj(),
                                       "algebraic": algebraic.to_json_obj()}
-        checks.append(_check("cover-cf-theorem", agree,
-                             "canonical form from geometry vs from the realized code",
-                             counter))
+        checks.append(Check("cover-cf-theorem", agree,
+                            "canonical form from geometry vs from the realized code", counter))
         lines += _cf_lines(geometric, "canonical form from cover")
         lines.append(f"matches canonical form of realized code: {'PASS' if agree else 'FAIL'}")
     return _digest(outputs["cover"]), outputs, checks, lines
@@ -315,13 +309,6 @@ def _cmd_verify(args):
                              + ", ".join(sorted(SUITES)))
     takes = inspect.signature(suite).parameters
     kwargs, given = {}, []
-    env_jobs = os.environ.get("NEUROCODE_JOBS")
-    if args.jobs is None and env_jobs and "jobs" in takes:
-        try:
-            kwargs["jobs"] = int(env_jobs)
-        except ValueError:
-            raise CodeParseError(f"NEUROCODE_JOBS must be an integer, got {env_jobs!r}") from None
-        given.append(f"NEUROCODE_JOBS={env_jobs}")
     for flag, params in _VERIFY_FLAGS.items():
         value = getattr(args, flag)
         if value is None or value is False:
@@ -336,14 +323,12 @@ def _cmd_verify(args):
     except ValueError as exc:
         raise CodeParseError(f"{exc} (from {', '.join(given)})" if given else str(exc)) from None
     outputs = {"suite": result.suite, "params": result.params}
-    checks = [_check(c.name, c.passed, c.detail, c.counterexample)
-              for c in result.checks]
     lines = [f"suite: {result.suite}"]
     for c in result.checks:
         lines.append(f"  [{'PASS' if c.passed else 'FAIL'}] {c.name}: {c.detail}")
         if c.counterexample is not None:
             lines.append(f"    counterexample: {json.dumps(c.counterexample, sort_keys=True)}")
-    return _digest({"suite": args.suite, **result.params}), outputs, checks, lines
+    return _digest({"suite": args.suite, **result.params}), outputs, result.checks, lines
 
 
 def _cmd_family(args):
@@ -406,8 +391,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p_verify.add_argument("--max", type=int, help="family size ceiling")
     p_verify.add_argument("--sample", type=int, help="sampled sweep size instead of exhaustive")
     p_verify.add_argument("--exhaustive", action="store_true", help="force the exhaustive sweep")
-    p_verify.add_argument("--jobs", type=int, default=None,
-                          help="worker processes (default $NEUROCODE_JOBS or 1)")
+    p_verify.add_argument("--jobs", type=int,
+                          help=f"worker processes (default 1, at most {MAX_JOBS})")
     p_verify.set_defaults(handler=_cmd_verify)
 
     p_family = subs.add_parser("family", help="print a named code family")
@@ -433,7 +418,7 @@ def main(argv: list[str] | None = None) -> int:
         return 2
     if args.json:
         report = {"command": argv, "input_digest": digest,
-                  "outputs": outputs, "checks": checks}
+                  "outputs": outputs, "checks": [vars(c) for c in checks]}
         out = []
         _render(report, "\n", out)
         text = "".join(out)
@@ -445,7 +430,7 @@ def main(argv: list[str] | None = None) -> int:
         # The reader closed stdout early (`| head`); point fd 1 at devnull so
         # that the flush at interpreter exit does not raise again.
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
-    return 0 if all(c["passed"] for c in checks) else 1
+    return 0 if all(c.passed for c in checks) else 1
 
 
 if __name__ == "__main__":

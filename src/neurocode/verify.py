@@ -4,9 +4,11 @@ counterexamples."""
 
 from __future__ import annotations
 
+import json
 import random
+import shlex
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from itertools import permutations
 
 from .codes import (
@@ -38,6 +40,7 @@ from .realization import (
     cf_from_intervals,
     code_of_intervals,
     code_of_segments,
+    cover_to_json_obj,
     cr_k_polygon,
 )
 from fractions import Fraction
@@ -49,6 +52,9 @@ SAMPLED_MAX_NEURONS = 8
 # A sampled code costs 50 us (n=4, parity) to 9 ms (n=8, union-closure), so
 # the largest sampled sweep runs from about a minute to a few hours.
 MAX_SAMPLE = 1_000_000
+# A fixed bound, not os.cpu_count(), so the exit status does not depend on
+# the machine: a pool forks all its workers at the first task.
+MAX_JOBS = 64
 # Largest max_n where a suite's cost explodes: there its default run takes
 # 3-12 s on 2 vCPUs, one neuron higher 29-52 s (measurements in README).
 COMPLETE_ISO_MAX_NEURONS = 6
@@ -77,7 +83,7 @@ class Check:
 class SuiteResult:
     suite: str
     params: dict
-    checks: list[Check] = field(default_factory=list)
+    checks: list[Check]
 
     @property
     def passed(self) -> bool:
@@ -89,34 +95,41 @@ def _code_from_index(n: int, idx: int) -> Code:
     return Code.from_masks(n, masks)
 
 
-def _map_flag(spec: ElementaryMap) -> str:
-    if spec.kind == PERMUTATION:
-        return "--permute %s" % ",".join(str(i) for i in spec.perm)
-    if spec.kind == ADD_TRIVIAL_ON:
-        return "--add-on"
-    if spec.kind == ADD_TRIVIAL_OFF:
-        return "--add-off"
-    if spec.kind == DUPLICATE:
-        return f"--duplicate {spec.neuron}"
-    if spec.kind == DELETE:
-        return f"--delete {spec.neuron}"
-    return f"--include '{spec.target.to_text()}'"
+# map kind -> the `neurocode map` arguments that apply a map of that kind
+_MAP_ARGS = {
+    PERMUTATION: lambda spec: ["--permute", ",".join(map(str, spec.perm))],
+    ADD_TRIVIAL_ON: lambda spec: ["--add-on"],
+    ADD_TRIVIAL_OFF: lambda spec: ["--add-off"],
+    DUPLICATE: lambda spec: ["--duplicate", str(spec.neuron)],
+    DELETE: lambda spec: ["--delete", str(spec.neuron)],
+    INCLUSION: lambda spec: ["--include", spec.target],
+}
 
 
-def _code_counterexample(code: Code, suite: str) -> dict:
-    return {
-        "code": code.to_text(),
-        "rerun": f'neurocode graph ccg "{code.to_text()}"',
-        "suite": suite,
-    }
+def _counterexample(code: Code, *command, **fields) -> dict:
+    """A failing case on `code`, with `fields` and as `rerun` the shell line
+    `neurocode <command>`. An ElementaryMap in `command` stands for its
+    `map` arguments and fills the `map` field. Each Code, `code` and an
+    --include target too, is written with its n= header, which keeps the
+    neurons that never fire."""
+    argv = ["neurocode"]
+    for part in command:
+        if isinstance(part, ElementaryMap):
+            fields["map"] = part.describe()
+            argv += _MAP_ARGS[part.kind](part)
+        else:
+            argv.append(part)
+    code, *argv = [f"n={part.n};{part.to_text()}" if isinstance(part, Code) else part
+                   for part in (code, *argv)]
+    return {"code": code, **fields, "rerun": shlex.join(argv)}
 
 
-def _map_counterexample(code: Code, spec: ElementaryMap) -> dict:
-    return {
-        "code": code.to_text(),
-        "map": spec.describe(),
-        "rerun": f'neurocode map {_map_flag(spec)} "{code.to_text()}"',
-    }
+def _tally(counterexamples) -> tuple[int, dict | None]:
+    """The number of counterexamples, one per failing case, and the first
+    (None when every case passed)."""
+    it = iter(counterexamples)
+    first = next(it, None)
+    return (0 if first is None else 1 + sum(1 for _ in it)), first
 
 
 def _parity_violation(code: Code) -> bool:
@@ -209,7 +222,7 @@ def _run_sweep(violation, n: int, exhaustive: bool, sample: int | None,
         chunk = len(indices) // (jobs * 8) + 1
         tasks = [(violation, n, indices[lo:lo + chunk])
                  for lo in range(0, len(indices), chunk)]
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
+        with ProcessPoolExecutor(max_workers=min(jobs, len(tasks))) as pool:
             hits = [idx for part in pool.map(_sweep_chunk, tasks) for idx in part]
     else:
         hits = _sweep_chunk((violation, n, indices))
@@ -228,18 +241,18 @@ def _sweep_suite(name: str, violation, doc: str):
     orbit and reports the answer for all of them."""
     def suite(n: int = 3, exhaustive: bool | None = None, sample: int | None = None,
               seed: int = DEFAULT_SEED, jobs: int = 1) -> SuiteResult:
-        _in_range(1, n=n, sample=sample, jobs=jobs)
+        _in_range(1, n=n)
         _in_range(1, MAX_SAMPLE, sample=sample)
+        _in_range(1, MAX_JOBS, jobs=jobs)
         if exhaustive is None:
             exhaustive = sample is None and n <= EXHAUSTIVE_MAX_NEURONS
-        scanned, bad = _run_sweep(violation, n, exhaustive, sample, seed, jobs)
-        counter = _code_counterexample(_code_from_index(n, bad[0]), name) if bad else None
-        result = SuiteResult(name, {"n": n, "exhaustive": exhaustive, "sample": sample,
-                                    "seed": seed})
-        result.checks.append(Check(
-            f"{name}-n{n}", not bad,
-            f"{scanned} codes scanned, {len(bad)} violations", counter))
-        return result
+        scanned, hits = _run_sweep(violation, n, exhaustive, sample, seed, jobs)
+        codes = (_code_from_index(n, idx) for idx in hits)
+        bad, counter = _tally(_counterexample(code, "graph", "ccg", code, suite=name)
+                              for code in codes)
+        params = {"n": n, "exhaustive": exhaustive, "sample": sample, "seed": seed}
+        return SuiteResult(name, params, [Check(
+            f"{name}-n{n}", bad == 0, f"{scanned} codes scanned, {bad} violations", counter)])
 
     suite.__name__ = suite.__qualname__ = name.replace("-", "_") + "_suite"
     suite.__doc__ = doc
@@ -307,6 +320,14 @@ def _random_spec(rng: random.Random, code: Code,
     return ElementaryMap.inclusion(Code.from_masks(n, words))
 
 
+def _map_pairs(rng: random.Random, trials: int, draw_code,
+               kinds: list[str] | None = None):
+    """Yield `trials` (code, map) pairs: `draw_code()`, then a map from `rng`."""
+    for _ in range(trials):
+        code = draw_code()
+        yield code, _random_spec(rng, code, kinds)
+
+
 def preserve_connected_suite(trials: int = 250, seed: int = DEFAULT_SEED,
                              max_n: int = 6) -> SuiteResult:
     """Elementary maps are morphisms, so connected containment graphs must
@@ -314,26 +335,21 @@ def preserve_connected_suite(trials: int = 250, seed: int = DEFAULT_SEED,
     _in_range(1, trials=trials)
     _in_range(1, PRESERVE_CONNECTED_MAX_NEURONS, max_n=max_n)
     rng = random.Random(seed)
+    pairs = _map_pairs(rng, trials, lambda: _random_code(rng, rng.randint(1, max_n)))
     hits = 0
-    counter = None
-    bad = 0
-    for _ in range(trials):
-        code = _random_code(rng, rng.randint(1, max_n))
-        spec = _random_spec(rng, code)
-        if not is_connected(ccg(code)):
-            continue
-        hits += 1
-        image, _ = apply_elementary_map(code, spec)
-        if not is_connected(ccg(image)):
-            bad += 1
-            if counter is None:
-                counter = _map_counterexample(code, spec)
-    result = SuiteResult("preserve-connected", {"trials": trials, "seed": seed,
-                                                "max_n": max_n})
-    result.checks.append(Check(
-        "preserve-connected", bad == 0,
-        f"{trials} pairs, {hits} with connected domain, {bad} violations", counter))
-    return result
+
+    def violations():
+        nonlocal hits
+        for code, spec in pairs:
+            if is_connected(ccg(code)):
+                hits += 1
+                if not is_connected(ccg(apply_elementary_map(code, spec)[0])):
+                    yield _counterexample(code, "map", spec, code)
+
+    bad, counter = _tally(violations())
+    return SuiteResult("preserve-connected", {"trials": trials, "seed": seed, "max_n": max_n}, [
+        Check("preserve-connected", bad == 0,
+              f"{trials} pairs, {hits} with connected domain, {bad} violations", counter)])
 
 
 def preserve_complete_suite(trials: int = 250, seed: int = DEFAULT_SEED,
@@ -342,23 +358,12 @@ def preserve_complete_suite(trials: int = 250, seed: int = DEFAULT_SEED,
     _in_range(1, trials=trials)
     _in_range(1, MAX_NEURONS - 1, max_n=max_n)  # a map may add a neuron
     rng = random.Random(seed)
-    counter = None
-    bad = 0
-    for _ in range(trials):
-        code = _random_chain_code(rng, rng.randint(1, max_n))
-        spec = _random_spec(rng, code)
-        assert is_complete(ccg(code))
-        image, _ = apply_elementary_map(code, spec)
-        if not is_complete(ccg(image)):
-            bad += 1
-            if counter is None:
-                counter = _map_counterexample(code, spec)
-    result = SuiteResult("preserve-complete", {"trials": trials, "seed": seed,
-                                               "max_n": max_n})
-    result.checks.append(Check(
-        "preserve-complete", bad == 0,
-        f"{trials} complete codes mapped, {bad} violations", counter))
-    return result
+    pairs = _map_pairs(rng, trials, lambda: _random_chain_code(rng, rng.randint(1, max_n)))
+    bad, counter = _tally(_counterexample(code, "map", spec, code) for code, spec in pairs
+                          if not is_complete(ccg(apply_elementary_map(code, spec)[0])))
+    return SuiteResult("preserve-complete", {"trials": trials, "seed": seed, "max_n": max_n}, [
+        Check("preserve-complete", bad == 0,
+              f"{trials} complete codes mapped, {bad} violations", counter)])
 
 
 def _all_chain_codes(n: int):
@@ -378,22 +383,12 @@ def complete_iso_suite(max_n: int = 5) -> SuiteResult:
     """Every complete code is isomorphic to the chain code of its size via
     the constructed sorting map."""
     _in_range(1, COMPLETE_ISO_MAX_NEURONS, max_n=max_n)
-    counter = None
-    scanned = 0
-    bad = 0
-    for n in range(1, max_n + 1):
-        for code in _all_chain_codes(n):
-            scanned += 1
-            f = complete_iso(code)
-            if not is_isomorphism(f):
-                bad += 1
-                if counter is None:
-                    counter = _code_counterexample(code, "complete-iso")
-    result = SuiteResult("complete-iso", {"max_n": max_n})
-    result.checks.append(Check(
-        f"complete-iso-n{max_n}", bad == 0,
-        f"{scanned} complete codes enumerated, {bad} failures", counter))
-    return result
+    codes = [code for n in range(1, max_n + 1) for code in _all_chain_codes(n)]
+    bad, counter = _tally(_counterexample(code, "graph", "ccg", code, suite="complete-iso")
+                          for code in codes if not is_isomorphism(complete_iso(code)))
+    return SuiteResult("complete-iso", {"max_n": max_n}, [
+        Check(f"complete-iso-n{max_n}", bad == 0,
+              f"{len(codes)} complete codes enumerated, {bad} failures", counter)])
 
 
 CF_THEOREM_KINDS = (PERMUTATION, ADD_TRIVIAL_ON, ADD_TRIVIAL_OFF, DUPLICATE, DELETE)
@@ -405,24 +400,19 @@ def cf_theorems_suite(trials: int = 200, seed: int = DEFAULT_SEED,
     canonical form of the actual image code."""
     _in_range(1, trials=trials)
     _in_range(2, CF_THEOREMS_MAX_NEURONS, max_n=max_n)
-    result = SuiteResult("cf-theorems", {"trials": trials, "seed": seed, "max_n": max_n})
-    for kind in CF_THEOREM_KINDS:
+
+    def mismatches(kind):
         rng = random.Random(f"{seed}:{kind}")
-        bad = 0
-        counter = None
         min_n = 2 if kind == DELETE else 1
-        for _ in range(trials):
-            code = _random_code(rng, rng.randint(min_n, max_n))
-            spec = _random_spec(rng, code, kinds=[kind])
-            predicted = predict_cf(canonical_form(code), spec)
-            image, _ = apply_elementary_map(code, spec)
-            if predicted != canonical_form(image):
-                bad += 1
-                if counter is None:
-                    counter = _map_counterexample(code, spec)
-        result.checks.append(Check(
-            f"cf-{kind}", bad == 0, f"{trials} trials, {bad} mismatches", counter))
-    return result
+        pairs = _map_pairs(rng, trials, lambda: _random_code(rng, rng.randint(min_n, max_n)),
+                           [kind])
+        return _tally(_counterexample(code, "map", spec, code) for code, spec in pairs
+                      if predict_cf(canonical_form(code), spec)
+                      != canonical_form(apply_elementary_map(code, spec)[0]))
+
+    return SuiteResult("cf-theorems", {"trials": trials, "seed": seed, "max_n": max_n}, [
+        Check(f"cf-{kind}", bad == 0, f"{trials} trials, {bad} mismatches", counter)
+        for kind in CF_THEOREM_KINDS for bad, counter in [mismatches(kind)]])
 
 
 def grg_families_suite(max_m: int = 10, max_k: int = 10) -> SuiteResult:
@@ -430,26 +420,19 @@ def grg_families_suite(max_m: int = 10, max_k: int = 10) -> SuiteResult:
     a single cycle for the cyclic codes."""
     _in_range(3, max_m=max_m)
     _in_range(4, max_k=max_k)
-    result = SuiteResult("grg-families", {"max_m": max_m, "max_k": max_k})
-    bad_m = []
-    for m in range(3, max_m + 1):
-        g = grg(canonical_form(cc_family(m)))
-        if any(g.nbrs) or list(g.vertices) != list(range(1, m)):
-            bad_m.append(m)
-    result.checks.append(Check(
-        "chain-grg-disconnected", not bad_m,
-        f"m=3..{max_m}: edgeless graph on m-1 vertices",
-        {"m": bad_m[0], "rerun": f"neurocode graph grg --family cc:{bad_m[0]}"} if bad_m else None))
-    bad_k = []
-    for k in range(4, max_k + 1):
-        g = grg(canonical_form(cr_family(k)))
-        if not (len(g.vertices) == k and is_connected(g) and is_regular(g, 2)):
-            bad_k.append(k)
-    result.checks.append(Check(
-        "cycle-grg-2regular", not bad_k,
-        f"k=4..{max_k}: connected 2-regular graph on k vertices",
-        {"k": bad_k[0], "rerun": f"neurocode graph grg --family cr:{bad_k[0]}"} if bad_k else None))
-    return result
+    chains = ((m, grg(canonical_form(cc_family(m)))) for m in range(3, max_m + 1))
+    cycles = ((k, grg(canonical_form(cr_family(k)))) for k in range(4, max_k + 1))
+    bad_m, counter_m = _tally({"m": m, "rerun": f"neurocode graph grg --family cc:{m}"}
+                              for m, g in chains
+                              if any(g.nbrs) or list(g.vertices) != list(range(1, m)))
+    bad_k, counter_k = _tally({"k": k, "rerun": f"neurocode graph grg --family cr:{k}"}
+                              for k, g in cycles if not (len(g.vertices) == k
+                                                         and is_connected(g) and is_regular(g, 2)))
+    return SuiteResult("grg-families", {"max_m": max_m, "max_k": max_k}, [
+        Check("chain-grg-disconnected", bad_m == 0,
+              f"m=3..{max_m}: edgeless graph on m-1 vertices", counter_m),
+        Check("cycle-grg-2regular", bad_k == 0,
+              f"k=4..{max_k}: connected 2-regular graph on k vertices", counter_k)])
 
 
 def _random_interval_cover(rng: random.Random, max_n: int = 6) -> IntervalCover:
@@ -469,35 +452,27 @@ def realizations_suite(max_family: int = 12, random_covers: int = 100,
     cover-to-canonical-form theorem on random interval covers."""
     _in_range(3, max_family=max_family)
     _in_range(1, random_covers=random_covers)
-    result = SuiteResult("realizations", {"max_family": max_family,
-                                          "random_covers": random_covers, "seed": seed})
-    bad_m = [m for m in range(2, max_family + 1)
-             if code_of_intervals(cc_m_intervals(m)) != cc_family(m)]
-    result.checks.append(Check(
-        "interval-chain-family", not bad_m,
-        f"m=2..{max_family}: interval covers realize the chain codes",
-        {"m": bad_m[0]} if bad_m else None))
-    bad_k = [k for k in range(3, max_family + 1)
-             if code_of_segments(cr_k_polygon(k)) != cr_family(k)]
-    result.checks.append(Check(
-        "segment-cycle-family", not bad_k,
-        f"k=3..{max_family}: polygon edges realize the cyclic codes",
-        {"k": bad_k[0]} if bad_k else None))
+    bad_m, counter_m = _tally({"m": m, "rerun": f"neurocode realize --family cc:{m}"}
+                              for m in range(2, max_family + 1)
+                              if code_of_intervals(cc_m_intervals(m)) != cc_family(m))
+    bad_k, counter_k = _tally({"k": k, "rerun": f"neurocode realize --family cr:{k}"}
+                              for k in range(3, max_family + 1)
+                              if code_of_segments(cr_k_polygon(k)) != cr_family(k))
     rng = random.Random(seed)
-    bad = 0
-    counter = None
-    for _ in range(random_covers):
-        cover = _random_interval_cover(rng)
-        realized = code_of_intervals(cover)
-        if cf_from_intervals(cover) != canonical_form(realized):
-            bad += 1
-            if counter is None:
-                counter = {"cover": [[str(a), str(b)] for a, b in cover.intervals],
-                           "ambient": cover.ambient, "code": realized.to_text()}
-    result.checks.append(Check(
-        "random-interval-cf", bad == 0,
-        f"{random_covers} random covers, {bad} canonical-form mismatches", counter))
-    return result
+    covers = (_random_interval_cover(rng) for _ in range(random_covers))
+    bad, counter = _tally(
+        _counterexample(code_of_intervals(cover), "realize",
+                        json.dumps(cover_to_json_obj(cover)), "--cf")
+        for cover in covers
+        if cf_from_intervals(cover) != canonical_form(code_of_intervals(cover)))
+    return SuiteResult("realizations", {"max_family": max_family,
+                                        "random_covers": random_covers, "seed": seed}, [
+        Check("interval-chain-family", bad_m == 0,
+              f"m=2..{max_family}: interval covers realize the chain codes", counter_m),
+        Check("segment-cycle-family", bad_k == 0,
+              f"k=3..{max_family}: polygon edges realize the cyclic codes", counter_k),
+        Check("random-interval-cf", bad == 0,
+              f"{random_covers} random covers, {bad} canonical-form mismatches", counter)])
 
 
 SUITES = {

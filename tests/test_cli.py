@@ -368,10 +368,9 @@ class TestVerify:
 
     def test_failing_check_exits_1(self, capsys, monkeypatch):
         def broken_suite(**kwargs):
-            result = SuiteResult("broken", {})
-            result.checks.append(Check("always-fails", False, "synthetic",
-                                       {"code": "{1}", "rerun": "neurocode cf '{1}'"}))
-            return result
+            return SuiteResult("broken", {}, [Check(
+                "always-fails", False, "synthetic",
+                {"code": "{1}", "rerun": "neurocode cf '{1}'"})])
         monkeypatch.setitem(SUITES, "broken", broken_suite)
         status, out, _ = run(capsys, "verify", "broken")
         assert status == 1
@@ -382,12 +381,6 @@ class TestVerify:
         status, out, _ = run(capsys, "verify", "grg-families", "--max", "6")
         assert status == 0
         assert "chain-grg-disconnected" in out and "cycle-grg-2regular" in out
-
-    def test_jobs_env_fallback(self, capsys, monkeypatch):
-        monkeypatch.setenv("NEUROCODE_JOBS", "2")
-        status, out, _ = run(capsys, "verify", "parity", "--n", "3", "--exhaustive")
-        assert status == 0
-        assert "0 violations" in out
 
     def test_sweep_suite_resolves_exhaustive(self):
         assert parity_suite(n=2).params["exhaustive"] is True
@@ -476,45 +469,38 @@ def test_verify_json_byte_identical(capsys, argv, expected):
 
 
 # Each command line must exit 2 with a message that names the offending
-# flag (or NEUROCODE_JOBS) and, for a bound, the suite parameter it set.
+# flag and, for a bound, the suite parameter it set.
 REJECTED_VERIFY = [
-    (["parity", "--n", "0"], None, ["--n 0", "n must be at least 1"]),
-    (["parity", "--sample", "0"], None, ["--sample 0", "sample must be at least 1"]),
-    (["parity", "--sample", "1000001"], None,
+    (["parity", "--n", "0"], ["--n 0", "n must be at least 1"]),
+    (["parity", "--sample", "0"], ["--sample 0", "sample must be at least 1"]),
+    (["parity", "--sample", "1000001"],
      ["--sample 1000001", "sample must be at most 1000000"]),
-    (["parity", "--jobs", "0"], None, ["--jobs 0", "jobs must be at least 1"]),
-    (["union-closure", "--jobs", "-3"], None, ["--jobs -3", "jobs must be at least 1"]),
-    (["union-closure", "--n", "9", "--sample", "5"], None, ["--n 9", "capped at n=8"]),
-    (["parity"], "abc", ["NEUROCODE_JOBS", "'abc'"]),
-    (["parity"], "0", ["NEUROCODE_JOBS=0", "jobs must be at least 1"]),
-    (["union-closure"], "-2", ["NEUROCODE_JOBS=-2", "jobs must be at least 1"]),
-    (["preserve-connected", "--trials", "0"], None, ["--trials 0", "trials must be at least 1"]),
-    (["preserve-complete", "--n", "0"], None, ["--n 0", "max_n must be at least 1"]),
-    (["complete-iso", "--n", "0"], None, ["--n 0", "max_n must be at least 1"]),
-    (["cf-theorems", "--trials", "0"], None, ["--trials 0", "trials must be at least 1"]),
-    (["cf-theorems", "--trials", "-5"], None, ["--trials -5", "trials must be at least 1"]),
-    (["cf-theorems", "--n", "1"], None, ["--n 1", "max_n must be at least 2"]),
-    (["grg-families", "--max", "2"], None, ["--max 2", "max_m must be at least 3"]),
-    (["grg-families", "--max", "3"], None, ["--max 3", "max_k must be at least 4"]),
-    (["realizations", "--max", "2"], None, ["--max 2", "max_family must be at least 3"]),
-    (["realizations", "--trials", "0"], None,
+    (["parity", "--jobs", "0"], ["--jobs 0", "jobs must be at least 1"]),
+    (["union-closure", "--jobs", "-3"], ["--jobs -3", "jobs must be at least 1"]),
+    (["parity", "--jobs", "65"], ["jobs must be at most 64, got 65 (from --jobs 65)"]),
+    (["union-closure", "--n", "9", "--sample", "5"], ["--n 9", "capped at n=8"]),
+    (["preserve-connected", "--trials", "0"], ["--trials 0", "trials must be at least 1"]),
+    (["preserve-complete", "--n", "0"], ["--n 0", "max_n must be at least 1"]),
+    (["complete-iso", "--n", "0"], ["--n 0", "max_n must be at least 1"]),
+    (["cf-theorems", "--trials", "0"], ["--trials 0", "trials must be at least 1"]),
+    (["cf-theorems", "--trials", "-5"], ["--trials -5", "trials must be at least 1"]),
+    (["cf-theorems", "--n", "1"], ["--n 1", "max_n must be at least 2"]),
+    (["grg-families", "--max", "2"], ["--max 2", "max_m must be at least 3"]),
+    (["grg-families", "--max", "3"], ["--max 3", "max_k must be at least 4"]),
+    (["realizations", "--max", "2"], ["--max 2", "max_family must be at least 3"]),
+    (["realizations", "--trials", "0"],
      ["--trials 0", "random_covers must be at least 1"]),
-    (["parity", "--max", "4"], None, ["--max does not apply"]),
-    (["grg-families", "--trials", "5"], None, ["--trials does not apply"]),
-    (["complete-iso", "--seed", "3"], None, ["--seed does not apply"]),
-    (["cf-theorems", "--jobs", "2"], None, ["--jobs does not apply"]),
-    (["realizations", "--exhaustive"], None, ["--exhaustive does not apply"]),
+    (["parity", "--max", "4"], ["--max does not apply"]),
+    (["grg-families", "--trials", "5"], ["--trials does not apply"]),
+    (["complete-iso", "--seed", "3"], ["--seed does not apply"]),
+    (["cf-theorems", "--jobs", "2"], ["--jobs does not apply"]),
+    (["realizations", "--exhaustive"], ["--exhaustive does not apply"]),
 ]
 
 
-@pytest.mark.parametrize("argv, env_jobs, needles", REJECTED_VERIFY,
-                         ids=[" ".join(argv) + (f" NEUROCODE_JOBS={env}" if env else "")
-                              for argv, env, _ in REJECTED_VERIFY])
-def test_verify_rejects_bad_input(capsys, monkeypatch, argv, env_jobs, needles):
-    if env_jobs is None:
-        monkeypatch.delenv("NEUROCODE_JOBS", raising=False)
-    else:
-        monkeypatch.setenv("NEUROCODE_JOBS", env_jobs)
+@pytest.mark.parametrize("argv, needles", REJECTED_VERIFY,
+                         ids=[" ".join(argv) for argv, _ in REJECTED_VERIFY])
+def test_verify_rejects_bad_input(capsys, argv, needles):
     status, out, err = run(capsys, "verify", *argv)
     assert status == 2
     assert out == ""
@@ -587,8 +573,7 @@ PARSER_STATE_ARGV = [
 ]
 
 
-def test_cached_parser_keeps_no_state(capsys, monkeypatch):
-    monkeypatch.delenv("NEUROCODE_JOBS", raising=False)
+def test_cached_parser_keeps_no_state(capsys):
     assert cli._build_parser() is cli._build_parser()
     forward = {tuple(argv): run(capsys, *argv, "--json")[:2] for argv in PARSER_STATE_ARGV}
     backward = {tuple(argv): run(capsys, *argv, "--json")[:2]

@@ -1,15 +1,34 @@
 """Sweeps against brute force: orbit-reduced exhaustive ones over every
-code, sampled ones over the seeded draws, for every worker count."""
+code, sampled ones over the seeded draws, for every worker count; and each
+suite's failure count, first counterexample and its replayable rerun."""
 
+import json
 import random
+import shlex
 from functools import lru_cache
 from itertools import permutations
 
 import pytest
 
-from neurocode import verify
-from neurocode.codes import INCLUSION, Code, ElementaryMap, apply_elementary_map, union_closure_condition
-from neurocode.graphs import ccg, diameter, is_connected, is_regular
+from neurocode import cli, verify
+from neurocode.codes import (
+    ADD_TRIVIAL_ON,
+    INCLUSION,
+    Code,
+    ElementaryMap,
+    apply_elementary_map,
+    cc_family,
+    cr_family,
+    union_closure_condition,
+)
+from neurocode.graphs import ccg, diameter, is_complete, is_connected, is_regular
+from neurocode.realization import (
+    AMBIENT_UNION,
+    cc_m_intervals,
+    code_of_intervals,
+    cover_to_json_obj,
+    cr_k_polygon,
+)
 from neurocode.verify import (
     _orbit,
     _orbit_representatives,
@@ -104,11 +123,13 @@ def test_sampled_sweep_same_for_every_jobs(n, sample, seed, predicate):
 
 
 class InlinePool:
-    """Stands in for ProcessPoolExecutor and records the chunks it is given."""
+    """Stands in for ProcessPoolExecutor and records the worker count it is
+    asked for and the chunks it is given."""
     chunks = []
+    workers = None
 
     def __init__(self, max_workers):
-        assert max_workers == 2
+        InlinePool.workers = max_workers
 
     def __enter__(self):
         return self
@@ -128,8 +149,17 @@ def test_sampled_sweep_splits_draws_between_workers(monkeypatch):
     rng = random.Random(7)
     assert [idx for chunk in InlinePool.chunks for idx in chunk] == \
         [rng.randrange(1, 256) for _ in range(500)]
+    assert InlinePool.workers == 2
     assert len(InlinePool.chunks) > 1
     assert (scanned, bad) == _run_sweep(odd_size, 3, False, 500, 7, 1)
+
+
+def test_pool_asks_for_no_more_workers_than_tasks(monkeypatch):
+    monkeypatch.setattr(verify, "ProcessPoolExecutor", InlinePool)
+    monkeypatch.setattr(InlinePool, "workers", None)
+    result = verify.parity_suite(n=1, exhaustive=True, jobs=8)
+    assert result.checks[0].detail == "3 codes scanned, 0 violations"
+    assert InlinePool.workers <= 3
 
 
 def test_known_violation_counts():
@@ -171,3 +201,122 @@ def test_random_inclusion_adds_distinct_words(n):
         else:
             assert len(target.masks) == k + 1
             assert all(0 <= w < 1 << n for w in target.masks)
+
+
+def test_random_chain_codes_are_complete():
+    rng = random.Random(5)
+    for _ in range(300):
+        assert is_complete(ccg(verify._random_chain_code(rng, rng.randint(1, 8))))
+
+
+def run_rerun(capsys, rerun):
+    """Run a counterexample's `rerun` line in process and return its status
+    and `--json` report."""
+    argv = shlex.split(rerun)
+    assert argv[0] == "neurocode"
+    capsys.readouterr()
+    status = cli.main(argv[1:] + ["--json"])
+    out, err = capsys.readouterr()
+    assert status != 2, err
+    return status, json.loads(out)
+
+
+SILENT_TOP = Code(3, [0, 1])  # neurons 2 and 3 never fire
+SILENT_TOP_MAPS = [
+    ElementaryMap.permutation([2, 3, 1]),
+    ElementaryMap.add_trivial_on(),
+    ElementaryMap.add_trivial_off(),
+    ElementaryMap.duplicate(3),
+    ElementaryMap.delete(3),
+    ElementaryMap.inclusion(Code(3, [0, 1, 2])),
+]
+
+
+@pytest.mark.parametrize("spec", SILENT_TOP_MAPS, ids=lambda spec: spec.kind)
+def test_map_counterexample_reruns_with_silent_top_neuron(capsys, spec):
+    counter = verify._counterexample(SILENT_TOP, "map", spec, SILENT_TOP)
+    assert counter["code"] == "n=3;{};{1}"
+    assert counter["map"] == spec.describe()
+    status, report = run_rerun(capsys, counter["rerun"])
+    assert status == 0
+    assert report["outputs"]["code"] == SILENT_TOP.to_json_obj()
+    assert report["outputs"]["map"] == spec.describe()
+
+
+def test_sweep_tally_counts_every_violation_and_reruns_the_first(capsys):
+    suite = verify._sweep_suite("odd-size", odd_size, "")
+    (check,) = suite(n=2).checks
+    expected = brute_violations(2)[odd_size]
+    assert check.detail == f"15 codes scanned, {len(expected)} violations"
+    first = brute_code(2, expected[0])
+    assert check.counterexample["code"] == f"n=2;{first.to_text()}"
+    assert check.counterexample["suite"] == "odd-size"
+    _, report = run_rerun(capsys, check.counterexample["rerun"])
+    assert report["outputs"]["code"] == first.to_json_obj()
+
+
+def test_complete_iso_tally_counts_every_failure_and_keeps_the_first(capsys, monkeypatch):
+    real = verify.is_isomorphism
+    monkeypatch.setattr(verify, "is_isomorphism", lambda f: real(f) and len(f.domain) != 2)
+    (check,) = verify.complete_iso_suite(max_n=3).checks
+    two_word_chains = sum(3 ** n - 2 ** n for n in range(1, 4))
+    assert check.detail.endswith(f", {two_word_chains} failures")
+    assert not check.passed
+    first = next(code for n in range(1, 4) for code in verify._all_chain_codes(n)
+                 if len(code) == 2)
+    assert check.counterexample["code"] == f"n={first.n};{first.to_text()}"
+    _, report = run_rerun(capsys, check.counterexample["rerun"])
+    assert report["outputs"]["code"] == first.to_json_obj()
+
+
+def test_cf_theorems_tally_counts_every_mismatch_of_a_broken_rule(capsys, monkeypatch):
+    real = verify.predict_cf
+    monkeypatch.setattr(verify, "predict_cf",
+                        lambda cf, spec: None if spec.kind == ADD_TRIVIAL_ON else real(cf, spec))
+    trials, seed, max_n = 60, 11, 2
+    result = verify.cf_theorems_suite(trials=trials, seed=seed, max_n=max_n)
+    bad = {c.name: int(c.detail.split(", ")[1].split()[0]) for c in result.checks}
+    assert bad == {f"cf-{kind}": trials if kind == ADD_TRIVIAL_ON else 0
+                   for kind in verify.CF_THEOREM_KINDS}
+    rng = random.Random(f"{seed}:{ADD_TRIVIAL_ON}")
+    draws = []
+    for _ in range(trials):
+        draws.append(verify._random_code(rng, rng.randint(1, max_n)))
+        verify._random_spec(rng, draws[-1], [ADD_TRIVIAL_ON])
+    # repeated and distinct draws, so a tally that dropped duplicates or
+    # kept the last counterexample would not match
+    assert len(set(draws)) < trials and draws[0] != draws[-1]
+    (check,) = [c for c in result.checks if c.name == f"cf-{ADD_TRIVIAL_ON}"]
+    assert check.counterexample["code"] == f"n={draws[0].n};{draws[0].to_text()}"
+    status, report = run_rerun(capsys, check.counterexample["rerun"])
+    assert status == 0
+    assert report["outputs"]["code"] == draws[0].to_json_obj()
+    assert report["outputs"]["map"] == ElementaryMap.add_trivial_on().describe()
+
+
+def test_realizations_tally_and_reruns(capsys, monkeypatch):
+    monkeypatch.setattr(verify, "cc_family", lambda m: cc_family(m + (m == 4)))
+    monkeypatch.setattr(verify, "cr_family", lambda k: cr_family(k + (k >= 5)))
+    real = verify.cf_from_intervals
+    monkeypatch.setattr(verify, "cf_from_intervals",
+                        lambda cover: None if cover.ambient == AMBIENT_UNION else real(cover))
+    covers, seed = 40, 3
+    chain, cycle, interval_cf = verify.realizations_suite(
+        max_family=6, random_covers=covers, seed=seed).checks
+    assert chain.counterexample == {"m": 4, "rerun": "neurocode realize --family cc:4"}
+    assert cycle.counterexample == {"k": 5, "rerun": "neurocode realize --family cr:5"}
+    rng = random.Random(seed)
+    drawn = [verify._random_interval_cover(rng) for _ in range(covers)]
+    union = [cover for cover in drawn if cover.ambient == AMBIENT_UNION]
+    assert 1 < len(union) < covers
+    assert interval_cf.detail == f"{covers} random covers, {len(union)} canonical-form mismatches"
+    for check, cover in [(chain, cc_m_intervals(4)), (cycle, cr_k_polygon(5))]:
+        assert not check.passed
+        _, report = run_rerun(capsys, check.counterexample["rerun"])
+        assert report["outputs"]["cover"] == cover_to_json_obj(cover)
+    realized = code_of_intervals(union[0])
+    assert interval_cf.counterexample["code"] == f"n={realized.n};{realized.to_text()}"
+    status, report = run_rerun(capsys, interval_cf.counterexample["rerun"])
+    assert status == 0
+    assert report["outputs"]["cover"] == cover_to_json_obj(union[0])
+    assert report["outputs"]["code"] == realized.to_json_obj()

@@ -37,7 +37,6 @@ from .graphs import (
     gr_complex,
     grg,
     is_complete,
-    is_connected,
     to_dot,
 )
 from .ideal import CanonicalForm, canonical_form, canonical_form_oracle, predict_cf
@@ -150,7 +149,7 @@ def _graph_summary(g) -> tuple[dict, list[str]]:
     summary = {
         "vertices": len(g.vertices),
         "edges": sum(bits.bit_count() for bits in g.nbrs) // 2,
-        "connected": is_connected(g),
+        "connected": diam != math.inf,
         "complete": is_complete(g),
         "regular": regular_k,
         "diameter": None if diam == math.inf else diam,

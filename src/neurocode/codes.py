@@ -13,6 +13,8 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
+from functools import reduce
+from operator import or_
 from typing import Iterable, Iterator, Sequence
 
 MAX_NEURONS = 64
@@ -464,12 +466,13 @@ def complete_iso(code: Code) -> CodeMap:
 
 
 def union_closure_condition(code: Code) -> bool:
-    """True iff the union of every codeword pair lies in the code's complex."""
-    masks = code.masks
-    facets = _maximal_masks(masks)
-    for i, a in enumerate(masks):
-        for b in masks[i + 1:]:
-            u = a | b
-            if not any(u & f == u for f in facets):
-                return False
-    return True
+    """True iff the union of every codeword pair lies in the code's complex.
+
+    That is, iff one codeword contains all the others. The facets of the
+    complex are the maximal codewords, and the union of two distinct facets
+    F and G lies in no facet H: F, G <= H would give F = H = G. So the
+    condition holds iff there is one facet; it then contains every codeword,
+    and every union lies in it. A word containing all the others is the
+    largest, the last of `code.masks`, and it contains all iff it equals
+    their OR."""
+    return reduce(or_, code.masks) == code.masks[-1]

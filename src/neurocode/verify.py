@@ -49,8 +49,9 @@ DEFAULT_SEED = 1729
 EXHAUSTIVE_MAX_NEURONS = 4
 # A sampled sweep draws indices below 2^(2^n) and decodes each over 2^n words.
 SAMPLED_MAX_NEURONS = 8
-# A sampled code costs 50 us (n=4, parity) to 9 ms (n=8, union-closure), so
-# the largest sampled sweep runs from about a minute to a few hours.
+# A sampled code costs 23 us (n=4, parity) to 1.2 ms (n=8, either suite) on
+# Python 3.11, 2 vCPUs, so the largest sampled sweep runs from about 25 s to
+# about 20 minutes.
 MAX_SAMPLE = 1_000_000
 # A fixed bound, not os.cpu_count(), so the exit status does not depend on
 # the machine: a pool forks all its workers at the first task.
@@ -140,46 +141,38 @@ def _parity_violation(code: Code) -> bool:
 
 
 def _union_closure_violation(code: Code) -> bool:
-    if not union_closure_condition(code):
-        return False
-    g = ccg(code)
-    return not (is_connected(g) and diameter(g) <= 2)
+    # diameter is inf on a disconnected graph
+    return union_closure_condition(code) and diameter(ccg(code)) > 2
 
 
-def _orbit_tables(n: int) -> list[list[list[int]]]:
-    """Per neuron permutation, byte-wise lookup tables that map a code index
-    (bit p set when word mask p is a codeword) to the index of the permuted
-    code: table[k][v] is the image of the index v << (8 * k). Below n=3
-    there are fewer than 8 words, and one table covers every index."""
+def _orbit_tables(n: int) -> list[tuple[list[int], list[int]]]:
+    """Per neuron permutation, a (low byte, high byte) pair of lookup tables
+    that map a code index (bit p set when word mask p is a codeword) to the
+    index of the permuted code: lo[idx & 0xFF] | hi[idx >> 8]. Up to n=3
+    there are at most 8 words, and the high table is [0]."""
+    _in_range(1, EXHAUSTIVE_MAX_NEURONS, n=n)
     words = 1 << n
     width = min(8, words)
     tables = []
     for perm in permutations(range(1, n + 1)):
         image = [permute_mask(p, perm) for p in range(words)]
         per_byte = []
-        for lo in range(0, words, width):
+        for base in range(0, words, width):
             table = [0] * (1 << width)
             for v in range(1, 1 << width):
                 low = v & -v
-                table[v] = table[v ^ low] | 1 << image[lo + low.bit_length() - 1]
+                table[v] = table[v ^ low] | 1 << image[base + low.bit_length() - 1]
             per_byte.append(table)
-        tables.append(per_byte)
+        tables.append((per_byte[0], per_byte[1] if len(per_byte) == 2 else [0]))
     return tables
 
 
-def _orbit(idx: int, tables: list[list[list[int]]]) -> set[int]:
+def _orbit(idx: int, tables: list[tuple[list[int], list[int]]]) -> set[int]:
     """The indices of every code that a neuron permutation maps `idx` to."""
-    orbit = set()
-    for per_byte in tables:
-        image, rest = 0, idx
-        for table in per_byte:
-            image |= table[rest & 0xFF]
-            rest >>= 8
-        orbit.add(image)
-    return orbit
+    return {lo[idx & 0xFF] | hi[idx >> 8] for lo, hi in tables}
 
 
-def _orbit_representatives(n: int, tables: list[list[list[int]]]):
+def _orbit_representatives(n: int, tables: list[tuple[list[int], list[int]]]):
     """Yield the smallest index of each orbit of 1..2^(2^n)-1, ascending."""
     seen = bytearray(1 << (1 << n))
     for idx in range(1, len(seen)):
@@ -267,7 +260,9 @@ parity_suite = _sweep_suite(
 union_closure_suite = _sweep_suite(
     "union-closure", _union_closure_violation,
     "Pairwise unions landing in the code's complex force a connected\n"
-    "containment graph of diameter at most 2.")
+    "containment graph of diameter at most 2. The codes that meet the union\n"
+    "condition are exactly those with a top codeword, one containing all the\n"
+    "others (see codes.union_closure_condition).")
 
 
 def _random_code(rng: random.Random, n: int) -> Code:

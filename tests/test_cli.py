@@ -457,6 +457,12 @@ VERIFY_JSON_SHA256 = [
      "f767da293575c5ffdfc1b20f6f47f9c7e47a81d8d55c5d146d0e4cf5149810d9"),
     (["union-closure", "--n", "5", "--sample", "500", "--seed", "3", "--jobs", "2"],
      "8c278ce1479f59a96c26ab56c9604f8aef6cc786b5d6e5a256df7755cf278f8b"),
+    # Recorded while union_closure_condition still tested every codeword
+    # pair against every facet and diameter ran a search from every vertex.
+    (["union-closure", "--n", "8", "--sample", "200", "--seed", "11"],
+     "031b973d814dff26569eb3f2c0eba4dad469db891ff3267dfa8a431a22ea7455"),
+    (["union-closure", "--n", "6", "--sample", "1000", "--seed", "2", "--jobs", "2"],
+     "ca10de5a4c38f588ccdccdec8beff433db199d335d481b1fdecc6e41ad01caa2"),
 ]
 
 

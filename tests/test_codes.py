@@ -2,10 +2,13 @@
 
 import random
 import re
+from functools import reduce
 from itertools import permutations, product
+from operator import or_
 
 import pytest
 
+from neurocode import verify
 from neurocode.codes import (
     Code,
     CodeMap,
@@ -559,3 +562,27 @@ class TestUnionClosure:
         assert not union_closure_condition(
             code(5, (1, 3), (1, 2, 5), (1, 2, 3, 5), (1, 2, 4, 5)))
         assert union_closure_condition(code(3, (1, 3)))
+
+    def test_matches_definition(self):
+        # every code on n <= 3, the smallest code of each relabeling orbit
+        # at n = 4, and 1000 random codes on 5..8 neurons, half of them
+        # given the OR of their words so that both answers occur often
+        codes = [verify._code_from_index(n, idx)
+                 for n in (1, 2, 3) for idx in range(1, 1 << (1 << n))]
+        codes += [verify._code_from_index(4, idx)
+                  for idx in verify._orbit_representatives(4, verify._orbit_tables(4))]
+        rng = random.Random(67)
+        for i in range(1000):
+            n = rng.randint(5, 8)
+            masks = rng.sample(range(1 << n), rng.randint(1, 24))
+            if i % 2:
+                masks.append(reduce(or_, masks))
+            codes.append(Code.from_masks(n, masks))
+        answers = [union_closure_condition(c) for c in codes]
+        assert answers == [unions_in_codewords(c.masks) for c in codes]
+        assert 0.2 < sum(answers[-1000:]) / 1000 < 0.8
+
+
+def unions_in_codewords(masks):
+    """The definition: every pairwise union lies inside some codeword."""
+    return all(any(a | b | w == w for w in masks) for a in masks for b in masks)

@@ -7,6 +7,7 @@ from itertools import product as iproduct
 
 import pytest
 
+from neurocode import graphs
 from neurocode.codes import (
     Code,
     ElementaryMap,
@@ -220,6 +221,50 @@ class TestQueriesAgainstFloydWarshall:
             n = rng.randint(1, 6)
             assert_queries_match_floyd_warshall(grg(random_cf(rng, n, max_elements=6)))
             assert_queries_match_floyd_warshall(grg(canonical_form(random_code(rng, n))))
+
+    def test_random_and_named_graphs(self):
+        # 0-14 vertices, sparse to dense, with and without a universal
+        # vertex, in two components, and paths, cycles and complete graphs
+        rng = random.Random(61)
+        for m in range(15):
+            path = [(i, i + 1) for i in range(m - 1)]
+            cycle = path + [(m - 1, 0)] if m >= 3 else path
+            complete = [(i, j) for i in range(m) for j in range(i + 1, m)]
+            for edges in (path, cycle, complete):
+                assert_queries_match_floyd_warshall(graph_of(m, edges))
+            for density in (0.1, 0.25, 0.5, 0.8):
+                for _ in range(3):
+                    edges = [e for e in complete if rng.random() < density]
+                    assert_queries_match_floyd_warshall(graph_of(m, edges))
+                    if m:
+                        hub = rng.randrange(m)
+                        star = [(hub, v) for v in range(m) if v != hub]
+                        assert_queries_match_floyd_warshall(graph_of(m, edges + star))
+                    cut = rng.randint(0, m)
+                    apart = [(u, v) for u, v in edges if (u < cut) == (v < cut)]
+                    assert_queries_match_floyd_warshall(graph_of(m, apart))
+
+    def test_diameter_stops_on_eccentricity_bounds(self, monkeypatch):
+        # {1,2} is adjacent to both other words: its search gives 1 <= D <= 2,
+        # and the next, from {1}, gives D >= 2
+        calls, layers = [], graphs._layers
+
+        def counted(g, start):
+            calls.append(start)
+            return layers(g, start)
+
+        monkeypatch.setattr(graphs, "_layers", counted)
+        assert diameter(ccg(parse_code("n=2;{1};{2};{1,2}"))) == 2
+        assert len(calls) <= 2
+
+
+def graph_of(m, edges):
+    """The graph on vertices 0..m-1 with the given edges."""
+    nbrs = [0] * m
+    for u, v in edges:
+        nbrs[u] |= 1 << v
+        nbrs[v] |= 1 << u
+    return CodeGraph(tuple(range(m)), tuple(nbrs))
 
 
 def gr_member_by_gamma_products(cf, sigma_mask):

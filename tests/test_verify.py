@@ -86,6 +86,13 @@ def test_orbits_partition_codes_with_smallest_representative(n):
     assert covered == set(range(1, 1 << (1 << n)))
 
 
+def test_orbit_tables_are_byte_pairs_up_to_the_exhaustive_cap():
+    assert all(hi == [0] for _, hi in _orbit_tables(3))
+    assert all(len(lo) == len(hi) == 256 for lo, hi in _orbit_tables(4))
+    with pytest.raises(ValueError, match="n must be at most 4, got 5"):
+        _orbit_tables(5)
+
+
 PREDICATES = (small_connected, odd_size)
 
 

@@ -37,8 +37,11 @@ def cf_of(n, *elements):
 
 
 # fold work of cr:64: the form's size plus |grow| * |kept|, summed over its
-# update steps
-CR64_WORK = 385057
+# update steps, with the codewords taken in ascending mask order
+CR64_WORK = 216448
+# the same for a sparse code: 32 random words on 10 neurons
+SPARSE_N10 = Code.from_masks(10, random.Random(1).sample(range(1 << 10), 32))
+SPARSE_N10_WORK = 131103
 
 
 def random_code(rng, n):
@@ -183,14 +186,30 @@ class TestCanonicalForm:
         for c in codes:
             assert canonical_form(c) == canonical_form_oracle(c), c.to_text()
 
-    def test_work_limit_is_exact_on_cr64(self, monkeypatch):
-        # cr:64 takes exactly CR64_WORK units; pinning the count keeps a
+    @pytest.mark.parametrize("code, work, reference", [
+        pytest.param(cr_family(64), CR64_WORK, lambda code: cf_cr_formula(64), id="cr64"),
+        pytest.param(SPARSE_N10, SPARSE_N10_WORK, canonical_form_oracle, id="random-n10"),
+    ])
+    def test_work_limit_is_exact(self, monkeypatch, code, work, reference):
+        # the code takes exactly `work` units; pinning the count keeps a
         # change to the fold from silently changing what the limit admits
-        monkeypatch.setattr(ideal, "CF_MAX_WORK", CR64_WORK - 1)
-        with pytest.raises(ValueError, match=f"fold passed {CR64_WORK - 1} units"):
-            canonical_form(cr_family(64))
-        monkeypatch.setattr(ideal, "CF_MAX_WORK", CR64_WORK)
-        assert canonical_form(cr_family(64)) == cf_cr_formula(64)
+        monkeypatch.setattr(ideal, "CF_MAX_WORK", work - 1)
+        with pytest.raises(ValueError, match=f"fold passed {work - 1} units"):
+            canonical_form(code)
+        monkeypatch.setattr(ideal, "CF_MAX_WORK", work)
+        assert canonical_form(code) == reference(code)
+
+    def test_matches_oracle_on_dense_codes(self):
+        # dense codes are where the fold's codeword order moves its work
+        # most: random codes holding at least 3/4 of all words, and every
+        # full code with one word removed
+        rng = random.Random(31)
+        codes = [Code.from_masks(n, rng.sample(range(1 << n), rng.randint(3 << n >> 2, 1 << n)))
+                 for n in (5, 6, 7) for _ in range(6)]
+        codes += [Code.from_masks(n, [w for w in range(1 << n) if w != v])
+                  for n in range(1, 8) for v in range(1 << n)]
+        for c in codes:
+            assert canonical_form(c) == canonical_form_oracle(c), c.to_text()
 
     @pytest.mark.parametrize("n", [1, 4, 8, 10])
     def test_closed_form_edge_cases(self, n):

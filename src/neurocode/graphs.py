@@ -61,9 +61,10 @@ def ccg(code: Code) -> CodeGraph:
     return CodeGraph(masks, tuple(nbrs))
 
 
-def _layers(g: CodeGraph, start: int) -> list[int]:
+def _layers(nbrs, start: int) -> list[int]:
     """Breadth-first layers from position `start`, each a bitset of
-    positions; layer d holds the vertices at distance d."""
+    positions; `nbrs[i]` is the bitset of the positions adjacent to i, and
+    layer d holds the positions at distance d."""
     seen = frontier = 1 << start
     layers = []
     while frontier:
@@ -71,7 +72,7 @@ def _layers(g: CodeGraph, start: int) -> list[int]:
         reached = 0
         while frontier:
             low = frontier & -frontier
-            reached |= g.nbrs[low.bit_length() - 1]
+            reached |= nbrs[low.bit_length() - 1]
             frontier ^= low
         frontier = reached & ~seen
         seen |= frontier
@@ -80,7 +81,7 @@ def _layers(g: CodeGraph, start: int) -> list[int]:
 
 def is_connected(g: CodeGraph) -> bool:
     # the layers are disjoint, so their sum is the bitset of reached positions
-    return not g.vertices or sum(_layers(g, 0)) == (1 << len(g.vertices)) - 1
+    return not g.vertices or sum(_layers(g.nbrs, 0)) == (1 << len(g.vertices)) - 1
 
 
 def is_complete(g: CodeGraph) -> bool:
@@ -96,23 +97,37 @@ def distance(g: CodeGraph, u, v) -> int | float:
     if u not in g.vertices or v not in g.vertices:
         raise ValueError(f"unknown vertex in distance query: {u!r}, {v!r}")
     target = 1 << g.vertices.index(v)
-    for d, layer in enumerate(_layers(g, g.vertices.index(u))):
+    for d, layer in enumerate(_layers(g.nbrs, g.vertices.index(u))):
         if layer & target:
             return d
     return math.inf
 
 
 def diameter(g: CodeGraph) -> int | float:
-    """Largest pairwise distance; 0 for a single vertex, inf if disconnected.
+    """Largest pairwise distance; 0 for a single vertex, inf if disconnected."""
+    return _diameter(g.nbrs, (1 << len(g.vertices)) - 1)
+
+
+def _diameter(nbrs, everyone: int) -> int | float:
+    """Diameter of the graph on the positions in the bitset `everyone`, whose
+    neighbours `nbrs[i]` all lie in `everyone`; 0 when it has at most one
+    position, inf if it is disconnected.
 
     Every eccentricity e(v) satisfies e(v) <= D <= 2 e(v), so searches run
-    from the vertices in descending degree order (ties by position) and stop
-    once the largest eccentricity seen equals twice the smallest (Takes and
-    Kosters, "Determining the diameter of small world networks", CIKM 2011).
+    from the positions in descending degree order (ties by position) and
+    stop once the largest eccentricity seen equals twice the smallest (Takes
+    and Kosters, "Determining the diameter of small world networks", CIKM
+    2011).
     """
-    everyone, lower, upper = (1 << len(g.vertices)) - 1, 0, math.inf
-    for i in sorted(range(len(g.nbrs)), key=lambda i: g.nbrs[i].bit_count(), reverse=True):
-        layers = _layers(g, i)
+    positions = []
+    bits = everyone
+    while bits:
+        low = bits & -bits
+        positions.append(low.bit_length() - 1)
+        bits ^= low
+    lower, upper = 0, math.inf
+    for i in sorted(positions, key=lambda i: nbrs[i].bit_count(), reverse=True):
+        layers = _layers(nbrs, i)
         if sum(layers) != everyone:
             return math.inf
         ecc = len(layers) - 1

@@ -28,9 +28,8 @@ from .codes import (
     is_isomorphism,
     permute_mask,
     submasks,
-    union_closure_condition,
 )
-from .graphs import ccg, diameter, grg, is_connected, is_complete, is_regular
+from .graphs import _diameter, _layers, ccg, grg, is_connected, is_complete, is_regular
 from .ideal import canonical_form, predict_cf
 from .realization import (
     AMBIENT_LINE,
@@ -49,9 +48,10 @@ DEFAULT_SEED = 1729
 EXHAUSTIVE_MAX_NEURONS = 4
 # A sampled sweep draws indices below 2^(2^n) and decodes each over 2^n words.
 SAMPLED_MAX_NEURONS = 8
-# A sampled code costs 23 us (n=4, parity) to 1.2 ms (n=8, either suite) on
-# Python 3.11, 2 vCPUs, so the largest sampled sweep runs from about 25 s to
-# about 20 minutes.
+# A sampled code costs about 1-2 us for parity at any n (most codes fail the
+# degree test on their first word) and 5 us (n=4) to 75-90 us (n=8) for
+# union-closure, on Python 3.11, 2 vCPUs, so the largest sampled sweep runs
+# from about 2 s to about 1.5 minutes.
 MAX_SAMPLE = 1_000_000
 # A fixed bound, not os.cpu_count(), so the exit status does not depend on
 # the machine: a pool forks all its workers at the first task.
@@ -133,16 +133,46 @@ def _tally(counterexamples) -> tuple[int, dict | None]:
     return (0 if first is None else 1 + sum(1 for _ in it)), first
 
 
-def _parity_violation(code: Code) -> bool:
-    if len(code) <= 3 or len(code) % 2 == 0:
+def _comparable(n: int) -> list[int]:
+    """Per word mask w on n neurons, the bitset of the other word masks
+    comparable to w, that is, strictly inside or strictly around it. Masking
+    entry w with a code index (bit w set when word mask w is a codeword)
+    gives the neighbours of w in the code's containment graph."""
+    comparable = [0] * (1 << n)
+    for w in range(1 << n):
+        for s in submasks(w):
+            if s != w:
+                comparable[w] |= 1 << s
+                comparable[s] |= 1 << w
+    return comparable
+
+
+def _parity_violation(idx: int, comparable: list[int]) -> bool:
+    """The code with index `idx` has an odd number of codewords above 3 and
+    a connected 2-regular containment graph."""
+    m = idx.bit_count()
+    if m <= 3 or m % 2 == 0:
         return False
-    g = ccg(code)
-    return is_regular(g, 2) and is_connected(g)
+    bits = idx
+    while bits:
+        low = bits & -bits
+        if (comparable[low.bit_length() - 1] & idx).bit_count() != 2:
+            return False
+        bits ^= low
+    nbrs = [c & idx for c in comparable]
+    return sum(_layers(nbrs, (idx & -idx).bit_length() - 1)) == idx
 
 
-def _union_closure_violation(code: Code) -> bool:
-    # diameter is inf on a disconnected graph
-    return union_closure_condition(code) and diameter(ccg(code)) > 2
+def _union_closure_violation(idx: int, comparable: list[int]) -> bool:
+    """The code with index `idx` has a top codeword, one containing all the
+    others, and a containment graph of diameter above 2 (inf when it is
+    disconnected). A top codeword is the OR of the codewords, so it is the
+    largest mask present; that mask is the top iff it is comparable to
+    every other codeword, since a word strictly around it would be larger."""
+    top = idx.bit_length() - 1
+    if comparable[top] & idx != idx ^ 1 << top:
+        return False
+    return _diameter([c & idx for c in comparable], idx) > 2
 
 
 def _orbit_tables(n: int) -> list[tuple[list[int], list[int]]]:
@@ -175,16 +205,20 @@ def _orbit(idx: int, tables: list[tuple[list[int], list[int]]]) -> set[int]:
 def _orbit_representatives(n: int, tables: list[tuple[list[int], list[int]]]):
     """Yield the smallest index of each orbit of 1..2^(2^n)-1, ascending."""
     seen = bytearray(1 << (1 << n))
-    for idx in range(1, len(seen)):
-        if not seen[idx]:
-            for j in _orbit(idx, tables):
-                seen[j] = 1
-            yield idx
+    idx = seen.find(0, 1)
+    while idx > 0:
+        for j in _orbit(idx, tables):
+            seen[j] = 1
+        yield idx
+        idx = seen.find(0, idx + 1)
 
 
 def _sweep_chunk(args: tuple) -> list[int]:
+    """The indices among `indices` on which `violation(idx, comparable)`
+    holds, with the comparability table of n neurons built once."""
     violation, n, indices = args
-    return [idx for idx in indices if violation(_code_from_index(n, idx))]
+    comparable = _comparable(n)
+    return [idx for idx in indices if violation(idx, comparable)]
 
 
 def _run_sweep(violation, n: int, exhaustive: bool, sample: int | None,
@@ -229,9 +263,12 @@ def _sweep_suite(name: str, violation, doc: str):
     all of them when `exhaustive`, which by default means no `sample` and
     n <= EXHAUSTIVE_MAX_NEURONS, else `sample` (default 10000) seeded ones.
 
-    `violation` must give the same answer on a code and on every code a
-    neuron permutation maps it to: an exhaustive sweep tests one code per
-    orbit and reports the answer for all of them."""
+    `violation(idx, comparable)` tests the code with index `idx` against
+    the `_comparable(n)` table, with no Code built; only the violating
+    codes become Codes, for their counterexamples. It must give the same
+    answer on a code and on every code a neuron permutation maps it to: an
+    exhaustive sweep tests one code per orbit and reports the answer for
+    all of them."""
     def suite(n: int = 3, exhaustive: bool | None = None, sample: int | None = None,
               seed: int = DEFAULT_SEED, jobs: int = 1) -> SuiteResult:
         _in_range(1, n=n)

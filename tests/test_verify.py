@@ -3,9 +3,11 @@ code, sampled ones over the seeded draws, for every worker count; and each
 suite's failure count, first counterexample and its replayable rerun."""
 
 import json
+import math
 import random
 import shlex
-from functools import lru_cache
+from functools import lru_cache, reduce
+from operator import or_
 from itertools import permutations
 
 import pytest
@@ -21,7 +23,7 @@ from neurocode.codes import (
     cr_family,
     union_closure_condition,
 )
-from neurocode.graphs import ccg, diameter, is_complete, is_connected, is_regular
+from neurocode.graphs import _diameter, ccg, diameter, is_complete, is_connected, is_regular
 from neurocode.realization import (
     AMBIENT_UNION,
     cc_m_intervals,
@@ -30,6 +32,7 @@ from neurocode.realization import (
     cr_k_polygon,
 )
 from neurocode.verify import (
+    _comparable,
     _orbit,
     _orbit_representatives,
     _orbit_tables,
@@ -58,13 +61,31 @@ def brute_orbit(n, idx):
 
 
 # Permutation-invariant predicates that do have violations, at module level
-# so that `jobs=2` workers can unpickle them.
-def small_connected(code):
-    return len(code) in (3, 5, 6) and is_connected(ccg(code))
+# so that `jobs=2` workers can unpickle them. Like the sweep predicates they
+# test a code index against the comparability table; CODE_TESTS holds the
+# same test on a Code, which brute force runs through brute_code and ccg.
+def small_connected(idx, comparable):
+    if idx.bit_count() not in (3, 5, 6):
+        return False
+    reached = idx & -idx
+    while True:
+        grown = reached
+        for w, around in enumerate(comparable):
+            if reached >> w & 1:
+                grown |= around & idx
+        if grown == reached:
+            return reached == idx
+        reached = grown
 
 
-def odd_size(code):
-    return len(code) % 2 == 1
+def odd_size(idx, comparable):
+    return idx.bit_count() % 2 == 1
+
+
+CODE_TESTS = {
+    small_connected: lambda code: len(code) in (3, 5, 6) and is_connected(ccg(code)),
+    odd_size: lambda code: len(code) % 2 == 1,
+}
 
 
 @pytest.mark.parametrize("n, count", [(1, 3), (2, 11), (3, 79), (4, 3983)])
@@ -103,7 +124,7 @@ def brute_violations(n):
     for idx in range(1, 1 << (1 << n)):
         code = brute_code(n, idx)
         for predicate in PREDICATES:
-            if predicate(code):
+            if CODE_TESTS[predicate](code):
                 bad[predicate].append(idx)
     return bad
 
@@ -123,7 +144,7 @@ def test_run_sweep_matches_brute_force(n, predicate):
 def test_sampled_sweep_same_for_every_jobs(n, sample, seed, predicate):
     rng = random.Random(seed)
     draws = [rng.randrange(1, 1 << (1 << n)) for _ in range(sample)]
-    expected = sorted(idx for idx in draws if predicate(brute_code(n, idx)))
+    expected = sorted(idx for idx in draws if CODE_TESTS[predicate](brute_code(n, idx)))
     assert expected
     for jobs in (1, 2, 3):
         assert _run_sweep(predicate, n, False, sample, seed, jobs) == (sample, expected)
@@ -176,8 +197,10 @@ def test_known_violation_counts():
 
 def structure(code):
     g = ccg(code)
-    return (_parity_violation(code), _union_closure_violation(code), len(code),
-            union_closure_condition(code), is_connected(g), is_regular(g, 2), diameter(g))
+    idx, comparable = sum(1 << w for w in code.masks), _comparable(code.n)
+    return (_parity_violation(idx, comparable), _union_closure_violation(idx, comparable),
+            len(code), union_closure_condition(code), is_connected(g), is_regular(g, 2),
+            diameter(g))
 
 
 @pytest.mark.parametrize("n", [1, 2, 3])
@@ -190,6 +213,79 @@ def test_sweep_predicates_invariant_under_permutation(n):
         for spec in maps:
             image, _ = apply_elementary_map(code, spec)
             assert structure(image) == expected, (code.to_text(), spec.describe())
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+def test_comparable_table_matches_definition(n):
+    words = range(1 << n)
+    assert _comparable(n) == [sum(1 << v for v in words if v != w and v & w in (v, w))
+                              for w in words]
+
+
+def oracle(n, idx):
+    """(parity violation, union-closure violation, diameter) of the code
+    with index `idx`, from the definitions alone: an edge wherever one
+    codeword strictly contains another, distances by Floyd-Warshall, and a
+    top codeword as one containing every codeword."""
+    words = [w for w in range(1 << n) if idx >> w & 1]
+    dist = [[0 if v == w else 1 if v & w in (v, w) else math.inf for w in words]
+            for v in words]
+    degrees = [row.count(1) for row in dist]
+    for k, through in enumerate(dist):
+        for row in dist:
+            for j, d in enumerate(through):
+                if row[k] + d < row[j]:
+                    row[j] = row[k] + d
+    diam = max(max(row) for row in dist)
+    m = len(words)
+    top = any(all(v & w == v for v in words) for w in words)
+    return m > 3 and m % 2 == 1 and set(degrees) == {2} and diam < math.inf, \
+        top and diam > 2, diam
+
+
+def shifted(code, by):
+    return [w << by for w in code.masks]
+
+
+def differential_codes(n):
+    """Code indices for the oracle test on n neurons: every code for n <= 3,
+    every orbit representative at n = 4, and for larger n the cycle code,
+    two cycle codes on disjoint neurons and a 3-word chain beside a cycle
+    code (2-regular but disconnected, evenly and oddly many words), chain
+    codes, and seeded random codes, every other one with the OR of its
+    words added."""
+    if n <= 3:
+        return range(1, 1 << (1 << n))
+    if n == 4:
+        return list(_orbit_representatives(4, _orbit_tables(4)))
+    rng = random.Random(f"differential:{n}")
+    codes = [cr_family(n).masks, [(1 << i) - 1 for i in range(n + 1)]]
+    codes += [verify._random_chain_code(rng, n).masks for _ in range(20)]
+    if n >= 6:
+        codes.append([*cr_family(3).masks, *shifted(cr_family(n - 3), 3)])
+        codes.append([1, 3, 7, *shifted(cr_family(n - 3), 3)])
+    for i in range(200):
+        words = rng.sample(range(1 << n), rng.randint(1, 24))
+        if i % 2:
+            words.append(reduce(or_, words))
+        codes.append(words)
+    return [sum(1 << w for w in set(words)) for words in codes]
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6, 7, 8])
+def test_sweep_predicates_match_definitions(n):
+    comparable = _comparable(n)
+    seen = set()
+    for idx in differential_codes(n):
+        parity, union, diam = oracle(n, idx)
+        assert _parity_violation(idx, comparable) == parity, (n, idx)
+        assert _union_closure_violation(idx, comparable) == union, (n, idx)
+        assert _diameter([c & idx for c in comparable], idx) == diam, (n, idx)
+        seen.add(diam)
+    # the codes reach disconnected graphs from n = 2 on and, from n = 3 on,
+    # finite diameters above 2, which the union-closure check must not report
+    assert n == 1 or math.inf in seen
+    assert n <= 2 or max(seen - {math.inf}) > 2
 
 
 @pytest.mark.parametrize("n", [1, 2, 5, 62, 63, 64])

@@ -175,62 +175,51 @@ def _union_closure_violation(idx: int, comparable: list[int]) -> bool:
     return _diameter([c & idx for c in comparable], idx) > 2
 
 
-def _orbit_tables(n: int) -> list[tuple[list[int], list[int]]]:
-    """Per neuron permutation, a (low byte, high byte) pair of lookup tables
-    that map a code index (bit p set when word mask p is a codeword) to the
-    index of the permuted code: lo[idx & 0xFF] | hi[idx >> 8]. Up to n=3
-    there are at most 8 words, and the high table is [0]."""
+def _orbits(n: int):
+    """Yield (smallest index, size) for each orbit of the code indices
+    1..2^(2^n)-1 (bit p set when word mask p is a codeword) under neuron
+    permutations, in ascending index order; the sizes sum to 2^(2^n)-1.
+    Each permutation maps an index through a low-byte and a high-byte
+    table of OR-ed word images: lo[idx & 0xFF] | hi[idx >> 8]."""
     _in_range(1, EXHAUSTIVE_MAX_NEURONS, n=n)
-    words = 1 << n
-    width = min(8, words)
     tables = []
     for perm in permutations(range(1, n + 1)):
-        image = [permute_mask(p, perm) for p in range(words)]
-        per_byte = []
-        for base in range(0, words, width):
-            table = [0] * (1 << width)
-            for v in range(1, 1 << width):
-                low = v & -v
-                table[v] = table[v ^ low] | 1 << image[base + low.bit_length() - 1]
-            per_byte.append(table)
-        tables.append((per_byte[0], per_byte[1] if len(per_byte) == 2 else [0]))
-    return tables
-
-
-def _orbit(idx: int, tables: list[tuple[list[int], list[int]]]) -> set[int]:
-    """The indices of every code that a neuron permutation maps `idx` to."""
-    return {lo[idx & 0xFF] | hi[idx >> 8] for lo, hi in tables}
-
-
-def _orbit_representatives(n: int, tables: list[tuple[list[int], list[int]]]):
-    """Yield the smallest index of each orbit of 1..2^(2^n)-1, ascending."""
+        lo, hi = [0], [0]
+        for p in range(1 << n):
+            part, image = lo if p < 8 else hi, 1 << permute_mask(p, perm)
+            part += [v | image for v in part]
+        tables.append((lo, hi))
     seen = bytearray(1 << (1 << n))
     idx = seen.find(0, 1)
     while idx > 0:
-        for j in _orbit(idx, tables):
+        orbit = {lo[idx & 0xFF] | hi[idx >> 8] for lo, hi in tables}
+        for j in orbit:
             seen[j] = 1
-        yield idx
+        yield idx, len(orbit)
         idx = seen.find(0, idx + 1)
 
 
-def _sweep_chunk(args: tuple) -> list[int]:
-    """The indices among `indices` on which `violation(idx, comparable)`
-    holds, with the comparability table of n neurons built once."""
-    violation, n, indices = args
+def _sweep_chunk(args: tuple) -> tuple[int, int | None]:
+    """(summed weight, smallest index) of the (index, weight) draws on
+    which `violation(idx, comparable)` holds, with the comparability table
+    of n neurons built once; the index is None when none does."""
+    violation, n, draws = args
     comparable = _comparable(n)
-    return [idx for idx in indices if violation(idx, comparable)]
+    hits = [(idx, weight) for idx, weight in draws if violation(idx, comparable)]
+    return sum(weight for _, weight in hits), min((idx for idx, _ in hits), default=None)
 
 
 def _run_sweep(violation, n: int, exhaustive: bool, sample: int | None,
-               seed: int, jobs: int) -> tuple[int, list[int]]:
-    """Run an all-codes sweep; returns (scanned, violating code indices).
+               seed: int, jobs: int) -> tuple[int, int, int | None]:
+    """Run an all-codes sweep; returns (scanned, violating codes, smallest
+    violating index or None).
 
     An exhaustive sweep tests one code per orbit under neuron permutations,
-    its smallest index, and counts a violation for every code in the orbit,
-    so the result is the one a test of every code would give. A sampled
-    sweep tests `sample` seeded indices. With `jobs > 1` the parent draws
-    the indices in the same order and splits them between workers, so the
-    result does not depend on `jobs`."""
+    its smallest index, and a violating orbit counts by its size, so the
+    result is the one a test of every code would give. A sampled sweep
+    tests `sample` seeded indices, each counting once. With `jobs > 1` the
+    parent draws the indices in the same order and splits them between
+    workers, so the result does not depend on `jobs`."""
     cap = EXHAUSTIVE_MAX_NEURONS if exhaustive else SAMPLED_MAX_NEURONS
     if n > cap:
         kind = "exhaustive" if exhaustive else "sampled"
@@ -238,24 +227,21 @@ def _run_sweep(violation, n: int, exhaustive: bool, sample: int | None,
     total = 1 << (1 << n)
     if exhaustive:
         scanned = total - 1
-        tables = _orbit_tables(n)
-        indices = _orbit_representatives(n, tables)
+        draws = _orbits(n)
     else:
         scanned = sample if sample is not None else 10000
         rng = random.Random(seed)
-        indices = (rng.randrange(1, total) for _ in range(scanned))
+        draws = ((rng.randrange(1, total), 1) for _ in range(scanned))
     if jobs > 1:
-        indices = list(indices)
-        chunk = len(indices) // (jobs * 8) + 1
-        tasks = [(violation, n, indices[lo:lo + chunk])
-                 for lo in range(0, len(indices), chunk)]
+        draws = list(draws)
+        chunk = len(draws) // (jobs * 8) + 1
+        tasks = [(violation, n, draws[lo:lo + chunk]) for lo in range(0, len(draws), chunk)]
         with ProcessPoolExecutor(max_workers=min(jobs, len(tasks))) as pool:
-            hits = [idx for part in pool.map(_sweep_chunk, tasks) for idx in part]
+            parts = list(pool.map(_sweep_chunk, tasks))
     else:
-        hits = _sweep_chunk((violation, n, indices))
-    if exhaustive:
-        hits = [j for idx in hits for j in _orbit(idx, tables)]
-    return scanned, sorted(hits)
+        parts = [_sweep_chunk((violation, n, draws))]
+    firsts = [first for _, first in parts if first is not None]
+    return scanned, sum(bad for bad, _ in parts), min(firsts, default=None)
 
 
 def _sweep_suite(name: str, violation, doc: str):
@@ -264,11 +250,12 @@ def _sweep_suite(name: str, violation, doc: str):
     n <= EXHAUSTIVE_MAX_NEURONS, else `sample` (default 10000) seeded ones.
 
     `violation(idx, comparable)` tests the code with index `idx` against
-    the `_comparable(n)` table, with no Code built; only the violating
-    codes become Codes, for their counterexamples. It must give the same
-    answer on a code and on every code a neuron permutation maps it to: an
-    exhaustive sweep tests one code per orbit and reports the answer for
-    all of them."""
+    the `_comparable(n)` table, with no Code built; only the smallest
+    violating code becomes a Code, for the counterexample. It must give the
+    same answer on a code and on every code a neuron permutation maps it
+    to: an exhaustive sweep tests one code per orbit, and a violating orbit
+    counts by its size. This weighted count, not `_tally`, is the sweeps'
+    failure count, since one failing case stands for a whole orbit."""
     def suite(n: int = 3, exhaustive: bool | None = None, sample: int | None = None,
               seed: int = DEFAULT_SEED, jobs: int = 1) -> SuiteResult:
         _in_range(1, n=n)
@@ -276,10 +263,11 @@ def _sweep_suite(name: str, violation, doc: str):
         _in_range(1, MAX_JOBS, jobs=jobs)
         if exhaustive is None:
             exhaustive = sample is None and n <= EXHAUSTIVE_MAX_NEURONS
-        scanned, hits = _run_sweep(violation, n, exhaustive, sample, seed, jobs)
-        codes = (_code_from_index(n, idx) for idx in hits)
-        bad, counter = _tally(_counterexample(code, "graph", "ccg", code, suite=name)
-                              for code in codes)
+        scanned, bad, first = _run_sweep(violation, n, exhaustive, sample, seed, jobs)
+        counter = None
+        if first is not None:
+            code = _code_from_index(n, first)
+            counter = _counterexample(code, "graph", "ccg", code, suite=name)
         params = {"n": n, "exhaustive": exhaustive, "sample": sample, "seed": seed}
         return SuiteResult(name, params, [Check(
             f"{name}-n{n}", bad == 0, f"{scanned} codes scanned, {bad} violations", counter)])
@@ -299,7 +287,10 @@ union_closure_suite = _sweep_suite(
     "Pairwise unions landing in the code's complex force a connected\n"
     "containment graph of diameter at most 2. The codes that meet the union\n"
     "condition are exactly those with a top codeword, one containing all the\n"
-    "others (see codes.union_closure_condition).")
+    "others (see codes.union_closure_condition). So no violation can occur: a\n"
+    "top codeword is adjacent to every other codeword, so the diameter is at\n"
+    "most 2. The sweep stays as a differential check of _comparable and\n"
+    "_diameter.")
 
 
 def _random_code(rng: random.Random, n: int) -> Code:
@@ -450,8 +441,8 @@ def cf_theorems_suite(trials: int = 200, seed: int = DEFAULT_SEED,
 def grg_families_suite(max_m: int = 10, max_k: int = 10) -> SuiteResult:
     """Relationship graphs of the named families: edgeless for chains,
     a single cycle for the cyclic codes."""
-    _in_range(3, max_m=max_m)
-    _in_range(4, max_k=max_k)
+    _in_range(3, MAX_NEURONS + 1, max_m=max_m)  # cc:m has m - 1 neurons
+    _in_range(4, MAX_NEURONS, max_k=max_k)
     chains = ((m, grg(canonical_form(cc_family(m)))) for m in range(3, max_m + 1))
     cycles = ((k, grg(canonical_form(cr_family(k)))) for k in range(4, max_k + 1))
     bad_m, counter_m = _tally({"m": m, "rerun": f"neurocode graph grg --family cc:{m}"}
@@ -482,7 +473,7 @@ def realizations_suite(max_family: int = 12, random_covers: int = 100,
                        seed: int = DEFAULT_SEED) -> SuiteResult:
     """Exact realized codes of the two constructive families, plus the
     cover-to-canonical-form theorem on random interval covers."""
-    _in_range(3, max_family=max_family)
+    _in_range(3, MAX_NEURONS, max_family=max_family)
     _in_range(1, random_covers=random_covers)
     bad_m, counter_m = _tally({"m": m, "rerun": f"neurocode realize --family cc:{m}"}
                               for m in range(2, max_family + 1)

@@ -500,7 +500,10 @@ REJECTED_VERIFY = [
     (["cf-theorems", "--n", "1"], ["--n 1", "max_n must be at least 2"]),
     (["grg-families", "--max", "2"], ["--max 2", "max_m must be at least 3"]),
     (["grg-families", "--max", "3"], ["--max 3", "max_k must be at least 4"]),
+    (["grg-families", "--max", "65"], ["max_k must be at most 64, got 65 (from --max 65)"]),
     (["realizations", "--max", "2"], ["--max 2", "max_family must be at least 3"]),
+    (["realizations", "--max", "65"],
+     ["max_family must be at most 64, got 65 (from --max 65)"]),
     (["realizations", "--trials", "0"],
      ["--trials 0", "random_covers must be at least 1"]),
     (["parity", "--max", "4"], ["--max does not apply"]),

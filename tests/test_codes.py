@@ -569,8 +569,7 @@ class TestUnionClosure:
         # given the OR of their words so that both answers occur often
         codes = [verify._code_from_index(n, idx)
                  for n in (1, 2, 3) for idx in range(1, 1 << (1 << n))]
-        codes += [verify._code_from_index(4, idx)
-                  for idx in verify._orbit_representatives(4, verify._orbit_tables(4))]
+        codes += [verify._code_from_index(4, idx) for idx, _ in verify._orbits(4)]
         rng = random.Random(67)
         for i in range(1000):
             n = rng.randint(5, 8)

@@ -33,12 +33,11 @@ from neurocode.realization import (
 )
 from neurocode.verify import (
     _comparable,
-    _orbit,
-    _orbit_representatives,
-    _orbit_tables,
+    _orbits,
     _parity_violation,
     _random_spec,
     _run_sweep,
+    _sweep_suite,
     _union_closure_violation,
 )
 
@@ -90,28 +89,26 @@ CODE_TESTS = {
 
 @pytest.mark.parametrize("n, count", [(1, 3), (2, 11), (3, 79), (4, 3983)])
 def test_orbit_counts(n, count):
-    assert sum(1 for _ in _orbit_representatives(n, _orbit_tables(n))) == count
+    orbits = list(_orbits(n))
+    assert len(orbits) == count
+    assert sum(size for _, size in orbits) == (1 << (1 << n)) - 1
+    assert [rep for rep, _ in orbits] == sorted({rep for rep, _ in orbits})
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4])
 def test_orbits_partition_codes_with_smallest_representative(n):
-    tables = _orbit_tables(n)
-    covered = set()
-    for rep in _orbit_representatives(n, tables):
-        orbit = _orbit(rep, tables)
-        assert min(orbit) == rep
-        assert not orbit & covered
-        covered |= orbit
+    for rep, size in _orbits(n):
         if n <= 3 or rep % 97 == 0:
-            assert orbit == brute_orbit(n, rep)
-    assert covered == set(range(1, 1 << (1 << n)))
+            orbit = brute_orbit(n, rep)
+            assert (rep, size) == (min(orbit), len(orbit))
+    if n <= 3:
+        minima = {min(brute_orbit(n, idx)) for idx in range(1, 1 << (1 << n))}
+        assert {rep for rep, _ in _orbits(n)} == minima
 
 
-def test_orbit_tables_are_byte_pairs_up_to_the_exhaustive_cap():
-    assert all(hi == [0] for _, hi in _orbit_tables(3))
-    assert all(len(lo) == len(hi) == 256 for lo, hi in _orbit_tables(4))
+def test_orbits_capped_at_the_exhaustive_cap():
     with pytest.raises(ValueError, match="n must be at most 4, got 5"):
-        _orbit_tables(5)
+        next(_orbits(5))
 
 
 PREDICATES = (small_connected, odd_size)
@@ -132,11 +129,12 @@ def brute_violations(n):
 @pytest.mark.parametrize("predicate", PREDICATES, ids=lambda p: p.__name__)
 @pytest.mark.parametrize("n", [1, 2, 3, 4])
 def test_run_sweep_matches_brute_force(n, predicate):
-    expected = brute_violations(n)[predicate]
+    bad = brute_violations(n)[predicate]
     # Codes on 1 neuron have at most 2 codewords, so only odd_size fires.
-    assert expected or (n, predicate) == (1, small_connected)
+    assert bad or (n, predicate) == (1, small_connected)
+    expected = ((1 << (1 << n)) - 1, len(bad), min(bad, default=None))
     for jobs in (1, 2):
-        assert _run_sweep(predicate, n, True, None, 0, jobs) == ((1 << (1 << n)) - 1, expected)
+        assert _run_sweep(predicate, n, True, None, 0, jobs) == expected
 
 
 @pytest.mark.parametrize("predicate", PREDICATES, ids=lambda p: p.__name__)
@@ -144,10 +142,10 @@ def test_run_sweep_matches_brute_force(n, predicate):
 def test_sampled_sweep_same_for_every_jobs(n, sample, seed, predicate):
     rng = random.Random(seed)
     draws = [rng.randrange(1, 1 << (1 << n)) for _ in range(sample)]
-    expected = sorted(idx for idx in draws if CODE_TESTS[predicate](brute_code(n, idx)))
-    assert expected
+    bad = [idx for idx in draws if CODE_TESTS[predicate](brute_code(n, idx))]
+    assert bad
     for jobs in (1, 2, 3):
-        assert _run_sweep(predicate, n, False, sample, seed, jobs) == (sample, expected)
+        assert _run_sweep(predicate, n, False, sample, seed, jobs) == (sample, len(bad), min(bad))
 
 
 class InlinePool:
@@ -173,13 +171,13 @@ class InlinePool:
 
 def test_sampled_sweep_splits_draws_between_workers(monkeypatch):
     monkeypatch.setattr(verify, "ProcessPoolExecutor", InlinePool)
-    scanned, bad = _run_sweep(odd_size, 3, False, 500, 7, 2)
+    result = _run_sweep(odd_size, 3, False, 500, 7, 2)
     rng = random.Random(7)
-    assert [idx for chunk in InlinePool.chunks for idx in chunk] == \
-        [rng.randrange(1, 256) for _ in range(500)]
+    assert [draw for chunk in InlinePool.chunks for draw in chunk] == \
+        [(rng.randrange(1, 256), 1) for _ in range(500)]
     assert InlinePool.workers == 2
     assert len(InlinePool.chunks) > 1
-    assert (scanned, bad) == _run_sweep(odd_size, 3, False, 500, 7, 1)
+    assert result == _run_sweep(odd_size, 3, False, 500, 7, 1)
 
 
 def test_pool_asks_for_no_more_workers_than_tasks(monkeypatch):
@@ -191,8 +189,22 @@ def test_pool_asks_for_no_more_workers_than_tasks(monkeypatch):
 
 
 def test_known_violation_counts():
-    assert len(_run_sweep(small_connected, 3, True, None, 0, 1)[1]) == 126
-    assert len(_run_sweep(small_connected, 4, True, None, 0, 1)[1]) == 10279
+    assert _run_sweep(small_connected, 3, True, None, 0, 1)[1] == 126
+    assert _run_sweep(small_connected, 4, True, None, 0, 1)[1] == 10279
+
+
+def test_failing_sweep_builds_one_code(monkeypatch):
+    built = []
+
+    def code_from_index(n, idx):
+        built.append(idx)
+        return brute_code(n, idx)
+
+    monkeypatch.setattr(verify, "_code_from_index", code_from_index)
+    check, = _sweep_suite("odd-size", odd_size, "")(n=4).checks
+    assert built == [1]
+    assert check.detail == "65535 codes scanned, 32768 violations"
+    assert check.counterexample["code"] == "n=4;{}"
 
 
 def structure(code):
@@ -257,7 +269,7 @@ def differential_codes(n):
     if n <= 3:
         return range(1, 1 << (1 << n))
     if n == 4:
-        return list(_orbit_representatives(4, _orbit_tables(4)))
+        return [rep for rep, _ in _orbits(4)]
     rng = random.Random(f"differential:{n}")
     codes = [cr_family(n).masks, [(1 << i) - 1 for i in range(n + 1)]]
     codes += [verify._random_chain_code(rng, n).masks for _ in range(20)]

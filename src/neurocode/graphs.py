@@ -113,20 +113,29 @@ def _diameter(nbrs, everyone: int) -> int | float:
     neighbours `nbrs[i]` all lie in `everyone`; 0 when it has at most one
     position, inf if it is disconnected.
 
-    Every eccentricity e(v) satisfies e(v) <= D <= 2 e(v), so searches run
-    from the positions in descending degree order (ties by position) and
-    stop once the largest eccentricity seen equals twice the smallest (Takes
-    and Kosters, "Determining the diameter of small world networks", CIKM
-    2011).
+    A universal vertex, of degree m - 1 on m >= 2 positions, is adjacent to
+    every other one, so the graph is connected with diameter 1 when every
+    vertex is universal and 2 otherwise; no search runs. Else every
+    eccentricity e(v) satisfies e(v) <= D <= 2 e(v), so searches run from
+    the positions in descending degree order (ties by position) and stop
+    once the largest eccentricity seen equals twice the smallest (Takes and
+    Kosters, "Determining the diameter of small world networks", CIKM 2011).
     """
-    positions = []
+    m = everyone.bit_count()
+    if m <= 1:
+        return 0
+    order = []
     bits = everyone
     while bits:
         low = bits & -bits
-        positions.append(low.bit_length() - 1)
+        i = low.bit_length() - 1
+        order.append((-nbrs[i].bit_count(), i))
         bits ^= low
+    order.sort()
+    if order[0][0] == 1 - m:
+        return 1 if order[-1][0] == 1 - m else 2
     lower, upper = 0, math.inf
-    for i in sorted(positions, key=lambda i: nbrs[i].bit_count(), reverse=True):
+    for _, i in order:
         layers = _layers(nbrs, i)
         if sum(layers) != everyone:
             return math.inf

@@ -4,11 +4,14 @@ counterexamples."""
 
 from __future__ import annotations
 
+import functools
 import json
 import random
 import shlex
+from array import array
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
+from fractions import Fraction
 from itertools import permutations
 
 from .codes import (
@@ -42,7 +45,6 @@ from .realization import (
     cover_to_json_obj,
     cr_k_polygon,
 )
-from fractions import Fraction
 
 DEFAULT_SEED = 1729
 EXHAUSTIVE_MAX_NEURONS = 4
@@ -176,12 +178,22 @@ def _union_closure_violation(idx: int, comparable: list[int]) -> bool:
 
 
 def _orbits(n: int):
-    """Yield (smallest index, size) for each orbit of the code indices
+    """An iterator of (smallest index, size), one per orbit of the code indices
     1..2^(2^n)-1 (bit p set when word mask p is a codeword) under neuron
     permutations, in ascending index order; the sizes sum to 2^(2^n)-1.
-    Each permutation maps an index through a low-byte and a high-byte
-    table of OR-ed word images: lo[idx & 0xFF] | hi[idx >> 8]."""
+    The orbits are enumerated on the first call for each n and kept for
+    the life of the process."""
     _in_range(1, EXHAUSTIVE_MAX_NEURONS, n=n)
+    return zip(*_orbit_table(n))
+
+
+@functools.cache
+def _orbit_table(n: int) -> tuple[array, bytes]:
+    """The orbits of `_orbits(n)`: their smallest indices as unsigned
+    shorts and their sizes, at most 4! = 24, as bytes (about 12 KB at
+    n = 4, against about 370 KB as tuples). Each permutation maps an index
+    through a low-byte and a high-byte table of OR-ed word images:
+    lo[idx & 0xFF] | hi[idx >> 8]."""
     tables = []
     for perm in permutations(range(1, n + 1)):
         lo, hi = [0], [0]
@@ -189,14 +201,17 @@ def _orbits(n: int):
             part, image = lo if p < 8 else hi, 1 << permute_mask(p, perm)
             part += [v | image for v in part]
         tables.append((lo, hi))
+    reps, sizes = array("H"), bytearray()
     seen = bytearray(1 << (1 << n))
     idx = seen.find(0, 1)
     while idx > 0:
         orbit = {lo[idx & 0xFF] | hi[idx >> 8] for lo, hi in tables}
         for j in orbit:
             seen[j] = 1
-        yield idx, len(orbit)
+        reps.append(idx)
+        sizes.append(len(orbit))
         idx = seen.find(0, idx + 1)
+    return reps, bytes(sizes)
 
 
 def _sweep_chunk(args: tuple) -> tuple[int, int | None]:
@@ -289,8 +304,11 @@ union_closure_suite = _sweep_suite(
     "condition are exactly those with a top codeword, one containing all the\n"
     "others (see codes.union_closure_condition). So no violation can occur: a\n"
     "top codeword is adjacent to every other codeword, so the diameter is at\n"
-    "most 2. The sweep stays as a differential check of _comparable and\n"
-    "_diameter.")
+    "most 2. _diameter settles every such graph from its degrees, with no\n"
+    "breadth-first search, so the sweep checks _comparable and that degree\n"
+    "rule; the search branch is checked against brute force by\n"
+    "tests/test_verify.py::test_sweep_predicates_match_definitions and\n"
+    "tests/test_graphs.py::TestQueriesAgainstFloydWarshall.")
 
 
 def _random_code(rng: random.Random, n: int) -> Code:

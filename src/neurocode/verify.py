@@ -4,11 +4,9 @@ counterexamples."""
 
 from __future__ import annotations
 
-import functools
 import json
 import random
 import shlex
-from array import array
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
@@ -178,40 +176,39 @@ def _union_closure_violation(idx: int, comparable: list[int]) -> bool:
 
 
 def _orbits(n: int):
-    """An iterator of (smallest index, size), one per orbit of the code indices
+    """Yield (smallest index, size) for each orbit of the code indices
     1..2^(2^n)-1 (bit p set when word mask p is a codeword) under neuron
     permutations, in ascending index order; the sizes sum to 2^(2^n)-1.
-    The orbits are enumerated on the first call for each n and kept for
-    the life of the process."""
-    _in_range(1, EXHAUSTIVE_MAX_NEURONS, n=n)
-    return zip(*_orbit_table(n))
 
-
-@functools.cache
-def _orbit_table(n: int) -> tuple[array, bytes]:
-    """The orbits of `_orbits(n)`: their smallest indices as unsigned
-    shorts and their sizes, at most 4! = 24, as bytes (about 12 KB at
-    n = 4, against about 370 KB as tuples). Each permutation maps an index
+    Every permutation fixes the empty word and the full word, so the
+    orbits are those of the 2^n - 2 middle words (bits 1..2^n-2 of the
+    index), each taken with the four settings of those two bits. Each
+    permutation maps a middle index, the index shifted right by one,
     through a low-byte and a high-byte table of OR-ed word images:
-    lo[idx & 0xFF] | hi[idx >> 8]."""
+    lo[mid & 0xFF] | hi[mid >> 8]."""
+    _in_range(1, EXHAUSTIVE_MAX_NEURONS, n=n)
+    full = (1 << n) - 1
     tables = []
     for perm in permutations(range(1, n + 1)):
         lo, hi = [0], [0]
-        for p in range(1 << n):
-            part, image = lo if p < 8 else hi, 1 << permute_mask(p, perm)
+        for p in range(1, full):
+            part, image = lo if p <= 8 else hi, 1 << (permute_mask(p, perm) - 1)
             part += [v | image for v in part]
         tables.append((lo, hi))
-    reps, sizes = array("H"), bytearray()
-    seen = bytearray(1 << (1 << n))
-    idx = seen.find(0, 1)
-    while idx > 0:
-        orbit = {lo[idx & 0xFF] | hi[idx >> 8] for lo, hi in tables}
+    middle = []
+    seen = bytearray(1 << (full - 1))
+    mid = 0
+    while mid >= 0:
+        orbit = {lo[mid & 0xFF] | hi[mid >> 8] for lo, hi in tables}
         for j in orbit:
             seen[j] = 1
-        reps.append(idx)
-        sizes.append(len(orbit))
-        idx = seen.find(0, idx + 1)
-    return reps, bytes(sizes)
+        middle.append((mid << 1, len(orbit)))
+        mid = seen.find(0, mid + 1)
+    for top in (0, 1 << full):
+        for idx, size in middle:
+            if idx | top:
+                yield idx | top, size
+            yield idx | top | 1, size
 
 
 def _sweep_chunk(args: tuple) -> tuple[int, int | None]:

@@ -116,30 +116,6 @@ def test_orbits_reject_n_below_one():
         list(_orbits(0))
 
 
-@pytest.mark.parametrize("n", [1, 2, 3, 4])
-def test_orbits_repeat_across_calls(n):
-    first = list(_orbits(n))
-    assert list(_orbits(n)) == first
-    # an iterator dropped halfway leaves the next call whole
-    half = _orbits(n)
-    assert [next(half) for _ in range(len(first) // 2)] == first[:len(first) // 2]
-    assert list(_orbits(n)) == first
-
-
-def test_orbit_table_is_built_once_per_n(monkeypatch):
-    builds = []
-
-    def counted(items):
-        builds.append(items)
-        return permutations(items)
-
-    monkeypatch.setattr(verify, "permutations", counted)
-    verify._orbit_table.cache_clear()
-    first = list(_orbits(4))
-    assert list(_orbits(4)) == first
-    assert builds == [range(1, 5)]
-
-
 PREDICATES = (small_connected, odd_size)
 
 

@@ -62,7 +62,9 @@ def _render(obj, pad: str, out: list[str]) -> None:
     """Append the chunks of `json.dumps(obj, indent=2, sort_keys=True)` to
     `out` (`json` encodes in pure Python whenever `indent` is set); `pad` is a
     newline plus the indent of `obj`'s line. A type other than a str-keyed
-    dict, list, tuple, str, int, bool or None raises TypeError."""
+    dict, list, tuple, str, int, bool or None raises TypeError. Plain str and
+    int members of a dict or list are written in place, without a call of
+    their own; `type(x) is int` leaves bool to the recursive call."""
     if isinstance(obj, str):
         out.append(encode_basestring_ascii(obj))
     elif obj is None:
@@ -79,16 +81,27 @@ def _render(obj, pad: str, out: list[str]) -> None:
         for key in sorted(obj):
             if not isinstance(key, str):
                 raise TypeError(f"dict key of type {type(key).__name__} in a report")
-            out += (sep, encode_basestring_ascii(key), ": ")
-            _render(obj[key], inner, out)
+            value = obj[key]
+            if type(value) is str:
+                out += (sep, encode_basestring_ascii(key), ": ", encode_basestring_ascii(value))
+            elif type(value) is int:
+                out += (sep, encode_basestring_ascii(key), ": ", int.__repr__(value))
+            else:
+                out += (sep, encode_basestring_ascii(key), ": ")
+                _render(value, inner, out)
             sep = comma
         out.append(pad + "}" if obj else "{}")
     elif isinstance(obj, (list, tuple)):
         inner = pad + "  "
         sep, comma = "[" + inner, "," + inner
         for item in obj:
-            out.append(sep)
-            _render(item, inner, out)
+            if type(item) is int:
+                out += (sep, int.__repr__(item))
+            elif type(item) is str:
+                out += (sep, encode_basestring_ascii(item))
+            else:
+                out.append(sep)
+                _render(item, inner, out)
             sep = comma
         out.append(pad + "]" if obj else "[]")
     else:
@@ -124,13 +137,20 @@ def _cf_lines(cf: CanonicalForm, title: str) -> list[str]:
     return lines
 
 
+def _verdict(check: Check) -> str:
+    return "PASS" if check.passed else "FAIL"
+
+
+# Each _cmd_* handler returns (digest source, outputs, checks, text): `main`
+# hashes the digest source into the --json report, and calls `text()` for the
+# lines of the plain-text report, so each call builds only the report it prints.
+
+
 def _cmd_cf(args):
     code = _resolve_code(args)
     cf = canonical_form(code)
     outputs = {"code": code.to_json_obj(), "cf": cf.to_json_obj()}
     checks = []
-    lines = [f"code: {code.to_text()}  (n={code.n}, {len(code)} codewords)"]
-    lines += _cf_lines(cf, "canonical form")
     if args.oracle:
         oracle = canonical_form_oracle(code)
         agree = oracle == cf
@@ -138,11 +158,17 @@ def _cmd_cf(args):
                                       "oracle": oracle.to_json_obj()}
         checks.append(Check("oracle-agreement", agree,
                             "3^n vanishing sweep vs incremental fold", counter))
-        lines.append(f"oracle agreement: {'PASS' if agree else 'FAIL'}")
-    return _digest(outputs["code"]), outputs, checks, lines
+
+    def text():
+        lines = [f"code: {code.to_text()}  (n={code.n}, {len(code)} codewords)"]
+        lines += _cf_lines(cf, "canonical form")
+        lines += [f"oracle agreement: {_verdict(c)}" for c in checks]
+        return lines
+    return outputs["code"], outputs, checks, text
 
 
-def _graph_summary(g) -> tuple[dict, list[str]]:
+def _graph_summary(g):
+    """The summary of `g` for --json, and a builder of its text lines."""
     degrees = sorted({bits.bit_count() for bits in g.nbrs})
     regular_k = degrees[0] if len(degrees) == 1 else None
     diam = diameter(g)
@@ -154,15 +180,17 @@ def _graph_summary(g) -> tuple[dict, list[str]]:
         "regular": regular_k,
         "diameter": None if diam == math.inf else diam,
     }
-    lines = [
-        f"vertices: {summary['vertices']}, edges: {summary['edges']}",
-        f"connected: {str(summary['connected']).lower()}",
-        f"complete: {str(summary['complete']).lower()}",
-        "regular: " + (f"yes (k={regular_k})" if regular_k is not None else
-                       f"no (degrees {','.join(map(str, degrees))})"),
-        "diameter: " + ("inf" if summary["diameter"] is None else str(diam)),
-    ]
-    return summary, lines
+
+    def text():
+        return [
+            f"vertices: {summary['vertices']}, edges: {summary['edges']}",
+            f"connected: {str(summary['connected']).lower()}",
+            f"complete: {str(summary['complete']).lower()}",
+            "regular: " + (f"yes (k={regular_k})" if regular_k is not None else
+                           f"no (degrees {','.join(map(str, degrees))})"),
+            "diameter: " + ("inf" if summary["diameter"] is None else str(diam)),
+        ]
+    return summary, text
 
 
 def _cmd_graph(args):
@@ -196,16 +224,15 @@ def _cmd_graph(args):
         if args.which == "gr-complex":
             sc = gr_complex(cf)
             outputs["complex"] = complex_to_json_obj(sc)
-            lines = ["facets: " + "; ".join(map(word_label, sc.facets))]
-            return _digest(digest_src), outputs, [], lines
+            return digest_src, outputs, [], lambda: [
+                "facets: " + "; ".join(map(word_label, sc.facets))]
         g = grg(cf)
     outputs["graph"] = graph_to_json_obj(g)
-    summary, lines = _graph_summary(g)
-    outputs["summary"] = summary
+    outputs["summary"], text = _graph_summary(g)
     if args.dot:
         outputs["dot"] = to_dot(g)
-        lines = [outputs["dot"]]
-    return _digest(digest_src), outputs, [], lines
+        return digest_src, outputs, [], lambda: [outputs["dot"]]
+    return digest_src, outputs, [], text
 
 
 def _spec_from_args(args) -> ElementaryMap:
@@ -230,30 +257,34 @@ def _cmd_map(args):
     code = _resolve_code(args)
     spec = _spec_from_args(args)
     image, _cmap = apply_elementary_map(code, spec)
-    outputs = {"code": code.to_json_obj(), "map": spec.describe(),
-               "image": image.to_json_obj()}
-    checks = []
-    lines = [f"code:  {code.to_text()}  (n={code.n})",
-             f"map:   {spec.describe()}",
-             f"image: {image.to_text()}  (n={image.n})"]
+    described = spec.describe()
     image_cf = canonical_form(image)
-    outputs["image_cf"] = image_cf.to_json_obj()
-    lines += _cf_lines(image_cf, "computed CF(image)")
-    if spec.kind == INCLUSION:
-        lines.append("prediction: unsupported for inclusion maps (map still applied)")
-    else:
+    outputs = {"code": code.to_json_obj(), "map": described,
+               "image": image.to_json_obj(), "image_cf": image_cf.to_json_obj()}
+    checks = []
+    predicted = None
+    if spec.kind != INCLUSION:
         predicted = predict_cf(canonical_form(code), spec)
         outputs["predicted_cf"] = predicted.to_json_obj()
-        lines += _cf_lines(predicted, "predicted CF(image)")
         agree = predicted == image_cf
-        counter = None if agree else {"code": code.to_text(), "map": spec.describe(),
+        counter = None if agree else {"code": code.to_text(), "map": described,
                                       "predicted": predicted.to_json_obj(),
                                       "computed": image_cf.to_json_obj()}
         checks.append(Check("cf-prediction", agree,
                             "transformation rule vs canonical form of the image", counter))
-        lines.append(f"prediction matches computed: {'PASS' if agree else 'FAIL'}")
-    digest_src = {"code": outputs["code"], "map": spec.describe()}
-    return _digest(digest_src), outputs, checks, lines
+
+    def text():
+        lines = [f"code:  {code.to_text()}  (n={code.n})",
+                 f"map:   {described}",
+                 f"image: {image.to_text()}  (n={image.n})"]
+        lines += _cf_lines(image_cf, "computed CF(image)")
+        if predicted is None:
+            lines.append("prediction: unsupported for inclusion maps (map still applied)")
+        else:
+            lines += _cf_lines(predicted, "predicted CF(image)")
+            lines.append(f"prediction matches computed: {_verdict(checks[0])}")
+        return lines
+    return {"code": outputs["code"], "map": described}, outputs, checks, text
 
 
 def _cmd_realize(args):
@@ -272,7 +303,7 @@ def _cmd_realize(args):
         realized = code_of_segments(cover)
     outputs = {"cover": cover_to_json_obj(cover), "code": realized.to_json_obj()}
     checks = []
-    lines = [realized.to_text()]
+    geometric = None
     if args.cf:
         if not isinstance(cover, IntervalCover):
             raise CodeParseError("--cf applies to interval covers only")
@@ -284,9 +315,14 @@ def _cmd_realize(args):
                                       "algebraic": algebraic.to_json_obj()}
         checks.append(Check("cover-cf-theorem", agree,
                             "canonical form from geometry vs from the realized code", counter))
-        lines += _cf_lines(geometric, "canonical form from cover")
-        lines.append(f"matches canonical form of realized code: {'PASS' if agree else 'FAIL'}")
-    return _digest(outputs["cover"]), outputs, checks, lines
+
+    def text():
+        lines = [realized.to_text()]
+        if geometric is not None:
+            lines += _cf_lines(geometric, "canonical form from cover")
+            lines.append(f"matches canonical form of realized code: {_verdict(checks[0])}")
+        return lines
+    return outputs["cover"], outputs, checks, text
 
 
 # verify flag -> the suite parameters it sets, wherever the suite takes them.
@@ -322,18 +358,21 @@ def _cmd_verify(args):
     except ValueError as exc:
         raise CodeParseError(f"{exc} (from {', '.join(given)})" if given else str(exc)) from None
     outputs = {"suite": result.suite, "params": result.params}
-    lines = [f"suite: {result.suite}"]
-    for c in result.checks:
-        lines.append(f"  [{'PASS' if c.passed else 'FAIL'}] {c.name}: {c.detail}")
-        if c.counterexample is not None:
-            lines.append(f"    counterexample: {json.dumps(c.counterexample, sort_keys=True)}")
-    return _digest({"suite": args.suite, **result.params}), outputs, result.checks, lines
+
+    def text():
+        lines = [f"suite: {result.suite}"]
+        for c in result.checks:
+            lines.append(f"  [{_verdict(c)}] {c.name}: {c.detail}")
+            if c.counterexample is not None:
+                lines.append(f"    counterexample: {json.dumps(c.counterexample, sort_keys=True)}")
+        return lines
+    return {"suite": args.suite, **result.params}, outputs, result.checks, text
 
 
 def _cmd_family(args):
     code = _family(args.family, cc_family, cr_family)
     outputs = {"code": code.to_json_obj()}
-    return _digest(outputs["code"]), outputs, [], [code.to_text()]
+    return outputs["code"], outputs, [], lambda: [code.to_text()]
 
 
 def _add_code_inputs(sub):
@@ -342,9 +381,10 @@ def _add_code_inputs(sub):
 
 
 @functools.cache
-def _build_parser() -> argparse.ArgumentParser:
-    """The parser, built on the first call and shared by later ones: each
-    `parse_args` returns a fresh namespace, so no call sees another's flags."""
+def _parsers() -> tuple[argparse.ArgumentParser, dict[str, argparse.ArgumentParser]]:
+    """The top-level parser and each subcommand's parser by name, built on
+    the first call and shared by later ones: each parse returns a fresh
+    namespace, so no call sees another's flags."""
     parser = argparse.ArgumentParser(
         prog="neurocode",
         description="Combinatorial neural codes: canonical forms, code graphs, "
@@ -400,29 +440,48 @@ def _build_parser() -> argparse.ArgumentParser:
 
     for sub in (p_cf, p_graph, p_map, p_real, p_verify, p_family):
         sub.add_argument("--json", action="store_true", help="emit a JSON run report")
-    return parser
+    return parser, dict(subs.choices)
+
+
+def _build_parser() -> argparse.ArgumentParser:
+    return _parsers()[0]
+
+
+def _parse(argv: list[str]) -> argparse.Namespace:
+    """`_build_parser().parse_args(argv)`. A command line that starts with a
+    subcommand and that its parser reads to the end is parsed by that parser
+    alone, as the top-level parser would hand it over; every other one,
+    including each that ends in a usage error, goes through the top-level
+    parser, so its messages and exit status stay the same."""
+    parser, subparsers = _parsers()
+    sub = subparsers.get(argv[0]) if argv else None
+    if sub is not None:
+        args, extra = sub.parse_known_args(argv[1:])
+        if not extra:
+            args.subcommand = argv[0]
+            return args
+    return parser.parse_args(argv)
 
 
 def main(argv: list[str] | None = None) -> int:
     argv = list(sys.argv[1:]) if argv is None else list(argv)
     try:
-        args = _build_parser().parse_args(argv)
+        args = _parse(argv)
     except SystemExit as exc:
         code = exc.code
         return code if isinstance(code, int) else 2
     try:
-        digest, outputs, checks, lines = args.handler(args)
+        digest_src, outputs, checks, lines = args.handler(args)
+        text = None if args.json else "\n".join(lines())
     except (CodeParseError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    if args.json:
-        report = {"command": argv, "input_digest": digest,
+    if text is None:
+        report = {"command": argv, "input_digest": _digest(digest_src),
                   "outputs": outputs, "checks": [vars(c) for c in checks]}
         out = []
         _render(report, "\n", out)
         text = "".join(out)
-    else:
-        text = "\n".join(lines)
     try:
         print(text, flush=True)
     except BrokenPipeError:

@@ -12,6 +12,7 @@ from pathlib import Path
 import pytest
 
 from neurocode import cli, verify
+from neurocode.codes import Code
 from neurocode.graphs import GR_COMPLEX_MAX_VISITS
 from neurocode.ideal import CF_MAX_WORK
 from neurocode.verify import SUITES, Check, SuiteResult, parity_suite, union_closure_suite
@@ -186,6 +187,21 @@ TEXT_SHA256 = [
      "dab1ad3a49414d6a3cd7b46e00734af61fdd2366e2114c5b945dd16cc5fc0bb2"),
     (["verify", "complete-iso", "--n", "3"],
      "91e7e40d94e6668832520645384e74b13f22d85a31b382a1bd646678acc193ac"),
+    # Recorded while every handler still built its text lines under --json too.
+    (["verify", "parity", "--n", "3"],
+     "9960c88e4adbf5e5215bbcd284094b2c6971666a9c33fc5ada12f6ece8d51f3f"),
+    (["verify", "union-closure", "--n", "3"],
+     "95f43d3ec091c6d5d2934f7dc1332ce13a1a5f92f073811f15f46b513fcd920d"),
+    (["verify", "cf-theorems", "--n", "3", "--trials", "5"],
+     "dbcfc0478c07f21136c26ef38d39ec4a4efc70a6ed5fbdeb64147a3403676ccf"),
+    (["verify", "grg-families", "--max", "5"],
+     "e1322a2645901632a88f15799c74002d0907b0febf08bae77e4c0f5ad63e9232"),
+    (["verify", "realizations", "--max", "4", "--trials", "3"],
+     "d5b1fc1052a5c0273e271b28d59b96d578b178dbc8d9e0fe06a1bf635187cc8a"),
+    (["verify", "preserve-connected", "--n", "3", "--trials", "20"],
+     "076c1357283cce5093074e58e08c5a78dbb80f5774c7e4ba113126ca42565dfd"),
+    (["verify", "preserve-complete", "--n", "3", "--trials", "20"],
+     "ae34200272fdca9d9543deaecf3e3200ecb795852842699caf1c837b425ef172"),
 ]
 
 
@@ -195,6 +211,15 @@ def test_text_output_byte_identical(capsys, argv, expected):
     status, out, _ = run(capsys, *argv)
     assert status == 0
     assert hashlib.sha256(out.encode()).hexdigest() == expected
+
+
+def test_text_builder_value_error_exits_2(capsys, monkeypatch):
+    def broken(*args):
+        raise ValueError("text builder failed")
+
+    monkeypatch.setattr(cli, "_cf_lines", broken)
+    status, out, err = run(capsys, "cf", "{};{1,2};{2,3}")
+    assert (status, out, err) == (2, "", "error: text builder failed\n")
 
 
 @pytest.mark.parametrize("argv", [["cf", "--family", "cr:64", "--json"],
@@ -717,6 +742,64 @@ def test_json_report_round_trips_through_json(capsys, argv):
     status, out, err = run(capsys, *argv, "--json")
     assert (status, err) == (0, "")
     assert out == json.dumps(json.loads(out), indent=2, sort_keys=True) + "\n"
+
+
+class ReportBuilt(Exception):
+    pass
+
+
+def test_each_call_builds_only_the_report_it_prints(capsys, monkeypatch):
+    # map --include prints its target's text as the map description, in
+    # --json too, so only that command line may call Code.to_text there.
+    expected = {tuple(argv): run(capsys, *argv, "--json") for argv in ROUND_TRIP_ARGV}
+
+    def built(*args):
+        raise ReportBuilt
+
+    real_to_text = Code.to_text
+    monkeypatch.setattr(cli, "_cf_lines", built)
+    for argv in ROUND_TRIP_ARGV:
+        monkeypatch.setattr(Code, "to_text", real_to_text if "--include" in argv else built)
+        assert run(capsys, *argv, "--json") == expected[tuple(argv)]
+    monkeypatch.undo()
+    monkeypatch.setattr(cli, "_digest", built)
+    for argv in ROUND_TRIP_ARGV:
+        status, out, err = run(capsys, *argv)
+        assert (status, err) == (0, "")
+        assert out
+
+
+ODD_ARGV = [
+    [],
+    ["frobnicate"],
+    ["--json", "cf", "{1}"],
+    ["cf", "{1}", "--bogus"],
+    ["family", "cc:3", "cc:4"],
+    ["map", "{1}"],
+    ["map", "--delete", "x", "{1}"],
+    ["graph", "nope", "{1}"],
+    ["-h"],
+    ["cf", "-h"],
+    ["cf", "--", "{1}"],
+]
+PARSE_ARGV = [*ROUND_TRIP_ARGV, *([*argv, "--json"] for argv in ROUND_TRIP_ARGV), *ODD_ARGV]
+
+
+def parse_outcome(capsys, parse, argv):
+    try:
+        outcome = vars(parse(list(argv)))
+    except SystemExit as exc:
+        outcome = exc.code
+    captured = capsys.readouterr()
+    return outcome, captured.out, captured.err
+
+
+@pytest.mark.parametrize("argv", PARSE_ARGV, ids=[" ".join(a) or "(none)" for a in PARSE_ARGV])
+def test_dispatch_parses_as_the_top_level_parser(capsys, argv):
+    got = parse_outcome(capsys, cli._parse, argv)
+    assert got == parse_outcome(capsys, cli._build_parser().parse_args, argv)
+    if isinstance(got[0], dict):
+        assert got[0]["subcommand"] == argv[0]
 
 
 class TestFamily:

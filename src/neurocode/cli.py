@@ -62,9 +62,7 @@ def _render(obj, pad: str, out: list[str]) -> None:
     """Append the chunks of `json.dumps(obj, indent=2, sort_keys=True)` to
     `out` (`json` encodes in pure Python whenever `indent` is set); `pad` is a
     newline plus the indent of `obj`'s line. A type other than a str-keyed
-    dict, list, tuple, str, int, bool or None raises TypeError. Plain str and
-    int members of a dict or list are written in place, without a call of
-    their own; `type(x) is int` leaves bool to the recursive call."""
+    dict, list, tuple, str, int, bool or None raises TypeError."""
     if isinstance(obj, str):
         out.append(encode_basestring_ascii(obj))
     elif obj is None:
@@ -81,27 +79,16 @@ def _render(obj, pad: str, out: list[str]) -> None:
         for key in sorted(obj):
             if not isinstance(key, str):
                 raise TypeError(f"dict key of type {type(key).__name__} in a report")
-            value = obj[key]
-            if type(value) is str:
-                out += (sep, encode_basestring_ascii(key), ": ", encode_basestring_ascii(value))
-            elif type(value) is int:
-                out += (sep, encode_basestring_ascii(key), ": ", int.__repr__(value))
-            else:
-                out += (sep, encode_basestring_ascii(key), ": ")
-                _render(value, inner, out)
+            out += (sep, encode_basestring_ascii(key), ": ")
+            _render(obj[key], inner, out)
             sep = comma
         out.append(pad + "}" if obj else "{}")
     elif isinstance(obj, (list, tuple)):
         inner = pad + "  "
         sep, comma = "[" + inner, "," + inner
         for item in obj:
-            if type(item) is int:
-                out += (sep, int.__repr__(item))
-            elif type(item) is str:
-                out += (sep, encode_basestring_ascii(item))
-            else:
-                out.append(sep)
-                _render(item, inner, out)
+            out.append(sep)
+            _render(item, inner, out)
             sep = comma
         out.append(pad + "]" if obj else "[]")
     else:
@@ -141,9 +128,10 @@ def _verdict(check: Check) -> str:
     return "PASS" if check.passed else "FAIL"
 
 
-# Each _cmd_* handler returns (digest source, outputs, checks, text): `main`
-# hashes the digest source into the --json report, and calls `text()` for the
-# lines of the plain-text report, so each call builds only the report it prints.
+# Each _cmd_* handler returns (digest source, outputs, checks, build_text):
+# `main` hashes the digest source into the --json report, and calls
+# `build_text()` for the lines of the plain-text report, so each call builds
+# only the report it prints.
 
 
 def _cmd_cf(args):
@@ -159,12 +147,12 @@ def _cmd_cf(args):
         checks.append(Check("oracle-agreement", agree,
                             "3^n vanishing sweep vs incremental fold", counter))
 
-    def text():
+    def build_text():
         lines = [f"code: {code.to_text()}  (n={code.n}, {len(code)} codewords)"]
         lines += _cf_lines(cf, "canonical form")
         lines += [f"oracle agreement: {_verdict(c)}" for c in checks]
         return lines
-    return outputs["code"], outputs, checks, text
+    return outputs["code"], outputs, checks, build_text
 
 
 def _graph_summary(g):
@@ -181,7 +169,7 @@ def _graph_summary(g):
         "diameter": None if diam == math.inf else diam,
     }
 
-    def text():
+    def build_text():
         return [
             f"vertices: {summary['vertices']}, edges: {summary['edges']}",
             f"connected: {str(summary['connected']).lower()}",
@@ -190,7 +178,7 @@ def _graph_summary(g):
                            f"no (degrees {','.join(map(str, degrees))})"),
             "diameter: " + ("inf" if summary["diameter"] is None else str(diam)),
         ]
-    return summary, text
+    return summary, build_text
 
 
 def _cmd_graph(args):
@@ -228,11 +216,11 @@ def _cmd_graph(args):
                 "facets: " + "; ".join(map(word_label, sc.facets))]
         g = grg(cf)
     outputs["graph"] = graph_to_json_obj(g)
-    outputs["summary"], text = _graph_summary(g)
+    outputs["summary"], build_text = _graph_summary(g)
     if args.dot:
         outputs["dot"] = to_dot(g)
         return digest_src, outputs, [], lambda: [outputs["dot"]]
-    return digest_src, outputs, [], text
+    return digest_src, outputs, [], build_text
 
 
 def _spec_from_args(args) -> ElementaryMap:
@@ -273,7 +261,7 @@ def _cmd_map(args):
         checks.append(Check("cf-prediction", agree,
                             "transformation rule vs canonical form of the image", counter))
 
-    def text():
+    def build_text():
         lines = [f"code:  {code.to_text()}  (n={code.n})",
                  f"map:   {described}",
                  f"image: {image.to_text()}  (n={image.n})"]
@@ -284,7 +272,7 @@ def _cmd_map(args):
             lines += _cf_lines(predicted, "predicted CF(image)")
             lines.append(f"prediction matches computed: {_verdict(checks[0])}")
         return lines
-    return {"code": outputs["code"], "map": described}, outputs, checks, text
+    return {"code": outputs["code"], "map": described}, outputs, checks, build_text
 
 
 def _cmd_realize(args):
@@ -316,13 +304,13 @@ def _cmd_realize(args):
         checks.append(Check("cover-cf-theorem", agree,
                             "canonical form from geometry vs from the realized code", counter))
 
-    def text():
+    def build_text():
         lines = [realized.to_text()]
         if geometric is not None:
             lines += _cf_lines(geometric, "canonical form from cover")
             lines.append(f"matches canonical form of realized code: {_verdict(checks[0])}")
         return lines
-    return outputs["cover"], outputs, checks, text
+    return outputs["cover"], outputs, checks, build_text
 
 
 # verify flag -> the suite parameters it sets, wherever the suite takes them.
@@ -359,14 +347,14 @@ def _cmd_verify(args):
         raise CodeParseError(f"{exc} (from {', '.join(given)})" if given else str(exc)) from None
     outputs = {"suite": result.suite, "params": result.params}
 
-    def text():
+    def build_text():
         lines = [f"suite: {result.suite}"]
         for c in result.checks:
             lines.append(f"  [{_verdict(c)}] {c.name}: {c.detail}")
             if c.counterexample is not None:
                 lines.append(f"    counterexample: {json.dumps(c.counterexample, sort_keys=True)}")
         return lines
-    return {"suite": args.suite, **result.params}, outputs, result.checks, text
+    return {"suite": args.suite, **result.params}, outputs, result.checks, build_text
 
 
 def _cmd_family(args):
@@ -381,7 +369,7 @@ def _add_code_inputs(sub):
 
 
 @functools.cache
-def _parsers() -> tuple[argparse.ArgumentParser, dict[str, argparse.ArgumentParser]]:
+def _build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.ArgumentParser]]:
     """The top-level parser and each subcommand's parser by name, built on
     the first call and shared by later ones: each parse returns a fresh
     namespace, so no call sees another's flags."""
@@ -443,17 +431,13 @@ def _parsers() -> tuple[argparse.ArgumentParser, dict[str, argparse.ArgumentPars
     return parser, dict(subs.choices)
 
 
-def _build_parser() -> argparse.ArgumentParser:
-    return _parsers()[0]
-
-
 def _parse(argv: list[str]) -> argparse.Namespace:
-    """`_build_parser().parse_args(argv)`. A command line that starts with a
-    subcommand and that its parser reads to the end is parsed by that parser
-    alone, as the top-level parser would hand it over; every other one,
-    including each that ends in a usage error, goes through the top-level
-    parser, so its messages and exit status stay the same."""
-    parser, subparsers = _parsers()
+    """`_build_parser()[0].parse_args(argv)`. A command line that starts
+    with a subcommand and that its parser reads to the end is parsed by that
+    parser alone, as the top-level parser would hand it over; every other
+    one, including each that ends in a usage error, goes through the
+    top-level parser, so its messages and exit status stay the same."""
+    parser, subparsers = _build_parser()
     sub = subparsers.get(argv[0]) if argv else None
     if sub is not None:
         args, extra = sub.parse_known_args(argv[1:])
@@ -471,8 +455,8 @@ def main(argv: list[str] | None = None) -> int:
         code = exc.code
         return code if isinstance(code, int) else 2
     try:
-        digest_src, outputs, checks, lines = args.handler(args)
-        text = None if args.json else "\n".join(lines())
+        digest_src, outputs, checks, build_text = args.handler(args)
+        text = None if args.json else "\n".join(build_text())
     except (CodeParseError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

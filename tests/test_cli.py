@@ -797,7 +797,7 @@ def parse_outcome(capsys, parse, argv):
 @pytest.mark.parametrize("argv", PARSE_ARGV, ids=[" ".join(a) or "(none)" for a in PARSE_ARGV])
 def test_dispatch_parses_as_the_top_level_parser(capsys, argv):
     got = parse_outcome(capsys, cli._parse, argv)
-    assert got == parse_outcome(capsys, cli._build_parser().parse_args, argv)
+    assert got == parse_outcome(capsys, cli._build_parser()[0].parse_args, argv)
     if isinstance(got[0], dict):
         assert got[0]["subcommand"] == argv[0]
 

@@ -276,6 +276,8 @@ def _cmd_map(args):
 
 
 def _cmd_realize(args):
+    if args.family and args.cover is not None:
+        raise CodeParseError("pass cover JSON or --family, not both")
     if args.family:
         cover = _family(args.family, cc_m_intervals, cr_k_polygon)
     elif args.cover:

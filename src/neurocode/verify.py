@@ -366,6 +366,14 @@ def _map_pairs(rng: random.Random, trials: int, draw_code,
         yield code, _random_spec(rng, code, kinds)
 
 
+def _map_failures(pairs, fails) -> tuple[int, dict | None]:
+    """`_tally` of the (code, map) pairs on which `fails(code, spec, image)`
+    holds, `image` being the code's image under the map; each failure
+    reruns as `neurocode map`."""
+    return _tally(_counterexample(code, "map", spec, code) for code, spec in pairs
+                  if fails(code, spec, apply_elementary_map(code, spec)[0]))
+
+
 def preserve_connected_suite(trials: int = 250, seed: int = DEFAULT_SEED,
                              max_n: int = 6) -> SuiteResult:
     """Elementary maps are morphisms, so connected containment graphs must
@@ -374,20 +382,12 @@ def preserve_connected_suite(trials: int = 250, seed: int = DEFAULT_SEED,
     _in_range(1, PRESERVE_CONNECTED_MAX_NEURONS, max_n=max_n)
     rng = random.Random(seed)
     pairs = _map_pairs(rng, trials, lambda: _random_code(rng, rng.randint(1, max_n)))
-    hits = 0
-
-    def violations():
-        nonlocal hits
-        for code, spec in pairs:
-            if is_connected(ccg(code)):
-                hits += 1
-                if not is_connected(ccg(apply_elementary_map(code, spec)[0])):
-                    yield _counterexample(code, "map", spec, code)
-
-    bad, counter = _tally(violations())
+    connected = [(code, spec) for code, spec in pairs if is_connected(ccg(code))]
+    bad, counter = _map_failures(connected, lambda code, spec, image: not is_connected(ccg(image)))
     return SuiteResult("preserve-connected", {"trials": trials, "seed": seed, "max_n": max_n}, [
         Check("preserve-connected", bad == 0,
-              f"{trials} pairs, {hits} with connected domain, {bad} violations", counter)])
+              f"{trials} pairs, {len(connected)} with connected domain, {bad} violations",
+              counter)])
 
 
 def preserve_complete_suite(trials: int = 250, seed: int = DEFAULT_SEED,
@@ -397,8 +397,7 @@ def preserve_complete_suite(trials: int = 250, seed: int = DEFAULT_SEED,
     _in_range(1, MAX_NEURONS - 1, max_n=max_n)  # a map may add a neuron
     rng = random.Random(seed)
     pairs = _map_pairs(rng, trials, lambda: _random_chain_code(rng, rng.randint(1, max_n)))
-    bad, counter = _tally(_counterexample(code, "map", spec, code) for code, spec in pairs
-                          if not is_complete(ccg(apply_elementary_map(code, spec)[0])))
+    bad, counter = _map_failures(pairs, lambda code, spec, image: not is_complete(ccg(image)))
     return SuiteResult("preserve-complete", {"trials": trials, "seed": seed, "max_n": max_n}, [
         Check("preserve-complete", bad == 0,
               f"{trials} complete codes mapped, {bad} violations", counter)])
@@ -444,9 +443,8 @@ def cf_theorems_suite(trials: int = 200, seed: int = DEFAULT_SEED,
         min_n = 2 if kind == DELETE else 1
         pairs = _map_pairs(rng, trials, lambda: _random_code(rng, rng.randint(min_n, max_n)),
                            [kind])
-        return _tally(_counterexample(code, "map", spec, code) for code, spec in pairs
-                      if predict_cf(canonical_form(code), spec)
-                      != canonical_form(apply_elementary_map(code, spec)[0]))
+        return _map_failures(pairs, lambda code, spec, image:
+                             predict_cf(canonical_form(code), spec) != canonical_form(image))
 
     return SuiteResult("cf-theorems", {"trials": trials, "seed": seed, "max_n": max_n}, [
         Check(f"cf-{kind}", bad == 0, f"{trials} trials, {bad} mismatches", counter)

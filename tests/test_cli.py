@@ -246,6 +246,8 @@ REJECTED_CONFLICTS = [
     (["graph", "gr-complex", "--family", "cr:4", "--dot"], ["--dot", "gr-complex"]),
     (["cf", "{1}", "--family", "cc:3"], ["code argument", "--family"]),
     (["map", "--add-on", "{1}", "--family", "cc:3"], ["code argument", "--family"]),
+    (["realize", '{"kind":"intervals","sets":[[0,1]]}', "--family", "cc:3"],
+     ["cover JSON", "--family"]),
 ]
 
 
@@ -257,6 +259,34 @@ def test_rejects_conflicting_inputs(capsys, argv, needles):
     assert out == ""
     for needle in needles:
         assert needle in err
+
+
+# Each command line has one malformed or out-of-range input; it must exit 2
+# with a message naming it and print nothing to stdout.
+REJECTED_INPUT = [
+    (["family", "cc:abc"], "bad family 'cc:abc'"),
+    (["map", "--permute", "1,x", "{1}"], "bad permutation '1,x'"),
+    (["realize", "{"], "bad cover JSON: Expecting property name"),
+    (["realize"], "no input cover: pass cover JSON or --family"),
+    (["cf", "{65}"], "neuron index 65 exceeds the cap of 64"),
+    (["cf", "n=0;{}"], "neuron count must be in 1..64, got 0"),
+    (["cf", "n=65;{1}"], "neuron count must be in 1..64, got 65"),
+    (["graph", "grg", "--cf", "[]"], 'bad canonical form JSON: expected {"n": ..., "cf": [...]}'),
+    (["realize", "[]"], 'bad cover JSON: expected {"kind": ..., "sets": [...]}'),
+    (["realize", '{"kind":"intervals","ambient":"plane","sets":[[0,1]]}'],
+     "ambient must be 'line' or 'union'"),
+    (["realize", '{"kind":"segments","sets":[]}'], "a cover needs at least one segment"),
+    (["realize", '{"kind":"segments","ambient":"line","sets":[[[0,0],[1,1]]]}'],
+     "segment covers only support the union stimulus space"),
+]
+
+
+@pytest.mark.parametrize("argv, needle", REJECTED_INPUT,
+                         ids=[" ".join(argv) for argv, _ in REJECTED_INPUT])
+def test_rejects_bad_input(capsys, argv, needle):
+    status, out, err = run(capsys, *argv)
+    assert (status, out) == (2, "")
+    assert needle in err
 
 
 class TestMap:

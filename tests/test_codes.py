@@ -313,6 +313,11 @@ class TestMorphisms:
         g = CodeMap(dom, cod, [0b01, 0b10, 0b01])
         assert not is_morphism(g)
 
+    def test_inverse_needs_a_bijection(self):
+        c = code(2, (1,), (1, 2))
+        with pytest.raises(ValueError, match="only bijective code maps have an inverse"):
+            CodeMap(c, c, [0b01, 0b01]).inverse()
+
     def test_isomorphism_example(self):
         c = code(4, (1, 2), (1, 2, 3), (1, 2, 3, 4))
         f = complete_iso(c)
@@ -494,7 +499,8 @@ class TestElementaryMaps:
         (2, ElementaryMap.duplicate(None), "duplicate index None out of range 1..2"),
         (2, ElementaryMap.delete(0), "delete index 0 out of range 1..2"),
         (1, ElementaryMap.delete(1), "cannot delete the only neuron"),
-    ], ids=["duplicate-3", "duplicate-None", "delete-0", "delete-only"])
+        (2, ElementaryMap("rotate"), "unknown elementary map kind 'rotate'"),
+    ], ids=["duplicate-3", "duplicate-None", "delete-0", "delete-only", "unknown-kind"])
     def test_neuron_index_messages_shared_with_predict_cf(self, n, spec, message):
         c = Code.from_masks(n, [1])
         with pytest.raises(ValueError) as applied:

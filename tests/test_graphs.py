@@ -244,19 +244,6 @@ class TestQueriesAgainstFloydWarshall:
                     apart = [(u, v) for u, v in edges if (u < cut) == (v < cut)]
                     assert_queries_match_floyd_warshall(graph_of(m, apart))
 
-    def test_diameter_stops_on_eccentricity_bounds(self, monkeypatch):
-        # {1,2} is adjacent to both other words: its search gives 1 <= D <= 2,
-        # and the next, from {1}, gives D >= 2
-        calls, layers = [], graphs._layers
-
-        def counted(g, start):
-            calls.append(start)
-            return layers(g, start)
-
-        monkeypatch.setattr(graphs, "_layers", counted)
-        assert diameter(ccg(parse_code("n=2;{1};{2};{1,2}"))) == 2
-        assert len(calls) <= 2
-
 
 class TestNamedDiameters:
     """Diameters known by name. A universal vertex, adjacent to every other

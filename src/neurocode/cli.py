@@ -16,6 +16,7 @@ import math
 import os
 import sys
 from json.encoder import encode_basestring_ascii
+from operator import itemgetter
 
 from .codes import (
     INCLUSION,
@@ -128,16 +129,16 @@ def _verdict(check: Check) -> str:
     return "PASS" if check.passed else "FAIL"
 
 
-# Each _cmd_* handler returns (digest source, outputs, checks, build_text):
-# `main` hashes the digest source into the --json report, and calls
-# `build_text()` for the lines of the plain-text report, so each call builds
-# only the report it prints.
+# Each _cmd_* handler returns (digest, outputs, checks, build_text). Only for
+# --json does `main` build `outputs`, calling each value that is a function,
+# and hash `digest(outputs)` into the report; only without it does it call
+# `build_text()` for the lines of the plain-text report.
 
 
 def _cmd_cf(args):
     code = _resolve_code(args)
     cf = canonical_form(code)
-    outputs = {"code": code.to_json_obj(), "cf": cf.to_json_obj()}
+    outputs = {"code": code.to_json_obj, "cf": cf.to_json_obj}
     checks = []
     if args.oracle:
         oracle = canonical_form_oracle(code)
@@ -152,7 +153,7 @@ def _cmd_cf(args):
         lines += _cf_lines(cf, "canonical form")
         lines += [f"oracle agreement: {_verdict(c)}" for c in checks]
         return lines
-    return outputs["code"], outputs, checks, build_text
+    return itemgetter("code"), outputs, checks, build_text
 
 
 def _graph_summary(g):
@@ -189,11 +190,10 @@ def _cmd_graph(args):
         raise CodeParseError(f"pass {given} or --cf, not both")
     if args.dot and args.which == "gr-complex":
         raise CodeParseError("--dot applies to ccg and grg, not gr-complex")
-    outputs = {}
+    outputs, digest = {}, itemgetter("code")
     if args.which == "ccg":
         code = _resolve_code(args)
-        outputs["code"] = code.to_json_obj()
-        digest_src = outputs["code"]
+        outputs["code"] = code.to_json_obj
         g = ccg(code)
         g = CodeGraph(tuple(map(word_label, g.vertices)), g.nbrs)
     else:
@@ -202,25 +202,25 @@ def _cmd_graph(args):
                 cf = CanonicalForm.from_json_obj(json.loads(args.cf))
             except json.JSONDecodeError as exc:
                 raise CodeParseError(f"bad --cf JSON: {exc}") from exc
-            digest_src = cf.to_json_obj()
+            digest = itemgetter("cf")
         else:
             code = _resolve_code(args)
             cf = canonical_form(code)
-            outputs["code"] = code.to_json_obj()
-            digest_src = outputs["code"]
-        outputs["cf"] = cf.to_json_obj()
+            outputs["code"] = code.to_json_obj
+        outputs["cf"] = cf.to_json_obj
         if args.which == "gr-complex":
             sc = gr_complex(cf)
-            outputs["complex"] = complex_to_json_obj(sc)
-            return digest_src, outputs, [], lambda: [
+            outputs["complex"] = lambda: complex_to_json_obj(sc)
+            return digest, outputs, [], lambda: [
                 "facets: " + "; ".join(map(word_label, sc.facets))]
         g = grg(cf)
-    outputs["graph"] = graph_to_json_obj(g)
-    outputs["summary"], build_text = _graph_summary(g)
+    outputs["graph"] = lambda: graph_to_json_obj(g)
     if args.dot:
         outputs["dot"] = to_dot(g)
-        return digest_src, outputs, [], lambda: [outputs["dot"]]
-    return digest_src, outputs, [], build_text
+        outputs["summary"] = lambda: _graph_summary(g)[0]
+        return digest, outputs, [], lambda: [outputs["dot"]]
+    outputs["summary"], build_text = _graph_summary(g)
+    return digest, outputs, [], build_text
 
 
 def _spec_from_args(args) -> ElementaryMap:
@@ -247,13 +247,13 @@ def _cmd_map(args):
     image, _cmap = apply_elementary_map(code, spec)
     described = spec.describe()
     image_cf = canonical_form(image)
-    outputs = {"code": code.to_json_obj(), "map": described,
-               "image": image.to_json_obj(), "image_cf": image_cf.to_json_obj()}
+    outputs = {"code": code.to_json_obj, "map": described,
+               "image": image.to_json_obj, "image_cf": image_cf.to_json_obj}
     checks = []
     predicted = None
     if spec.kind != INCLUSION:
         predicted = predict_cf(canonical_form(code), spec)
-        outputs["predicted_cf"] = predicted.to_json_obj()
+        outputs["predicted_cf"] = predicted.to_json_obj
         agree = predicted == image_cf
         counter = None if agree else {"code": code.to_text(), "map": described,
                                       "predicted": predicted.to_json_obj(),
@@ -272,7 +272,7 @@ def _cmd_map(args):
             lines += _cf_lines(predicted, "predicted CF(image)")
             lines.append(f"prediction matches computed: {_verdict(checks[0])}")
         return lines
-    return {"code": outputs["code"], "map": described}, outputs, checks, build_text
+    return lambda built: {"code": built["code"], "map": described}, outputs, checks, build_text
 
 
 def _cmd_realize(args):
@@ -291,7 +291,7 @@ def _cmd_realize(args):
         realized = code_of_intervals(cover)
     else:
         realized = code_of_segments(cover)
-    outputs = {"cover": cover_to_json_obj(cover), "code": realized.to_json_obj()}
+    outputs = {"cover": lambda: cover_to_json_obj(cover), "code": realized.to_json_obj}
     checks = []
     geometric = None
     if args.cf:
@@ -299,7 +299,7 @@ def _cmd_realize(args):
             raise CodeParseError("--cf applies to interval covers only")
         geometric = cf_from_intervals(cover)
         algebraic = canonical_form(realized)
-        outputs["cf"] = geometric.to_json_obj()
+        outputs["cf"] = geometric.to_json_obj
         agree = geometric == algebraic
         counter = None if agree else {"geometric": geometric.to_json_obj(),
                                       "algebraic": algebraic.to_json_obj()}
@@ -312,7 +312,7 @@ def _cmd_realize(args):
             lines += _cf_lines(geometric, "canonical form from cover")
             lines.append(f"matches canonical form of realized code: {_verdict(checks[0])}")
         return lines
-    return outputs["cover"], outputs, checks, build_text
+    return itemgetter("cover"), outputs, checks, build_text
 
 
 # verify flag -> the suite parameters it sets, wherever the suite takes them.
@@ -356,13 +356,12 @@ def _cmd_verify(args):
             if c.counterexample is not None:
                 lines.append(f"    counterexample: {json.dumps(c.counterexample, sort_keys=True)}")
         return lines
-    return {"suite": args.suite, **result.params}, outputs, result.checks, build_text
+    return lambda _: {"suite": args.suite, **result.params}, outputs, result.checks, build_text
 
 
 def _cmd_family(args):
     code = _family(args.family, cc_family, cr_family)
-    outputs = {"code": code.to_json_obj()}
-    return outputs["code"], outputs, [], lambda: [code.to_text()]
+    return itemgetter("code"), {"code": code.to_json_obj}, [], lambda: [code.to_text()]
 
 
 def _add_code_inputs(sub):
@@ -457,13 +456,14 @@ def main(argv: list[str] | None = None) -> int:
         code = exc.code
         return code if isinstance(code, int) else 2
     try:
-        digest_src, outputs, checks, build_text = args.handler(args)
+        digest, outputs, checks, build_text = args.handler(args)
         text = None if args.json else "\n".join(build_text())
     except (CodeParseError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     if text is None:
-        report = {"command": argv, "input_digest": _digest(digest_src),
+        outputs = {k: v() if callable(v) else v for k, v in outputs.items()}
+        report = {"command": argv, "input_digest": _digest(digest(outputs)),
                   "outputs": outputs, "checks": [vars(c) for c in checks]}
         out = []
         _render(report, "\n", out)

@@ -95,6 +95,18 @@ def submasks(mask: int) -> Iterator[int]:
         sub = (sub - 1) & mask
 
 
+def subset_bitsets(n: int) -> list[int]:
+    """sub[x] for every mask x on n neurons: the bitset whose bit y is set
+    exactly when y is a submask of x. The submasks of x are those of x less
+    its lowest bit, with and without that bit."""
+    sub = [1] * (1 << n)
+    for x in range(1, 1 << n):
+        low = x & -x
+        s = sub[x ^ low]
+        sub[x] = s | s << low
+    return sub
+
+
 @dataclass(frozen=True)
 class Code:
     """A nonempty set of codewords on neurons 1..n, held as distinct masks

@@ -10,8 +10,10 @@ codeword-at-a-time update of Petersen et al. (Neural ideals in SageMath,
 divisor index holds only the kept elements that disagree with the new
 codeword at a single neuron. It takes the codewords in ascending mask order,
 in which a prefix of the code stays inside a subcube for longer, so its form
-stays small. The one independent check is a full 3^n vanishing sweep (the
-definition-based oracle) that shares no code with it.
+stays small. The one independent check is the definition-based oracle,
+which shares no code with it: it decides all 3^n pseudo-monomials, a bitset
+of minus masks per plus mask over the subset lattice, in O(n 2^n) big-int
+operations.
 """
 
 from __future__ import annotations
@@ -39,7 +41,7 @@ from .codes import (
     indices_of,
     mask_from_indices,
     permute_mask,
-    submasks,
+    subset_bitsets,
 )
 
 ORACLE_MAX_NEURONS = 12
@@ -256,26 +258,44 @@ def canonical_form(code: Code) -> CanonicalForm:
 
 
 def canonical_form_oracle(code: Code) -> CanonicalForm:
-    """Definition-based oracle: sweep all 3^n - 1 nonconstant pseudo-monomials,
-    keep those vanishing on every codeword, return the divisibility-minimal
-    ones."""
+    """Definition-based oracle over all 3^n - 1 nonconstant pseudo-monomials,
+    as bitsets over the subset lattice: bit m stands for the minus mask m.
+
+    The pair (plus p, minus m) fails to vanish when a codeword w contains p
+    and misses m; bad[p], the union of sub[~w] over the w that contain p,
+    holds those m. Vanishing is closed under multiples, so a vanishing pair
+    is minimal when removing any one neuron from m or p leaves a pair that
+    does not vanish.
+    """
     n = code.n
     if n > ORACLE_MAX_NEURONS:
         raise ValueError(f"oracle sweep is 3^n; n={n} exceeds the cap of {ORACLE_MAX_NEURONS}")
     full = (1 << n) - 1
-    words = code.masks
-    vanishing = []
-    for plus in range(full + 1):
-        rest = full ^ plus
-        for minus in submasks(rest):
-            if plus == 0 and minus == 0:
-                continue
-            for w in words:
-                if w & plus == plus and w & minus == 0:
-                    break
+    sub = subset_bitsets(n)
+    bits = [1 << j for j in range(n)]
+    bad = [0] * (full + 1)
+    for w in code.masks:
+        bad[w] = sub[full ^ w]
+    for p in range(full, -1, -1):
+        for b in bits:
+            if not b & p:
+                bad[p] |= bad[p | b]
+    pairs = []
+    for p in range(full + 1):
+        rest = full ^ p
+        vanishing = keep = sub[rest] & ~bad[p]
+        for b in bits:
+            if not keep:
+                break
+            if b & p:
+                keep &= bad[p ^ b]
             else:
-                vanishing.append((plus, minus))
-    return CanonicalForm(n, _minimal_pairs(vanishing))
+                keep &= ~((vanishing & sub[rest ^ b]) << b)
+        while keep:
+            low = keep & -keep
+            pairs.append((p, low.bit_length() - 1))
+            keep ^= low
+    return CanonicalForm(n, pairs)
 
 
 def predict_cf(cf: CanonicalForm, spec: ElementaryMap) -> CanonicalForm:

@@ -10,7 +10,8 @@ An interval arrangement is sampled once, on endpoint ranks, and reduced to
 the membership masks of its cells. Those masks answer every question the
 canonical form of the cover asks (is U_sigma empty, does a union of other
 sets contain it, does it cover the stimulus space) with integer tests, so
-`cf_from_intervals` compares no rationals after the first sort.
+`cf_from_intervals` compares no rationals after the first sort; it runs the
+tests for all subfamilies at once, as bitsets over the subset lattice.
 
 A segment cover is scaled to integer coordinates and each segment sampled
 on the ranks of the parameters where the others' meets with it begin and
@@ -22,7 +23,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from .codes import MAX_NEURONS, Code, submasks
+from .codes import MAX_NEURONS, Code, subset_bitsets
 from .ideal import CanonicalForm
 
 AMBIENT_LINE = "line"
@@ -154,42 +155,52 @@ def cf_from_intervals(cover: IntervalCover) -> CanonicalForm:
     mask contains sigma, so each geometric test is a test on cell masks:
     U_sigma is empty when no cell contains sigma, U_sigma lies in the union
     of the U_i with i in tau when every cell that contains sigma meets tau,
-    and tau covers the union when every cell meets tau.
+    and tau covers the union when every cell meets tau. Each sigma tests
+    all tau at once, as a bitset whose bit tau stands for the mask tau, and
+    takes the minimal ones with a few ANDs and shifts.
     """
     n = cover.n
     if n > CF_MAX_SETS:
         raise ValueError(f"cover has {n} sets; the subset sweep is capped at {CF_MAX_SETS}")
     full = (1 << n) - 1
-    cells = _cell_masks(cover)
-    # within[sigma]: the cells that make up U_sigma; within[0] is the union.
-    within = [[c for c in cells if c & sigma == sigma] for sigma in range(full + 1)]
+    sub = subset_bitsets(n)
+    every = (1 << (full + 1)) - 1
+    bits = [1 << j for j in range(n)]
+    # cov[sigma]: bit tau is set when every cell that contains sigma meets
+    # tau, so bit 0 is set exactly when U_sigma is empty; built from sigma's
+    # one-set supersets down.
+    cov = [every] * (full + 1)
+    for c in _cell_masks(cover):
+        cov[c] = every ^ sub[full ^ c]
+    for sigma in range(full, -1, -1):
+        for b in bits:
+            if not b & sigma:
+                cov[sigma] &= cov[sigma | b]
+    # From here cov[0] holds the tau that cover the stimulus space: they
+    # generate, and rule out their multiples, only when the space is the union.
+    if cover.ambient != AMBIENT_UNION:
+        cov[0] = 0
 
-    def covered(sigma: int, tau: int) -> bool:
-        return all(c & tau for c in within[sigma])
-
-    union = cover.ambient == AMBIENT_UNION
-    covers_space = [union and covered(0, tau) for tau in range(full + 1)]
-
-    elements = set()
-    for sigma in range(1, full + 1):
-        lower = [sigma ^ 1 << i for i in range(n) if sigma >> i & 1]
-        if not within[sigma]:
-            if all(within[sub] for sub in lower):
-                elements.add((sigma, 0))
+    elements = []
+    for sigma in range(full + 1):
+        rest = full ^ sigma
+        here = cov[sigma]
+        if here & 1:
+            if not any(cov[sigma ^ b] & 1 for b in bits if b & sigma):
+                elements.append((sigma, 0))
             continue
-        for tau in submasks(full ^ sigma):
-            if tau == 0 or covers_space[tau] or not covered(sigma, tau):
-                continue
-            if any(sub and covered(sub, tau) for sub in lower):
-                continue
-            if not any(covered(sigma, tau ^ 1 << j) for j in range(n) if tau >> j & 1):
-                elements.add((sigma, tau))
-
-    for tau in range(1, full + 1):
-        if covers_space[tau] and not any(
-                covers_space[tau ^ 1 << j] for j in range(n) if tau >> j & 1):
-            elements.add((0, tau))
-
+        keep = here & sub[rest]
+        for b in bits:
+            if not keep:
+                break
+            if b & sigma:
+                keep &= ~cov[sigma ^ b]
+            else:
+                keep &= ~((here & sub[rest ^ b]) << b)
+        while keep:
+            low = keep & -keep
+            elements.append((sigma, low.bit_length() - 1))
+            keep ^= low
     return CanonicalForm(n, elements)
 
 

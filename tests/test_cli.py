@@ -14,7 +14,7 @@ import pytest
 from neurocode import cli, verify
 from neurocode.codes import Code
 from neurocode.graphs import GR_COMPLEX_MAX_VISITS
-from neurocode.ideal import CF_MAX_WORK
+from neurocode.ideal import CF_MAX_WORK, CanonicalForm
 from neurocode.verify import SUITES, Check, SuiteResult, parity_suite, union_closure_suite
 
 
@@ -209,6 +209,48 @@ TEXT_SHA256 = [
                          ids=[" ".join(argv) for argv, _ in TEXT_SHA256])
 def test_text_output_byte_identical(capsys, argv, expected):
     status, out, _ = run(capsys, *argv)
+    assert status == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == expected
+
+
+def test_text_mode_builds_no_json_outputs(capsys, monkeypatch):
+    def refuse(*_):
+        raise AssertionError("a JSON output was built for a text report")
+    monkeypatch.setattr(Code, "to_json_obj", refuse)
+    monkeypatch.setattr(CanonicalForm, "to_json_obj", refuse)
+    for name in ("graph_to_json_obj", "complex_to_json_obj", "cover_to_json_obj"):
+        monkeypatch.setattr(cli, name, refuse)
+    for argv, _ in TEXT_SHA256:
+        if argv[0] != "verify":
+            assert run(capsys, *argv)[0] == 0, argv
+
+
+# sha256 of the `--json` stdout of each command line, recorded while every
+# handler still built its JSON outputs in text mode too.
+JSON_SHA256 = [
+    (["cf", "{};{1,2};{2,3}"],
+     "da0eadf2815946bd729d23a549ddfd11cff99585026009cd31f45d1d95ad47fc"),
+    (["cf", "--family", "cr:5", "--oracle"],
+     "7ad46bf96c90c79061721fc220413a416bfe163e43ae20408abf5e6de641871c"),
+    (["map", "--permute", "2,1,3", "{1};{2,3};{1,2}"],
+     "be0021cf535c15cecf3c861649c99670c393db5ba9e5fc262515b401d11ef3e5"),
+    (["map", "--duplicate", "1", "--family", "cc:3"],
+     "8edd17b50b4d60dfa603bd511b61231ad098913bb6dda11062cc37df395a9b64"),
+    (["map", "--include", "{1};{2};{1,2}", "{1};{1,2}"],
+     "a74ad717397d13fedeaa7306fa70629c27fcc8450ec323e4793217065d527c45"),
+    (["realize", TEXT_COVER, "--cf"],
+     "eb88c06fa7ef95fac2213035eb539365fa0142e275a87736a45fab0e17d5e872"),
+    (["realize", "--family", "cr:4"],
+     "9a8756746d61ab968dc96af3adc0dba8b2e21a73973ed25524fc5ef842b52708"),
+    (["family", "cc:4"],
+     "f903e7b4bf7c4d7985f98b4dddc243f350eec3fb1be11c308e91bf4a59c4c3f8"),
+]
+
+
+@pytest.mark.parametrize("argv, expected", JSON_SHA256,
+                         ids=[" ".join(argv) for argv, _ in JSON_SHA256])
+def test_json_output_byte_identical(capsys, argv, expected):
+    status, out, _ = run(capsys, *argv, "--json")
     assert status == 0
     assert hashlib.sha256(out.encode()).hexdigest() == expected
 

@@ -28,6 +28,8 @@ from neurocode.codes import (
     mask_from_indices,
     parse_code,
     simplicial_complex,
+    submasks,
+    subset_bitsets,
     trunk,
     union_closure_condition,
     word_label,
@@ -41,6 +43,14 @@ def code(n, *words):
 
 def word(n, *indices):
     return mask_from_indices(indices, n)
+
+
+@pytest.mark.parametrize("n", range(7))
+def test_subset_bitsets_hold_the_submasks(n):
+    sub = subset_bitsets(n)
+    assert len(sub) == 1 << n
+    for x, bitset in enumerate(sub):
+        assert [y for y in range(1 << n) if bitset >> y & 1] == sorted(submasks(x))
 
 
 class TestCodeword:

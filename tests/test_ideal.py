@@ -48,6 +48,24 @@ def random_code(rng, n):
     return Code.from_masks(n, rng.sample(range(1 << n), rng.randint(1, 1 << n)))
 
 
+def oracle_by_definition(code):
+    """Reference: test every nonconstant (plus, minus) pair against the
+    codewords one by one, stopping at the first on which it is 1, and keep
+    the divisibility-minimal pairs that vanish on all of them."""
+    full = (1 << code.n) - 1
+    vanishing = []
+    for plus in range(full + 1):
+        for minus in range(full + 1):
+            if plus & minus or plus == minus == 0:
+                continue
+            for w in code.masks:
+                if w & plus == plus and w & minus == 0:
+                    break
+            else:
+                vanishing.append((plus, minus))
+    return CanonicalForm(code.n, _minimal_pairs(vanishing))
+
+
 class TestPseudoMonomial:
     def test_validation(self):
         # the pair holds no n; the container rejects overlapping and
@@ -169,6 +187,15 @@ class TestCanonicalForm:
         codes = [Code.from_masks(n, rng.sample(range(1 << n), m))
                  for n in (7, 8) for m in (32, 64, 128)]
         codes += [Code.from_masks(10, rng.sample(range(1 << 10), m)) for m in (32, 64)]
+        # twelve random codes on 11 and 12 neurons, up to the oracle's cap
+        rng = random.Random(37)
+        codes += [Code.from_masks(n, rng.sample(range(1 << n), m))
+                  for n in (11, 12) for m in (32, 64, 128) for _ in range(2)]
+        # the random codes of a seed-3 cf-large pass, drawn as it draws them
+        rng = random.Random("cf-large:3")
+        codes += [Code.from_masks(n, rng.sample(range(1 << n), m))
+                  for n, m, count in ((8, 32, 8), (8, 64, 8), (8, 128, 8), (10, 32, 3))
+                  for _ in range(count)]
         for c in codes:
             assert canonical_form(c) == canonical_form_oracle(c)
         for m in range(3, 29):
@@ -221,6 +248,15 @@ class TestCanonicalForm:
             assert canonical_form(missing) == CanonicalForm(n, frozenset({rho(n, v)}))
             linear = {(0, 1 << j) if v >> j & 1 else (1 << j, 0) for j in range(n)}
             assert canonical_form(Code.from_masks(n, [v])) == CanonicalForm(n, frozenset(linear))
+
+    def test_oracle_matches_definition(self):
+        # every code on n <= 3, then 300 seeded codes on 4 to 6 neurons
+        codes = [verify._code_from_index(n, idx)
+                 for n in (1, 2, 3) for idx in range(1, 1 << (1 << n))]
+        rng = random.Random(43)
+        codes += [random_code(rng, rng.randint(4, 6)) for _ in range(300)]
+        for c in codes:
+            assert canonical_form_oracle(c) == oracle_by_definition(c), c.to_text()
 
     def test_oracle_neuron_cap(self):
         with pytest.raises(ValueError):

@@ -46,6 +46,7 @@ from .realization import (
 
 DEFAULT_SEED = 1729
 EXHAUSTIVE_MAX_NEURONS = 4
+PARITY_SEARCH_MAX_NEURONS = 5  # about 2 s at n=5 on 2 vCPUs, over 60 s at n=6
 # A sampled sweep draws indices below 2^(2^n) and decodes each over 2^n words.
 SAMPLED_MAX_NEURONS = 8
 # A sampled code costs about 1-2 us for parity at any n (most codes fail the
@@ -211,35 +212,61 @@ def _orbits(n: int):
             yield idx | top | 1, size
 
 
+def _degree_pruned(n: int, comparable: list[int], roots):
+    """Yield (index, 1) once per code on n neurons with its smallest word in
+    `roots` and maximum containment-graph degree 2, adding words in ascending
+    mask order but none that would get or give a third neighbour: adding a
+    word never removes an edge, so no skipped branch holds such a code."""
+    # index, its words of degree 1 and of degree 2, the next word to try
+    stack = [(1 << root, 0, 0, root + 1) for root in roots]
+    while stack:
+        idx, one, two, start = stack.pop()
+        yield idx, 1
+        for w in range(start, 1 << n):
+            nbrs = comparable[w] & idx
+            degree = nbrs.bit_count()
+            if degree <= 2 and not nbrs & two:
+                bit = 1 << w
+                stack.append((idx | bit, one ^ nbrs | bit * (degree == 1),
+                              two | one & nbrs | bit * (degree == 2), w + 1))
+
+
 def _sweep_chunk(args: tuple) -> tuple[int, int | None]:
     """(summed weight, smallest index) of the (index, weight) draws on
     which `violation(idx, comparable)` holds, with the comparability table
-    of n neurons built once; the index is None when none does."""
-    violation, n, draws = args
+    of n neurons built once; the index is None when none does. A `search`
+    expands the draws, its roots, by `search(n, comparable, draws)`."""
+    violation, n, draws, search = args
     comparable = _comparable(n)
+    if search is not None:
+        draws = search(n, comparable, draws)
     hits = [(idx, weight) for idx, weight in draws if violation(idx, comparable)]
     return sum(weight for _, weight in hits), min((idx for idx, _ in hits), default=None)
 
 
 def _run_sweep(violation, n: int, exhaustive: bool, sample: int | None,
-               seed: int, jobs: int) -> tuple[int, int, int | None]:
+               seed: int, jobs: int, search=None) -> tuple[int, int, int | None]:
     """Run an all-codes sweep; returns (scanned, violating codes, smallest
     violating index or None).
 
     An exhaustive sweep tests one code per orbit under neuron permutations,
-    its smallest index, and a violating orbit counts by its size, so the
-    result is the one a test of every code would give. A sampled sweep
-    tests `sample` seeded indices, each counting once. With `jobs > 1` the
-    parent draws the indices in the same order and splits them between
-    workers, so the result does not depend on `jobs`."""
-    cap = EXHAUSTIVE_MAX_NEURONS if exhaustive else SAMPLED_MAX_NEURONS
+    its smallest index, and a violating orbit counts by its size; with a
+    `search`, it tests once each code the search reaches from the word
+    masks, which must take in every code `violation` holds on. Either way
+    the result is that of a test of every code. A sampled sweep tests
+    `sample` seeded indices, each counting once. With `jobs > 1` the parent
+    lists the orbits, roots or indices in the same order and splits them
+    between workers, so the result does not depend on `jobs`."""
+    search = search if exhaustive else None
+    cap = SAMPLED_MAX_NEURONS if not exhaustive else (
+        EXHAUSTIVE_MAX_NEURONS if search is None else PARITY_SEARCH_MAX_NEURONS)
     if n > cap:
         kind = "exhaustive" if exhaustive else "sampled"
         raise ValueError(f"{kind} sweeps are capped at n={cap}, got n={n}")
     total = 1 << (1 << n)
     if exhaustive:
         scanned = total - 1
-        draws = _orbits(n)
+        draws = _orbits(n) if search is None else range(1 << n)
     else:
         scanned = sample if sample is not None else 10000
         rng = random.Random(seed)
@@ -247,23 +274,24 @@ def _run_sweep(violation, n: int, exhaustive: bool, sample: int | None,
     if jobs > 1:
         draws = list(draws)
         chunk = len(draws) // (jobs * 8) + 1
-        tasks = [(violation, n, draws[lo:lo + chunk]) for lo in range(0, len(draws), chunk)]
+        tasks = [(violation, n, draws[i:i + chunk], search) for i in range(0, len(draws), chunk)]
         with ProcessPoolExecutor(max_workers=min(jobs, len(tasks))) as pool:
             parts = list(pool.map(_sweep_chunk, tasks))
     else:
-        parts = [_sweep_chunk((violation, n, draws))]
+        parts = [_sweep_chunk((violation, n, draws, search))]
     firsts = [first for _, first in parts if first is not None]
     return scanned, sum(bad for bad, _ in parts), min(firsts, default=None)
 
 
-def _sweep_suite(name: str, violation, doc: str):
+def _sweep_suite(name: str, violation, doc: str, search=None):
     """Build the suite that sweeps the codes on n neurons for `violation`:
     all of them when `exhaustive`, which by default means no `sample` and
     n <= EXHAUSTIVE_MAX_NEURONS, else `sample` (default 10000) seeded ones.
 
     `violation(idx, comparable)` tests the code with index `idx` against
     the `_comparable(n)` table, with no Code built; only the smallest
-    violating code becomes a Code, for the counterexample. It must give the
+    violating code becomes a Code, for the counterexample. Unless `search`
+    runs the exhaustive sweep (see _run_sweep), `violation` must give the
     same answer on a code and on every code a neuron permutation maps it
     to: an exhaustive sweep tests one code per orbit, and a violating orbit
     counts by its size. This weighted count, not `_tally`, is the sweeps'
@@ -275,7 +303,7 @@ def _sweep_suite(name: str, violation, doc: str):
         _in_range(1, MAX_JOBS, jobs=jobs)
         if exhaustive is None:
             exhaustive = sample is None and n <= EXHAUSTIVE_MAX_NEURONS
-        scanned, bad, first = _run_sweep(violation, n, exhaustive, sample, seed, jobs)
+        scanned, bad, first = _run_sweep(violation, n, exhaustive, sample, seed, jobs, search)
         counter = None
         if first is not None:
             code = _code_from_index(n, first)
@@ -292,7 +320,9 @@ def _sweep_suite(name: str, violation, doc: str):
 parity_suite = _sweep_suite(
     "parity", _parity_violation,
     "Connected 2-regular containment graphs on more than 3 codewords must\n"
-    "have evenly many codewords.")
+    "have evenly many codewords. A CCG is a comparability graph; those are\n"
+    "perfect, and an odd cycle on 5 or more vertices is not. So a violation\n"
+    "is a bug in the sweep or in _comparable, not a counterexample.", _degree_pruned)
 
 union_closure_suite = _sweep_suite(
     "union-closure", _union_closure_violation,

@@ -202,6 +202,12 @@ TEXT_SHA256 = [
      "076c1357283cce5093074e58e08c5a78dbb80f5774c7e4ba113126ca42565dfd"),
     (["verify", "preserve-complete", "--n", "3", "--trials", "20"],
      "ae34200272fdca9d9543deaecf3e3200ecb795852842699caf1c837b425ef172"),
+    # "4294967295 codes scanned, 0 violations" from the degree-pruned search;
+    # its subtrees split between two workers print the same bytes.
+    (["verify", "parity", "--n", "5", "--exhaustive"],
+     "9ba506f4fba8ef5ea5da979793f1269654ce61f79ca742614343cada052c6b89"),
+    (["verify", "parity", "--n", "5", "--exhaustive", "--jobs", "2"],
+     "9ba506f4fba8ef5ea5da979793f1269654ce61f79ca742614343cada052c6b89"),
 ]
 
 
@@ -567,6 +573,9 @@ VERIFY_JSON_SHA256 = [
      "760bbe250e685d85d9828827c0dfcfebe519082d53f6a21291ecb4b6f5095d43"),
     (["parity", "--n", "6", "--sample", "5000", "--seed", "4", "--jobs", "2"],
      "5fb1b57e3423d20fb68dd2969d3c74a0d5bad5b164204611dd103261224e504a"),
+    # The first exhaustive n=5 report, from the degree-pruned search.
+    (["parity", "--n", "5", "--exhaustive"],
+     "d22ea4be426df72a8e341540d96bcfc265441d3450f20711ee93bde82f1b1b3f"),
 ]
 
 
@@ -589,6 +598,8 @@ REJECTED_VERIFY = [
     (["union-closure", "--jobs", "-3"], ["--jobs -3", "jobs must be at least 1"]),
     (["parity", "--jobs", "65"], ["jobs must be at most 64, got 65 (from --jobs 65)"]),
     (["union-closure", "--n", "9", "--sample", "5"], ["--n 9", "capped at n=8"]),
+    (["parity", "--n", "6", "--exhaustive"], ["--n 6", "capped at n=5"]),
+    (["union-closure", "--n", "5", "--exhaustive"], ["--n 5", "capped at n=4"]),
     (["preserve-connected", "--trials", "0"], ["--trials 0", "trials must be at least 1"]),
     (["preserve-complete", "--n", "0"], ["--n 0", "max_n must be at least 1"]),
     (["complete-iso", "--n", "0"], ["--n 0", "max_n must be at least 1"]),

@@ -1,6 +1,7 @@
-"""Sweeps against brute force: orbit-reduced exhaustive ones over every
-code, sampled ones over the seeded draws, for every worker count; and each
-suite's failure count, first counterexample and its replayable rerun."""
+"""Sweeps against brute force: orbit-reduced and degree-pruned exhaustive
+ones over every code, sampled ones over the seeded draws, for every worker
+count; and each suite's failure count, first counterexample and its
+replayable rerun."""
 
 import json
 import math
@@ -8,7 +9,7 @@ import random
 import shlex
 from functools import lru_cache, reduce
 from operator import or_
-from itertools import permutations
+from itertools import islice, permutations
 
 import pytest
 
@@ -33,6 +34,7 @@ from neurocode.realization import (
 )
 from neurocode.verify import (
     _comparable,
+    _degree_pruned,
     _orbits,
     _parity_violation,
     _random_spec,
@@ -196,6 +198,59 @@ def test_pool_asks_for_no_more_workers_than_tasks(monkeypatch):
 def test_known_violation_counts():
     assert _run_sweep(small_connected, 3, True, None, 0, 1)[1] == 126
     assert _run_sweep(small_connected, 4, True, None, 0, 1)[1] == 10279
+
+
+def degrees(idx, comparable):
+    """The number of neighbours of each codeword in the containment graph."""
+    bits = idx
+    while bits:
+        low = bits & -bits
+        yield (comparable[low.bit_length() - 1] & idx).bit_count()
+        bits ^= low
+
+
+def low_degree(idx, comparable):
+    return all(d <= 2 for d in degrees(idx, comparable))
+
+
+def odd_low_degree(idx, comparable):
+    return idx.bit_count() % 2 == 1 and low_degree(idx, comparable)
+
+
+@pytest.mark.parametrize("n, count", [(1, 3), (2, 14), (3, 114), (4, 3384)])
+def test_degree_pruned_search_reaches_each_low_degree_code_once(n, count):
+    comparable = _comparable(n)
+    expected = [idx for idx in range(1, 1 << (1 << n)) if low_degree(idx, comparable)]
+    assert len(expected) == count
+    # one more than expected, so a search that repeats codes without end stops
+    reached = list(islice(_degree_pruned(n, comparable, range(1 << n)), count + 1))
+    assert sorted(reached) == [(idx, 1) for idx in expected]
+
+
+@pytest.mark.parametrize("predicate", [_parity_violation, odd_low_degree],
+                         ids=lambda p: p.__name__)
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_searched_sweep_matches_brute_force(n, predicate):
+    comparable = _comparable(n)
+    bad = [idx for idx in range(1, 1 << (1 << n)) if predicate(idx, comparable)]
+    assert bool(bad) == (predicate is odd_low_degree)
+    expected = ((1 << (1 << n)) - 1, len(bad), min(bad, default=None))
+    for jobs in (1, 2):
+        assert _run_sweep(predicate, n, True, None, 0, jobs, _degree_pruned) == expected
+
+
+def test_degree_pruned_search_on_five_neurons():
+    """The codes the n=5 parity sweep tests, and among them the connected
+    2-regular ones on more than 3 codewords, every one of them even."""
+    comparable = _comparable(5)
+    reached, two_regular = 0, []
+    for idx, weight in _degree_pruned(5, comparable, range(32)):
+        reached += weight
+        if idx.bit_count() > 3 and all(d == 2 for d in degrees(idx, comparable)):
+            two_regular.append(idx)
+    cycles = [idx for idx in two_regular if is_connected(ccg(brute_code(5, idx)))]
+    assert (reached, len(cycles)) == (1102069, 5191)
+    assert all(idx.bit_count() % 2 == 0 for idx in cycles)
 
 
 def test_failing_sweep_builds_one_code(monkeypatch):

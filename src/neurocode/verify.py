@@ -45,6 +45,8 @@ from .realization import (
 )
 
 DEFAULT_SEED = 1729
+# An exhaustive union-closure sweep holds, per word mask, one bit for each of
+# the 2^(2^n) code indices: 8 KB at n=4, 512 MB at n=5.
 EXHAUSTIVE_MAX_NEURONS = 4
 PARITY_SEARCH_MAX_NEURONS = 5  # about 2 s at n=5 on 2 vCPUs, over 60 s at n=6
 # A sampled sweep draws indices below 2^(2^n) and decodes each over 2^n words.
@@ -213,7 +215,7 @@ def _orbits(n: int):
 
 
 def _degree_pruned(n: int, comparable: list[int], roots):
-    """Yield (index, 1) once per code on n neurons with its smallest word in
+    """Yield once each code index on n neurons with its smallest word in
     `roots` and maximum containment-graph degree 2, adding words in ascending
     mask order but none that would get or give a third neighbour: adding a
     word never removes an edge, so no skipped branch holds such a code."""
@@ -221,7 +223,7 @@ def _degree_pruned(n: int, comparable: list[int], roots):
     stack = [(1 << root, 0, 0, root + 1) for root in roots]
     while stack:
         idx, one, two, start = stack.pop()
-        yield idx, 1
+        yield idx
         for w in range(start, 1 << n):
             nbrs = comparable[w] & idx
             degree = nbrs.bit_count()
@@ -231,46 +233,67 @@ def _degree_pruned(n: int, comparable: list[int], roots):
                               two | one & nbrs | bit * (degree == 2), w + 1))
 
 
+def _union_closure_sets(n: int) -> tuple[int, int]:
+    """(union, far): bitsets over the code indices on n neurons, bit idx for
+    the code with index idx. `union` holds the codes that meet the paper's
+    union condition, every union of two codewords lying in a codeword; `far`
+    those with two codewords more than 2 apart, or unconnected, in the CCG.
+    has[w] marks the codes with codeword w; around[u] (inside[u]) ORs it over
+    the w around (inside) u: the codes in whose complex u is a face (with a
+    codeword inside u). Incomparable codewords a, b have a common neighbour
+    iff a codeword lies inside a & b or around a | b."""
+    _in_range(1, EXHAUSTIVE_MAX_NEURONS, n=n)
+    words, span = 1 << n, 1 << (1 << n)
+    has = []
+    for w in range(words):  # runs of 2^w zeros and 2^w ones, alternating
+        period, col = 2 << w, (1 << (2 << w)) - (1 << (1 << w))
+        while period < span:
+            col, period = col | col << period, period << 1
+        has.append(col)
+    around, inside = has[:], has[:]
+    for i in range(n):
+        for u in range(words):
+            if not u >> i & 1:
+                around[u] |= around[u | 1 << i]
+                inside[u | 1 << i] |= inside[u]
+    comparable = _comparable(n)
+    fail = far = 0
+    for b in range(words):
+        for a in range(b):
+            if not comparable[b] >> a & 1:
+                both = has[a] & has[b]
+                fail |= both & ~around[a | b]
+                far |= both & ~(inside[a & b] | around[a | b])
+    return ((1 << span) - 1) ^ fail, far
+
+
+def _union_closure_everyone(n: int, jobs: int) -> tuple[int, int | None]:
+    """(count, smallest index or None) of the codes that meet the union
+    condition at diameter above 2, in this process whatever `jobs` is."""
+    union, far = _union_closure_sets(n)
+    bad = union & far
+    return bad.bit_count(), (bad & -bad).bit_length() - 1 if bad else None
+
+
 def _sweep_chunk(args: tuple) -> tuple[int, int | None]:
-    """(summed weight, smallest index) of the (index, weight) draws on
-    which `violation(idx, comparable)` holds, with the comparability table
-    of n neurons built once; the index is None when none does. A `search`
+    """(count, smallest) of the indices in `draws` on which
+    `violation(idx, comparable)` holds, with the comparability table of n
+    neurons built once; the smallest is None when none does. A `search`
     expands the draws, its roots, by `search(n, comparable, draws)`."""
     violation, n, draws, search = args
     comparable = _comparable(n)
     if search is not None:
         draws = search(n, comparable, draws)
-    hits = [(idx, weight) for idx, weight in draws if violation(idx, comparable)]
-    return sum(weight for _, weight in hits), min((idx for idx, _ in hits), default=None)
+    hits = [idx for idx in draws if violation(idx, comparable)]
+    return len(hits), min(hits, default=None)
 
 
-def _run_sweep(violation, n: int, exhaustive: bool, sample: int | None,
-               seed: int, jobs: int, search=None) -> tuple[int, int, int | None]:
-    """Run an all-codes sweep; returns (scanned, violating codes, smallest
-    violating index or None).
-
-    An exhaustive sweep tests one code per orbit under neuron permutations,
-    its smallest index, and a violating orbit counts by its size; with a
-    `search`, it tests once each code the search reaches from the word
-    masks, which must take in every code `violation` holds on. Either way
-    the result is that of a test of every code. A sampled sweep tests
-    `sample` seeded indices, each counting once. With `jobs > 1` the parent
-    lists the orbits, roots or indices in the same order and splits them
-    between workers, so the result does not depend on `jobs`."""
-    search = search if exhaustive else None
-    cap = SAMPLED_MAX_NEURONS if not exhaustive else (
-        EXHAUSTIVE_MAX_NEURONS if search is None else PARITY_SEARCH_MAX_NEURONS)
-    if n > cap:
-        kind = "exhaustive" if exhaustive else "sampled"
-        raise ValueError(f"{kind} sweeps are capped at n={cap}, got n={n}")
-    total = 1 << (1 << n)
-    if exhaustive:
-        scanned = total - 1
-        draws = _orbits(n) if search is None else range(1 << n)
-    else:
-        scanned = sample if sample is not None else 10000
-        rng = random.Random(seed)
-        draws = ((rng.randrange(1, total), 1) for _ in range(scanned))
+def _run_sweep(violation, n: int, draws, jobs: int, search=None) -> tuple[int, int | None]:
+    """(violating codes, smallest violating index or None) among the code
+    indices `draws`, or among the codes `search` reaches from the roots
+    `draws` (see _sweep_chunk). With `jobs > 1` the parent lists the draws
+    in order and splits them between workers, so the result does not
+    depend on `jobs`."""
     if jobs > 1:
         draws = list(draws)
         chunk = len(draws) // (jobs * 8) + 1
@@ -280,22 +303,20 @@ def _run_sweep(violation, n: int, exhaustive: bool, sample: int | None,
     else:
         parts = [_sweep_chunk((violation, n, draws, search))]
     firsts = [first for _, first in parts if first is not None]
-    return scanned, sum(bad for bad, _ in parts), min(firsts, default=None)
+    return sum(bad for bad, _ in parts), min(firsts, default=None)
 
 
-def _sweep_suite(name: str, violation, doc: str, search=None):
+def _sweep_suite(name: str, violation, doc: str, cap: int, everyone):
     """Build the suite that sweeps the codes on n neurons for `violation`:
     all of them when `exhaustive`, which by default means no `sample` and
     n <= EXHAUSTIVE_MAX_NEURONS, else `sample` (default 10000) seeded ones.
 
     `violation(idx, comparable)` tests the code with index `idx` against
-    the `_comparable(n)` table, with no Code built; only the smallest
-    violating code becomes a Code, for the counterexample. Unless `search`
-    runs the exhaustive sweep (see _run_sweep), `violation` must give the
-    same answer on a code and on every code a neuron permutation maps it
-    to: an exhaustive sweep tests one code per orbit, and a violating orbit
-    counts by its size. This weighted count, not `_tally`, is the sweeps'
-    failure count, since one failing case stands for a whole orbit."""
+    the `_comparable(n)` table, with no Code built; a sampled sweep runs it
+    on each seeded index. An exhaustive sweep, for n up to `cap`, is
+    `everyone(n, jobs)`, which must return the (violating codes, smallest
+    violating index) of that test of every code. Only the smallest
+    violating code becomes a Code, for the counterexample."""
     def suite(n: int = 3, exhaustive: bool | None = None, sample: int | None = None,
               seed: int = DEFAULT_SEED, jobs: int = 1) -> SuiteResult:
         _in_range(1, n=n)
@@ -303,7 +324,13 @@ def _sweep_suite(name: str, violation, doc: str, search=None):
         _in_range(1, MAX_JOBS, jobs=jobs)
         if exhaustive is None:
             exhaustive = sample is None and n <= EXHAUSTIVE_MAX_NEURONS
-        scanned, bad, first = _run_sweep(violation, n, exhaustive, sample, seed, jobs, search)
+        kind, limit = ("exhaustive", cap) if exhaustive else ("sampled", SAMPLED_MAX_NEURONS)
+        if n > limit:
+            raise ValueError(f"{kind} sweeps are capped at n={limit}, got n={n}")
+        total, rng = 1 << (1 << n), random.Random(seed)
+        scanned = total - 1 if exhaustive else sample or 10000
+        bad, first = everyone(n, jobs) if exhaustive else _run_sweep(
+            violation, n, (rng.randrange(1, total) for _ in range(scanned)), jobs)
         counter = None
         if first is not None:
             code = _code_from_index(n, first)
@@ -322,20 +349,22 @@ parity_suite = _sweep_suite(
     "Connected 2-regular containment graphs on more than 3 codewords must\n"
     "have evenly many codewords. A CCG is a comparability graph; those are\n"
     "perfect, and an odd cycle on 5 or more vertices is not. So a violation\n"
-    "is a bug in the sweep or in _comparable, not a counterexample.", _degree_pruned)
+    "is a bug in the sweep or in _comparable, not a counterexample.",
+    PARITY_SEARCH_MAX_NEURONS,
+    lambda n, jobs: _run_sweep(_parity_violation, n, range(1 << n), jobs, _degree_pruned))
 
 union_closure_suite = _sweep_suite(
     "union-closure", _union_closure_violation,
     "Pairwise unions landing in the code's complex force a connected\n"
-    "containment graph of diameter at most 2. The codes that meet the union\n"
-    "condition are exactly those with a top codeword, one containing all the\n"
-    "others (see codes.union_closure_condition). So no violation can occur: a\n"
-    "top codeword is adjacent to every other codeword, so the diameter is at\n"
-    "most 2. _diameter settles every such graph from its degrees, with no\n"
-    "breadth-first search, so the sweep checks _comparable and that degree\n"
-    "rule; the search branch is checked against brute force by\n"
-    "tests/test_verify.py::test_sweep_predicates_match_definitions and\n"
-    "tests/test_graphs.py::TestQueriesAgainstFloydWarshall.")
+    "containment graph of diameter at most 2. An exhaustive sweep decides the\n"
+    "union condition by its definition and the diameter from common\n"
+    "neighbours, for every code at once on bitsets over the code indices\n"
+    "(_union_closure_sets), with no worker process. A sampled sweep tests\n"
+    "each code for a top codeword, one containing all the others, which is\n"
+    "equivalent (see codes.union_closure_condition), and then its _diameter.\n"
+    "No violation can occur: a top codeword is adjacent to every other\n"
+    "codeword, so the diameter is at most 2.",
+    EXHAUSTIVE_MAX_NEURONS, _union_closure_everyone)
 
 
 def _random_code(rng: random.Random, n: int) -> Code:

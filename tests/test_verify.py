@@ -1,7 +1,7 @@
-"""Sweeps against brute force: orbit-reduced and degree-pruned exhaustive
-ones over every code, sampled ones over the seeded draws, for every worker
-count; and each suite's failure count, first counterexample and its
-replayable rerun."""
+"""Sweeps against brute force: the degree-pruned and the code-space bitset
+exhaustive ones over every code, sampled ones over the seeded draws, for
+every worker count; the orbit enumeration; and each suite's failure count,
+first counterexample and its replayable rerun."""
 
 import json
 import math
@@ -40,6 +40,7 @@ from neurocode.verify import (
     _random_spec,
     _run_sweep,
     _sweep_suite,
+    _union_closure_sets,
     _union_closure_violation,
 )
 
@@ -61,10 +62,10 @@ def brute_orbit(n, idx):
     return orbit
 
 
-# Permutation-invariant predicates that do have violations, at module level
-# so that `jobs=2` workers can unpickle them. Like the sweep predicates they
-# test a code index against the comparability table; CODE_TESTS holds the
-# same test on a Code, which brute force runs through brute_code and ccg.
+# Predicates that do have violations, at module level so that `jobs=2`
+# workers can unpickle them. Like the sweep predicates they test a code
+# index against the comparability table; CODE_TESTS holds the same test on
+# a Code, which brute force runs through brute_code and ccg.
 def small_connected(idx, comparable):
     if idx.bit_count() not in (3, 5, 6):
         return False
@@ -87,6 +88,12 @@ CODE_TESTS = {
     small_connected: lambda code: len(code) in (3, 5, 6) and is_connected(ccg(code)),
     odd_size: lambda code: len(code) % 2 == 1,
 }
+
+
+def brute_suite(predicate):
+    """A sweep suite on `predicate` whose exhaustive run tests every index."""
+    return _sweep_suite(predicate.__name__.replace("_", "-"), predicate, "", 4,
+                        lambda n, jobs: _run_sweep(predicate, n, range(1, 1 << (1 << n)), jobs))
 
 
 @pytest.mark.parametrize("n, count", [(1, 3), (2, 11), (3, 79), (4, 3983)])
@@ -134,17 +141,6 @@ def brute_violations(n):
 
 
 @pytest.mark.parametrize("predicate", PREDICATES, ids=lambda p: p.__name__)
-@pytest.mark.parametrize("n", [1, 2, 3, 4])
-def test_run_sweep_matches_brute_force(n, predicate):
-    bad = brute_violations(n)[predicate]
-    # Codes on 1 neuron have at most 2 codewords, so only odd_size fires.
-    assert bad or (n, predicate) == (1, small_connected)
-    expected = ((1 << (1 << n)) - 1, len(bad), min(bad, default=None))
-    for jobs in (1, 2):
-        assert _run_sweep(predicate, n, True, None, 0, jobs) == expected
-
-
-@pytest.mark.parametrize("predicate", PREDICATES, ids=lambda p: p.__name__)
 @pytest.mark.parametrize("n, sample, seed", [(2, 60, 5), (3, 500, 5), (4, 3000, 11)])
 def test_sampled_sweep_same_for_every_jobs(n, sample, seed, predicate):
     rng = random.Random(seed)
@@ -152,7 +148,9 @@ def test_sampled_sweep_same_for_every_jobs(n, sample, seed, predicate):
     bad = [idx for idx in draws if CODE_TESTS[predicate](brute_code(n, idx))]
     assert bad
     for jobs in (1, 2, 3):
-        assert _run_sweep(predicate, n, False, sample, seed, jobs) == (sample, len(bad), min(bad))
+        check, = brute_suite(predicate)(n=n, sample=sample, seed=seed, jobs=jobs).checks
+        assert check.detail == f"{sample} codes scanned, {len(bad)} violations"
+        assert check.counterexample["code"] == f"n={n};{brute_code(n, min(bad)).to_text()}"
 
 
 class InlinePool:
@@ -178,13 +176,14 @@ class InlinePool:
 
 def test_sampled_sweep_splits_draws_between_workers(monkeypatch):
     monkeypatch.setattr(verify, "ProcessPoolExecutor", InlinePool)
-    result = _run_sweep(odd_size, 3, False, 500, 7, 2)
+    suite = brute_suite(odd_size)
+    result = suite(n=3, sample=500, seed=7, jobs=2)
     rng = random.Random(7)
     assert [draw for chunk in InlinePool.chunks for draw in chunk] == \
-        [(rng.randrange(1, 256), 1) for _ in range(500)]
+        [rng.randrange(1, 256) for _ in range(500)]
     assert InlinePool.workers == 2
     assert len(InlinePool.chunks) > 1
-    assert result == _run_sweep(odd_size, 3, False, 500, 7, 1)
+    assert result == suite(n=3, sample=500, seed=7, jobs=1)
 
 
 def test_pool_asks_for_no_more_workers_than_tasks(monkeypatch):
@@ -193,11 +192,6 @@ def test_pool_asks_for_no_more_workers_than_tasks(monkeypatch):
     result = verify.parity_suite(n=1, exhaustive=True, jobs=8)
     assert result.checks[0].detail == "3 codes scanned, 0 violations"
     assert InlinePool.workers <= 3
-
-
-def test_known_violation_counts():
-    assert _run_sweep(small_connected, 3, True, None, 0, 1)[1] == 126
-    assert _run_sweep(small_connected, 4, True, None, 0, 1)[1] == 10279
 
 
 def degrees(idx, comparable):
@@ -224,7 +218,7 @@ def test_degree_pruned_search_reaches_each_low_degree_code_once(n, count):
     assert len(expected) == count
     # one more than expected, so a search that repeats codes without end stops
     reached = list(islice(_degree_pruned(n, comparable, range(1 << n)), count + 1))
-    assert sorted(reached) == [(idx, 1) for idx in expected]
+    assert sorted(reached) == expected
 
 
 @pytest.mark.parametrize("predicate", [_parity_violation, odd_low_degree],
@@ -234,9 +228,9 @@ def test_searched_sweep_matches_brute_force(n, predicate):
     comparable = _comparable(n)
     bad = [idx for idx in range(1, 1 << (1 << n)) if predicate(idx, comparable)]
     assert bool(bad) == (predicate is odd_low_degree)
-    expected = ((1 << (1 << n)) - 1, len(bad), min(bad, default=None))
     for jobs in (1, 2):
-        assert _run_sweep(predicate, n, True, None, 0, jobs, _degree_pruned) == expected
+        assert _run_sweep(predicate, n, range(1 << n), jobs, _degree_pruned) == \
+            (len(bad), min(bad, default=None))
 
 
 def test_degree_pruned_search_on_five_neurons():
@@ -244,8 +238,8 @@ def test_degree_pruned_search_on_five_neurons():
     2-regular ones on more than 3 codewords, every one of them even."""
     comparable = _comparable(5)
     reached, two_regular = 0, []
-    for idx, weight in _degree_pruned(5, comparable, range(32)):
-        reached += weight
+    for idx in _degree_pruned(5, comparable, range(32)):
+        reached += 1
         if idx.bit_count() > 3 and all(d == 2 for d in degrees(idx, comparable)):
             two_regular.append(idx)
     cycles = [idx for idx in two_regular if is_connected(ccg(brute_code(5, idx)))]
@@ -261,7 +255,7 @@ def test_failing_sweep_builds_one_code(monkeypatch):
         return brute_code(n, idx)
 
     monkeypatch.setattr(verify, "_code_from_index", code_from_index)
-    check, = _sweep_suite("odd-size", odd_size, "")(n=4).checks
+    check, = brute_suite(odd_size)(n=4).checks
     assert built == [1]
     assert check.detail == "65535 codes scanned, 32768 violations"
     assert check.counterexample["code"] == "n=4;{}"
@@ -360,6 +354,46 @@ def test_sweep_predicates_match_definitions(n):
     assert n <= 2 or max(seen - {math.inf}) > 2
 
 
+def meets_union_condition(n, idx):
+    """Every union of two codewords of the code with index `idx` lies in
+    one of its codewords, pair by pair."""
+    words = [w for w in range(1 << n) if idx >> w & 1]
+    return all(any(a | b | w == w for w in words) for a in words for b in words)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_union_closure_sets_match_definitions(n):
+    union, far = _union_closure_sets(n)
+    for idx in range(1, 1 << (1 << n)):
+        assert union >> idx & 1 == meets_union_condition(n, idx), (n, idx)
+        assert far >> idx & 1 == (oracle(n, idx)[2] > 2), (n, idx)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_union_closure_sets_match_per_code_tests(n):
+    """Against the top-codeword reduction (union_closure_condition),
+    _diameter and the sampled sweep's predicate, on every code; the empty
+    index 0 has no two codewords apart and is never reported."""
+    comparable = _comparable(n)
+    union, far = _union_closure_sets(n)
+    assert not far & 1
+    for idx in range(1, 1 << (1 << n)):
+        expected = (union_closure_condition(brute_code(n, idx)),
+                    _diameter([c & idx for c in comparable], idx) > 2,
+                    _union_closure_violation(idx, comparable))
+        assert (union >> idx & 1, far >> idx & 1, (union & far) >> idx & 1) == expected, idx
+
+
+def test_exhaustive_union_closure_starts_no_worker(monkeypatch):
+    expected = verify.union_closure_suite(n=4, jobs=1)
+
+    def no_pool(*args, **kwargs):
+        raise AssertionError("a worker pool was started")
+
+    monkeypatch.setattr(verify, "ProcessPoolExecutor", no_pool)
+    assert verify.union_closure_suite(n=4, jobs=2) == expected
+
+
 @pytest.mark.parametrize("n", [1, 2, 5, 62, 63, 64])
 def test_random_inclusion_adds_distinct_words(n):
     # below 63 neurons the seeded draw is rng.sample over every word, as
@@ -419,8 +453,7 @@ def test_map_counterexample_reruns_with_silent_top_neuron(capsys, spec):
 
 
 def test_sweep_tally_counts_every_violation_and_reruns_the_first(capsys):
-    suite = verify._sweep_suite("odd-size", odd_size, "")
-    (check,) = suite(n=2).checks
+    (check,) = brute_suite(odd_size)(n=2).checks
     expected = brute_violations(2)[odd_size]
     assert check.detail == f"15 codes scanned, {len(expected)} violations"
     first = brute_code(2, expected[0])

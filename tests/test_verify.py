@@ -141,6 +141,17 @@ def brute_violations(n):
 
 
 @pytest.mark.parametrize("predicate", PREDICATES, ids=lambda p: p.__name__)
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_run_sweep_matches_brute_force(n, predicate):
+    bad = brute_violations(n)[predicate]
+    # Codes on 1 neuron have at most 2 codewords, so only odd_size fires.
+    assert bad or (n, predicate) == (1, small_connected)
+    for jobs in (1, 2):
+        assert _run_sweep(predicate, n, range(1, 1 << (1 << n)), jobs) == \
+            (len(bad), min(bad, default=None))
+
+
+@pytest.mark.parametrize("predicate", PREDICATES, ids=lambda p: p.__name__)
 @pytest.mark.parametrize("n, sample, seed", [(2, 60, 5), (3, 500, 5), (4, 3000, 11)])
 def test_sampled_sweep_same_for_every_jobs(n, sample, seed, predicate):
     rng = random.Random(seed)
@@ -192,6 +203,12 @@ def test_pool_asks_for_no_more_workers_than_tasks(monkeypatch):
     result = verify.parity_suite(n=1, exhaustive=True, jobs=8)
     assert result.checks[0].detail == "3 codes scanned, 0 violations"
     assert InlinePool.workers <= 3
+
+
+def test_known_violation_counts():
+    for n, scanned, count in [(3, 255, 126), (4, 65535, 10279)]:
+        check, = brute_suite(small_connected)(n=n).checks
+        assert check.detail == f"{scanned} codes scanned, {count} violations"
 
 
 def degrees(idx, comparable):

@@ -13,7 +13,8 @@ in which a prefix of the code stays inside a subcube for longer, so its form
 stays small. The one independent check is the definition-based oracle,
 which shares no code with it: it decides all 3^n pseudo-monomials, a bitset
 of minus masks per plus mask over the subset lattice, in O(n 2^n) big-int
-operations.
+operations. The oracle also serves `realize --cf`: the canonical form of an
+interval cover is the oracle's form of its realized code.
 """
 
 from __future__ import annotations

@@ -7,11 +7,7 @@ intersections; no floating point anywhere, so realized codes are invariant
 under rational rescaling.
 
 An interval arrangement is sampled once, on endpoint ranks, and reduced to
-the membership masks of its cells. Those masks answer every question the
-canonical form of the cover asks (is U_sigma empty, does a union of other
-sets contain it, does it cover the stimulus space) with integer tests, so
-`cf_from_intervals` compares no rationals after the first sort; it runs the
-tests for all subfamilies at once, as bitsets over the subset lattice.
+the membership masks of its cells.
 
 A segment cover is scaled to integer coordinates and each segment sampled
 on the ranks of the parameters where the others' meets with it begin and
@@ -23,13 +19,11 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from .codes import MAX_NEURONS, Code, subset_bitsets
-from .ideal import CanonicalForm
+from .codes import MAX_NEURONS, Code
+from .ideal import ORACLE_MAX_NEURONS, CanonicalForm, canonical_form_oracle
 
 AMBIENT_LINE = "line"
 AMBIENT_UNION = "union"
-
-CF_MAX_SETS = 12
 
 Point = tuple[Fraction, Fraction]
 
@@ -103,14 +97,16 @@ class SegmentCover:
         return len(self.segments)
 
 
-def _cell_masks(cover: IntervalCover) -> set[int]:
-    """Nonzero membership masks of the cells of the interval arrangement.
+def code_of_intervals(cover: IntervalCover) -> Code:
+    """Realized code of an open interval cover, by exact arrangement.
 
     Membership is constant between neighbouring endpoints, so one sample at
     every endpoint and one between each neighbouring pair sees every cell.
     The samples work on endpoint ranks r: sample 2r sits on an endpoint,
     2r + 1 between ranks r and r + 1, and interval i holds the samples
-    strictly between twice the ranks of its ends.
+    strictly between twice the ranks of its ends. Sample 0, on the lowest
+    endpoint, lies in no interval: the empty word is a codeword on the whole
+    line, which reaches past every interval, and not on their union.
     """
     rank = {e: 2 * r for r, e in enumerate(sorted({e for iv in cover.intervals for e in iv}))}
     spans = [(rank[a], rank[b]) for a, b in cover.intervals]
@@ -121,17 +117,8 @@ def _cell_masks(cover: IntervalCover) -> set[int]:
             if a < x < b:
                 mask |= 1 << i
         masks.add(mask)
-    masks.discard(0)
-    return masks
-
-
-def code_of_intervals(cover: IntervalCover) -> Code:
-    """Realized code of an open interval cover, by exact arrangement: the
-    cell masks, plus the empty word on the whole line, which reaches past
-    every interval."""
-    masks = _cell_masks(cover)
-    if cover.ambient == AMBIENT_LINE:
-        masks.add(0)
+    if cover.ambient != AMBIENT_LINE:
+        masks.discard(0)
     return Code.from_masks(cover.n, masks)
 
 
@@ -145,63 +132,22 @@ def cc_m_intervals(m: int) -> IntervalCover:
 
 
 def cf_from_intervals(cover: IntervalCover) -> CanonicalForm:
-    """Canonical form of the realized code straight from the cover geometry.
+    """Canonical form of the cover: its minimal relationships U_sigma = empty,
+    U_sigma in the union of the U_i over tau, and (only when the stimulus
+    space is the union) tau covering the whole space.
 
-    Three generator families: empty intersections U_sigma, intersections
-    covered by the union of other intervals U_tau, and (only when the
-    stimulus space is the union) subfamilies tau covering the whole space.
-    Each condition is monotone, so minimality reduces to single-element
-    removals. Every point of U_sigma lies in a cell of the arrangement whose
-    mask contains sigma, so each geometric test is a test on cell masks:
-    U_sigma is empty when no cell contains sigma, U_sigma lies in the union
-    of the U_i with i in tau when every cell that contains sigma meets tau,
-    and tau covers the union when every cell meets tau. Each sigma tests
-    all tau at once, as a bitset whose bit tau stands for the mask tau, and
-    takes the minimal ones with a few ANDs and shifts.
+    Every point of U_sigma lies in a cell of the arrangement whose mask
+    contains sigma, so U_sigma lies in the union over tau exactly when every
+    cell that contains sigma meets tau, and tau covers the space when every
+    cell meets tau, which the empty cell of the whole line never does. The
+    cells are the codewords of the realized code, so these relationships are
+    the code's vanishing pseudo-monomials, and the oracle's sweep over them
+    is the cover's canonical form.
     """
-    n = cover.n
-    if n > CF_MAX_SETS:
-        raise ValueError(f"cover has {n} sets; the subset sweep is capped at {CF_MAX_SETS}")
-    full = (1 << n) - 1
-    sub = subset_bitsets(n)
-    every = (1 << (full + 1)) - 1
-    bits = [1 << j for j in range(n)]
-    # cov[sigma]: bit tau is set when every cell that contains sigma meets
-    # tau, so bit 0 is set exactly when U_sigma is empty; built from sigma's
-    # one-set supersets down.
-    cov = [every] * (full + 1)
-    for c in _cell_masks(cover):
-        cov[c] = every ^ sub[full ^ c]
-    for sigma in range(full, -1, -1):
-        for b in bits:
-            if not b & sigma:
-                cov[sigma] &= cov[sigma | b]
-    # From here cov[0] holds the tau that cover the stimulus space: they
-    # generate, and rule out their multiples, only when the space is the union.
-    if cover.ambient != AMBIENT_UNION:
-        cov[0] = 0
-
-    elements = []
-    for sigma in range(full + 1):
-        rest = full ^ sigma
-        here = cov[sigma]
-        if here & 1:
-            if not any(cov[sigma ^ b] & 1 for b in bits if b & sigma):
-                elements.append((sigma, 0))
-            continue
-        keep = here & sub[rest]
-        for b in bits:
-            if not keep:
-                break
-            if b & sigma:
-                keep &= ~cov[sigma ^ b]
-            else:
-                keep &= ~((here & sub[rest ^ b]) << b)
-        while keep:
-            low = keep & -keep
-            elements.append((sigma, low.bit_length() - 1))
-            keep ^= low
-    return CanonicalForm(n, elements)
+    if cover.n > ORACLE_MAX_NEURONS:
+        raise ValueError(f"cover has {cover.n} sets; the subset sweep is capped at "
+                         f"{ORACLE_MAX_NEURONS}")
+    return canonical_form_oracle(code_of_intervals(cover))
 
 
 def cr_k_polygon(k: int) -> SegmentCover:

@@ -544,7 +544,9 @@ def _random_interval_cover(rng: random.Random, max_n: int = 6) -> IntervalCover:
 def realizations_suite(max_family: int = 12, random_covers: int = 100,
                        seed: int = DEFAULT_SEED) -> SuiteResult:
     """Exact realized codes of the two constructive families, plus the
-    cover-to-canonical-form theorem on random interval covers."""
+    cover's canonical form on random interval covers: `cf_from_intervals`
+    is the oracle on the realized code, so `random-interval-cf` compares the
+    fold against the oracle on realized codes."""
     _in_range(3, MAX_NEURONS, max_family=max_family)
     _in_range(1, random_covers=random_covers)
     bad_m, counter_m = _tally({"m": m, "rerun": f"neurocode realize --family cc:{m}"}

@@ -319,6 +319,9 @@ REJECTED_INPUT = [
     (["cf", "{65}"], "neuron index 65 exceeds the cap of 64"),
     (["cf", "n=0;{}"], "neuron count must be in 1..64, got 0"),
     (["cf", "n=65;{1}"], "neuron count must be in 1..64, got 65"),
+    (["cf", "--oracle", "n=13;{13}"], "n=13 exceeds the cap of 12"),
+    (["realize", json.dumps({"kind": "intervals", "sets": [[i, i + 1] for i in range(13)]}),
+      "--cf"], "cover has 13 sets; the subset sweep is capped at 12"),
     (["graph", "grg", "--cf", "[]"], 'bad canonical form JSON: expected {"n": ..., "cf": [...]}'),
     (["realize", "[]"], 'bad cover JSON: expected {"kind": ..., "sets": [...]}'),
     (["realize", '{"kind":"intervals","ambient":"plane","sets":[[0,1]]}'],

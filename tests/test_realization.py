@@ -103,7 +103,8 @@ class TestCfFromIntervals:
         assert cf == canonical_form(code_of_intervals(cov))
 
     def test_cap(self):
-        with pytest.raises(ValueError):
+        message = "cover has 13 sets; the subset sweep is capped at 12"
+        with pytest.raises(ValueError, match=message):
             cf_from_intervals(intervals([(i, i + 1) for i in range(13)]))
 
     def test_matches_canonical_form_on_random_covers(self):
@@ -123,11 +124,12 @@ class TestCfFromIntervals:
         assert cf == canonical_form(code_of_intervals(cov))
 
 
-# The Fraction-geometry cf_from_intervals that the cell-mask version
-# replaced, kept as a reference that shares no code with the library. It is
-# the old code without its docstrings, type hints and size cap; it yields
-# (plus, minus) mask pairs where the library built PseudoMonomials, and it
-# has its own submasks.
+# The Fraction-geometry cf_from_intervals, the only geometric check of the
+# cover-to-canonical-form theorem: the library computes the cover's form as
+# the oracle's form of the realized code, and this reference shares no code
+# with either. It is an old library version without its docstrings, type
+# hints and size cap; it yields (plus, minus) mask pairs where the library
+# built PseudoMonomials, and it has its own submasks.
 def reference_submasks(mask):
     sub = mask
     while True:

@@ -7,7 +7,7 @@ import math
 from dataclasses import dataclass
 
 from .codes import Code, SimplicialComplex, _maximal_masks, indices_of
-from .ideal import CanonicalForm, _minimal_pairs
+from .ideal import CanonicalForm
 
 
 @dataclass(frozen=True)
@@ -149,10 +149,13 @@ def gr_complex(cf: CanonicalForm) -> SimplicialComplex:
     support inside sigma, so the complex is the independence complex of the
     support hypergraph. Facets are found by descending from the full set,
     branching on one violated support at a time; a descent that visits more
-    than GR_COMPLEX_MAX_VISITS masks raises ValueError.
+    than GR_COMPLEX_MAX_VISITS masks raises ValueError. The supports are
+    tried in ascending int order, and a proper subset has a smaller int, so
+    the first violated support is a minimal one: the one the minimal
+    supports alone would give, with no minimization pass.
     """
     n = cf.n
-    supports = sorted(s for s, _ in _minimal_pairs((p | m, 0) for p, m in cf.elements))
+    supports = sorted({p | m for p, m in cf.elements})
     full = (1 << n) - 1
     visited: set[int] = set()
     independent: list[int] = []
@@ -179,16 +182,27 @@ def gr_complex(cf: CanonicalForm) -> SimplicialComplex:
 
 def grg(cf: CanonicalForm) -> CodeGraph:
     """General relationship graph, the 1-skeleton of the relationship complex,
-    computed directly from element supports."""
-    n = cf.n
-    supports = sorted(s for s, _ in _minimal_pairs((p | m, 0) for p, m in cf.elements))
-    vertices = [i for i in range(1, n + 1)
-                if not any(s & ~(1 << (i - 1)) == 0 for s in supports)]
+    read off the element supports.
+
+    Supports are never empty, since a canonical form rejects the constant 1,
+    so the supports inside {i, j} are among {i}, {j} and {i, j}: neuron i is
+    a vertex iff {i} is not a support, and vertices i, j are adjacent iff
+    {i, j} is not one.
+
+    For the canonical form of a code C this is the shattering graph of C: a
+    pseudo-monomial x_sigma prod_tau (1 - x_j) vanishes on C exactly when no
+    codeword has sigma on and tau off, and each such one is a multiple of a
+    canonical-form element, so no support lies inside sigma iff all
+    2^|sigma| on/off patterns on sigma occur among the codewords. The
+    vertices are the neurons that are neither always on nor always off, and
+    the edges the pairs on which all four patterns occur.
+    """
+    supports = {p | m for p, m in cf.elements}
+    vertices = [i for i in range(1, cf.n + 1) if 1 << (i - 1) not in supports]
     nbrs = [0] * len(vertices)
     for a, i in enumerate(vertices):
         for b in range(a + 1, len(vertices)):
-            pair = (1 << (i - 1)) | (1 << (vertices[b] - 1))
-            if not any(s & ~pair == 0 for s in supports):
+            if (1 << (i - 1)) | (1 << (vertices[b] - 1)) not in supports:
                 nbrs[a] |= 1 << b
                 nbrs[b] |= 1 << a
     return CodeGraph(tuple(vertices), tuple(nbrs))

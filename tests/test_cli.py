@@ -129,6 +129,9 @@ GRAPH_JSON_SHA256 = [
      "cf88d8ad6920522587de1a8993b31e1f987c3147ecbcf0cc61ffd19b8a3224ec"),
     (["gr-complex", "--cf", GRAPH_CF5],
      "4d623920af9b7bd72f463a21c4abc8d6b6e29065ec57f34124ee1128dc08348f"),
+    # Recorded while gr_complex still branched on the minimal supports only.
+    (["gr-complex", "--family", "cr:64"],
+     "7884154b396972d077b63cbe628bdbf97970a8ed145b6c67c06a2a37980a76d8"),
 ]
 
 
@@ -579,6 +582,10 @@ VERIFY_JSON_SHA256 = [
     # The first exhaustive n=5 report, from the degree-pruned search.
     (["parity", "--n", "5", "--exhaustive"],
      "d22ea4be426df72a8e341540d96bcfc265441d3450f20711ee93bde82f1b1b3f"),
+    # Recorded while grg still minimized the supports and scanned them for
+    # every neuron pair.
+    (["grg-families", "--max", "64"],
+     "fe2f0c10624dd069537579da8672da445a52e9fc19f76b3c9fef1e0d68281f8b"),
 ]
 
 

@@ -7,10 +7,12 @@ from itertools import product as iproduct
 
 import pytest
 
-from neurocode import graphs
+from neurocode import graphs, verify
 from neurocode.codes import (
     Code,
     ElementaryMap,
+    cc_family,
+    cr_family,
     indices_of,
     mask_from_indices,
     parse_code,
@@ -427,6 +429,56 @@ class TestGrgUnderElementaryMaps:
                 assert set(g4.vertices) == verts - {n}
                 assert {tuple(sorted(e)) for e in g4.edges} == \
                     {e for e in edges if n not in e}
+
+
+def shattered_sets(c):
+    """The neuron sets sigma on which all 2^|sigma| on/off patterns occur
+    among the codewords, found from the masks alone."""
+    return [sigma for sigma in range(1 << c.n)
+            if len({w & sigma for w in c.masks}) == 1 << sigma.bit_count()]
+
+
+class TestShattering:
+    """The GR complex of a code's canonical form is the complex of the sets
+    the code shatters, and the GRG its shattered singletons and pairs;
+    checked here with no canonical form on the expected side."""
+
+    def test_grg_and_gr_complex_of_codes(self):
+        codes = [verify._code_from_index(n, idx)
+                 for n in (1, 2, 3) for idx in range(1, 1 << (1 << n))]
+        codes += [verify._code_from_index(4, idx) for idx, _ in verify._orbits(4)]
+        rng = random.Random(53)
+        for _ in range(500):
+            n = rng.randint(5, 8)
+            codes.append(Code.from_masks(n, rng.sample(range(1 << n), rng.randint(1, 32))))
+        for c in codes:
+            shattered = shattered_sets(c)
+            maximal = {s for s in shattered if not any(t != s and t & s == s for t in shattered)}
+            cf = canonical_form(c)
+            assert set(gr_complex(cf).facets) == maximal
+            g = grg(cf)
+            assert g.vertices == tuple(i for i in range(1, c.n + 1)
+                                       if 1 << (i - 1) in shattered)
+            assert g.edges == {frozenset(indices_of(s)) for s in shattered
+                               if s.bit_count() == 2}
+
+
+class TestGrComplexVisits:
+    """The descent branches on the first violated support in ascending int
+    order; cr:64 and cc:65 visit exactly 3970 and 2080 neuron sets."""
+
+    @pytest.mark.parametrize("family, size, visits",
+                             [(cr_family, 64, 3970), (cc_family, 65, 2080)],
+                             ids=["cr:64", "cc:65"])
+    def test_visit_count_is_pinned(self, monkeypatch, family, size, visits):
+        cf = canonical_form(family(size))
+        monkeypatch.setattr(graphs, "GR_COMPLEX_MAX_VISITS", visits)
+        gr_complex(cf)
+        monkeypatch.setattr(graphs, "GR_COMPLEX_MAX_VISITS", visits - 1)
+        with pytest.raises(ValueError) as info:
+            gr_complex(cf)
+        assert str(info.value) == ("general relationship complex too large: its facet "
+                                   f"search passed {visits - 1} neuron sets")
 
 
 class TestDot:

@@ -15,12 +15,18 @@ which shares no code with it: it decides all 3^n pseudo-monomials, a bitset
 of minus masks per plus mask over the subset lattice, in O(n 2^n) big-int
 operations. The oracle also serves `realize --cf`: the canonical form of an
 interval cover is the oracle's form of its realized code.
+
+Every producer of a canonical form returns a divisibility antichain by
+proof, and none runs a minimization pass: the fold (see `canonical_form`),
+the oracle (a vanishing pair is kept only when no pair one neuron smaller
+vanishes), each kind of `predict_cf` (see there) and the closed forms
+`cf_cc_formula` (distinct products of degree two) and `cf_cr_formula`
+(the all-complemented product and plain products, all of one degree).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import islice
 from typing import Iterable, Iterator, NamedTuple
 
 from .codes import (
@@ -111,9 +117,10 @@ class CanonicalForm:
     """Pseudo-monomials on neurons 1..n, held as distinct `PseudoMonomial`
     pairs sorted by (degree, plus, minus).
 
-    The constructor takes any iterable of (plus, minus) int pairs. Outputs
-    of the canonical-form algorithms are divisibility-minimal antichains;
-    the container itself only checks each pair (in range, disjoint, not the
+    The constructor takes any iterable of (plus, minus) int pairs. Every
+    producer in this module (the fold, the oracle, each `predict_cf` kind
+    and the closed forms) returns a divisibility antichain by proof; the
+    container itself only checks each pair (in range, disjoint, not the
     constant 1) so that redundant generating sets can still be fed to the
     graph builders.
     """
@@ -177,20 +184,6 @@ class CanonicalForm:
                                      f"lists of integer neuron indices")
             elements.append(pair)
         return cls.from_indices(n, elements)
-
-
-def _minimal_pairs(pairs: Iterable[tuple[int, int]]) -> list[tuple[int, int]]:
-    """Divisibility-minimal (plus, minus) pairs in (degree, plus, minus)
-    order. A distinct divisor has lower degree, so each pair is tested only
-    against the first `lower` kept pairs, those of lower degree."""
-    kept: list[tuple[int, int]] = []
-    degree = lower = 0
-    for d, p, m in sorted({((p | m).bit_count(), p, m) for p, m in pairs}):
-        if d != degree:
-            degree, lower = d, len(kept)
-        if not any(kp & p == kp and km & m == km for kp, km in islice(kept, lower)):
-            kept.append((p, m))
-    return kept
 
 
 def canonical_form(code: Code) -> CanonicalForm:
@@ -302,9 +295,30 @@ def canonical_form_oracle(code: Code) -> CanonicalForm:
 def predict_cf(cf: CanonicalForm, spec: ElementaryMap) -> CanonicalForm:
     """Transform a canonical form along an elementary code map.
 
-    Each variant has a proven closed-form rule; inclusion has none and is
-    rejected. The duplication rule's four-part union may contain multiples
-    in degenerate cases, so it is pruned before being returned.
+    `cf` must be a canonical form, an antichain: each kind applies its rule
+    element by element, so a redundant element list gives a redundant
+    result. Each kind has a proven closed-form rule whose output is again an
+    antichain; inclusion has none and is rejected.
+
+    - Permutation relabels the neurons, a bijection on the elements.
+    - Add-trivial appends x_new or 1 - x_new, the only element with the new
+      neuron.
+    - Delete keeps the elements without neuron i, a subset, shifted down.
+    - Duplicate of neuron i into the new neuron i' keeps the old elements,
+      adds a copy f' of each f that holds i, with i' in place of i on the
+      same side, and adds the cross terms x_i(1 - x_i') and x_i'(1 - x_i)
+      unless {i} is a support, that is, unless neuron i is constant.
+
+    The duplicate union is an antichain. The old elements form one, and
+    none of them holds i'. A divisor of a copy f' that lacks i' would properly
+    divide f, so no old element divides a copy, and no copy divides an old
+    element, which lacks i'. A copy g' divides f' only if g divides f, and
+    the two kinds of copy put i' on opposite sides, so neither divides the
+    other. The only possible divisors of a cross term have support inside
+    {i, i'}: x_i, 1 - x_i or their copies, which are elements exactly when
+    neuron i is constant, and then each cross term has one. A cross term
+    divides no copy, since that would need i on both sides of one old
+    element, nor any old element, which lacks i'.
     """
     n = cf.n
     if spec.kind == PERMUTATION:
@@ -318,15 +332,15 @@ def predict_cf(cf: CanonicalForm, spec: ElementaryMap) -> CanonicalForm:
     if spec.kind == DUPLICATE:
         bit = 1 << (_validate_neuron(spec, n) - 1)
         hi = 1 << n
-        parts = set(cf.elements)
+        elements = list(cf.elements)
         for p, m in cf.elements:
             if p & bit:
-                parts.add(((p ^ bit) | hi, m))
+                elements.append(((p ^ bit) | hi, m))
             if m & bit:
-                parts.add((p, (m ^ bit) | hi))
-        parts.add((bit, hi))
-        parts.add((hi, bit))
-        return CanonicalForm(n + 1, _minimal_pairs(parts))
+                elements.append((p, (m ^ bit) | hi))
+        if {(bit, 0), (0, bit)}.isdisjoint(cf.elements):
+            elements += [(bit, hi), (hi, bit)]
+        return CanonicalForm(n + 1, elements)
     if spec.kind == DELETE:
         i = _validate_neuron(spec, n)
         bit = 1 << (i - 1)

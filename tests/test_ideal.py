@@ -18,7 +18,6 @@ from neurocode.codes import (
 from neurocode.ideal import (
     CanonicalForm,
     PseudoMonomial,
-    _minimal_pairs,
     canonical_form,
     canonical_form_oracle,
     cf_cc_formula,
@@ -51,9 +50,11 @@ def random_code(rng, n):
 def oracle_by_definition(code):
     """Reference: test every nonconstant (plus, minus) pair against the
     codewords one by one, stopping at the first on which it is 1, and keep
-    the divisibility-minimal pairs that vanish on all of them."""
+    the divisibility-minimal pairs that vanish on all of them. Vanishing is
+    closed under multiples, so a vanishing pair is minimal iff no pair one
+    neuron smaller vanishes."""
     full = (1 << code.n) - 1
-    vanishing = []
+    vanishing = set()
     for plus in range(full + 1):
         for minus in range(full + 1):
             if plus & minus or plus == minus == 0:
@@ -62,8 +63,12 @@ def oracle_by_definition(code):
                 if w & plus == plus and w & minus == 0:
                     break
             else:
-                vanishing.append((plus, minus))
-    return CanonicalForm(code.n, _minimal_pairs(vanishing))
+                vanishing.add((plus, minus))
+    bits = [1 << j for j in range(code.n)]
+    return CanonicalForm(code.n, [
+        (p, m) for p, m in vanishing
+        if not any((p ^ b, m) in vanishing for b in bits if p & b)
+        and not any((p, m ^ b) in vanishing for b in bits if m & b)])
 
 
 class TestPseudoMonomial:
@@ -353,39 +358,6 @@ class TestCanonicalFormContainer:
         assert cf.to_text_lines() == ["x1*(1-x2)", "x1*x3", "(1-x1)*x2*(1-x3)"]
 
 
-def minimal_by_all_pairs(pairs):
-    """Reference: the pairs that no other distinct pair divides."""
-    distinct = set(pairs)
-    return sorted(f for f in distinct
-                  if not any(g != f and g[0] & f[0] == g[0] and g[1] & f[1] == g[1]
-                             for g in distinct))
-
-
-class TestMinimalPairs:
-    def test_matches_all_pairs_check(self):
-        rng = random.Random(61)
-        for _ in range(400):
-            n = rng.randint(1, 7)
-            blank = rng.randint(1, 4)  # weight of "neuron absent": mixes degrees
-            pairs = []
-            for _ in range(rng.randint(0, 40)):
-                plus = minus = 0
-                for i in range(n):
-                    role = rng.choices((0, 1, 2), weights=(blank, 1, 1))[0]
-                    plus |= (role == 1) << i
-                    minus |= (role == 2) << i
-                pairs.append((plus, minus))
-            pairs += rng.choices(pairs, k=len(pairs) // 3) if pairs else []
-            got = _minimal_pairs(pairs)
-            assert sorted(got) == minimal_by_all_pairs(pairs)
-            assert got == sorted(got, key=lambda f: ((f[0] | f[1]).bit_count(), f))
-
-    def test_matches_all_pairs_check_on_family_supports(self):
-        for code in (cc_family(65), cr_family(64)):
-            supports = [(p | m, 0) for p, m in canonical_form(code).elements]
-            assert sorted(_minimal_pairs(supports)) == minimal_by_all_pairs(supports)
-
-
 class TestPredictCf:
     def test_add_on_example(self):
         cf = cf_of(2, ((2,), (1,)))
@@ -438,6 +410,40 @@ class TestPredictCf:
         cf = canonical_form(Code.from_masks(1, [0]))
         got = predict_cf(cf, ElementaryMap.duplicate(1))
         assert got == cf_of(2, ((1,), ()), ((2,), ()))
+
+    def test_every_code_on_three_neurons_matches_oracle(self):
+        # every code on n <= 3 under add-on, add-off, a cyclic relabeling,
+        # every duplicate and every delete
+        pairs = 0
+        for n in (1, 2, 3):
+            specs = [ElementaryMap.add_trivial_on(), ElementaryMap.add_trivial_off(),
+                     ElementaryMap.permutation([*range(2, n + 1), 1])]
+            specs += [ElementaryMap.duplicate(i) for i in range(1, n + 1)]
+            specs += [ElementaryMap.delete(i) for i in range(1, n + 1) if n >= 2]
+            for idx in range(1, 1 << (1 << n)):
+                c = verify._code_from_index(n, idx)
+                cf = canonical_form(c)
+                for spec in specs:
+                    image, _ = apply_elementary_map(c, spec)
+                    assert predict_cf(cf, spec) == canonical_form_oracle(image), \
+                        (c.to_text(), spec.describe())
+                    pairs += 1
+        assert pairs == 2412
+
+    def test_duplicate_matches_oracle_on_every_orbit(self):
+        # every duplicate of the smallest code of each relabeling orbit at
+        # n = 4, constant neurons included: the cross terms go exactly when
+        # the duplicated neuron is constant
+        pairs = 0
+        for idx, _ in verify._orbits(4):
+            c = verify._code_from_index(4, idx)
+            cf = canonical_form(c)
+            for i in range(1, 5):
+                spec = ElementaryMap.duplicate(i)
+                image, _ = apply_elementary_map(c, spec)
+                assert predict_cf(cf, spec) == canonical_form_oracle(image), (c.to_text(), i)
+                pairs += 1
+        assert pairs == 15932
 
 
 class TestClosedForms:

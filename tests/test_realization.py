@@ -7,7 +7,7 @@ from fractions import Fraction
 import pytest
 
 from neurocode.codes import MAX_NEURONS, Code, cc_family, cr_family
-from neurocode.ideal import CanonicalForm, canonical_form, cf_cc_formula
+from neurocode.ideal import canonical_form, cf_cc_formula
 from neurocode.realization import (
     AMBIENT_LINE,
     AMBIENT_UNION,

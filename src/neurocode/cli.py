@@ -9,8 +9,6 @@ from __future__ import annotations
 
 import argparse
 import functools
-import hashlib
-import inspect
 import json
 import math
 import os
@@ -43,8 +41,8 @@ from .graphs import (
 from .ideal import CanonicalForm, canonical_form, canonical_form_oracle, predict_cf
 from .realization import (
     IntervalCover,
+    _cf_of_realized,
     cc_m_intervals,
-    cf_from_intervals,
     code_of_intervals,
     code_of_segments,
     cover_from_json_obj,
@@ -55,6 +53,9 @@ from .verify import DEFAULT_SEED, MAX_JOBS, SUITES, Check
 
 
 def _digest(obj) -> str:
+    # hashlib takes about 3 ms to import, and only --json reports need it
+    import hashlib
+
     blob = json.dumps(obj, sort_keys=True, separators=(",", ":")).encode()
     return "sha256:" + hashlib.sha256(blob).hexdigest()
 
@@ -297,7 +298,7 @@ def _cmd_realize(args):
     if args.cf:
         if not isinstance(cover, IntervalCover):
             raise CodeParseError("--cf applies to interval covers only")
-        geometric = cf_from_intervals(cover)
+        geometric = _cf_of_realized(realized)
         algebraic = canonical_form(realized)
         outputs["cf"] = geometric.to_json_obj
         agree = geometric == algebraic
@@ -332,6 +333,10 @@ def _cmd_verify(args):
     if suite is None:
         raise CodeParseError(f"unknown suite {args.suite!r}; choose from "
                              + ", ".join(sorted(SUITES)))
+    # inspect takes several ms to import, and only this command needs it;
+    # its signature follows the __wrapped__ of a functools.wraps wrapper
+    import inspect
+
     takes = inspect.signature(suite).parameters
     kwargs, given = {}, []
     for flag, params in _VERIFY_FLAGS.items():
@@ -464,7 +469,7 @@ def main(argv: list[str] | None = None) -> int:
     if text is None:
         outputs = {k: v() if callable(v) else v for k, v in outputs.items()}
         report = {"command": argv, "input_digest": _digest(digest(outputs)),
-                  "outputs": outputs, "checks": [vars(c) for c in checks]}
+                  "outputs": outputs, "checks": [c.to_json_obj() for c in checks]}
         out = []
         _render(report, "\n", out)
         text = "".join(out)

@@ -6,16 +6,15 @@ for neuron i) at every layer; `word_label` turns a mask into text like
 distinct masks sorted by (size, mask), and a code map holds the image mask of
 each domain mask, in the domain's order. Trunks, morphism checks, elementary
 code maps and the chain/cycle families are integer mask arithmetic on them.
-All types are immutable values.
+All types are immutable values, built on `_Value`.
 """
 
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
+from collections.abc import Iterable, Iterator, Sequence
 from functools import reduce
-from operator import or_
-from typing import Iterable, Iterator, Sequence
+from operator import attrgetter, or_
 
 MAX_NEURONS = 64
 
@@ -107,19 +106,58 @@ def subset_bitsets(n: int) -> list[int]:
     return sub
 
 
-@dataclass(frozen=True)
-class Code:
+_set = object.__setattr__
+
+
+class _Value:
+    """Base of the package's value types. A subclass names its fields in
+    `__slots__` and sets each once, through `_set`, in its own validating
+    `__init__`. Equality (with an object of the same class only), hash,
+    repr and pickling go by the field values in slot order; pickling and
+    copying rebuild the object through its constructor. Setting or
+    deleting a field afterwards raises AttributeError."""
+
+    __slots__ = ()
+
+    def __init_subclass__(cls) -> None:
+        # `cls._values(obj)`: obj's field values as a tuple, one field too
+        get = attrgetter(*cls.__slots__)
+        cls._values = staticmethod(get if len(cls.__slots__) > 1 else lambda obj: (get(obj),))
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self._values(self) == other._values(other)
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(self._values(self))
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
+        return f"{type(self).__qualname__}({fields})"
+
+    def __reduce__(self):
+        return type(self), self._values(self)
+
+    def __setattr__(self, name: str, value) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r}")
+
+
+class Code(_Value):
     """A nonempty set of codewords on neurons 1..n, held as distinct masks
     sorted by (size, mask)."""
 
-    n: int
-    masks: tuple[int, ...]
+    __slots__ = ("n", "masks")
 
-    def __post_init__(self) -> None:
-        masks = _sorted_masks(self.n, self.masks)
+    def __init__(self, n: int, masks: Iterable[int]) -> None:
+        masks = _sorted_masks(n, masks)
         if not masks:
             raise ValueError("a code must contain at least one codeword")
-        object.__setattr__(self, "masks", masks)
+        _set(self, "n", n)
+        _set(self, "masks", masks)
 
     @classmethod
     def from_masks(cls, n: int, masks: Iterable[int]) -> "Code":
@@ -226,22 +264,21 @@ def _maximal_masks(masks: Iterable[int]) -> list[int]:
     return kept
 
 
-@dataclass(frozen=True)
-class SimplicialComplex:
+class SimplicialComplex(_Value):
     """A downward-closed face set on neurons 1..n, held as its facets: an
     antichain of masks sorted by (size, mask)."""
 
-    n: int
-    facets: tuple[int, ...]
+    __slots__ = ("n", "facets")
 
-    def __post_init__(self) -> None:
-        facets = _sorted_masks(self.n, self.facets)
-        object.__setattr__(self, "facets", facets)
+    def __init__(self, n: int, facets: Iterable[int]) -> None:
+        facets = _sorted_masks(n, facets)
         # a facet can only lie inside a later one, which is at least as large
         for i, f in enumerate(facets):
             for g in facets[i + 1:]:
                 if g & f == f:
                     raise ValueError(f"facet {word_label(f)} is contained in facet {word_label(g)}")
+        _set(self, "n", n)
+        _set(self, "facets", facets)
 
     def __contains__(self, face: int) -> bool:
         return any(face & f == face for f in self.facets)
@@ -276,24 +313,23 @@ def is_trunk(code: Code, masks: Iterable[int]) -> bool:
     return _is_trunk(code.masks, list(members))
 
 
-@dataclass(frozen=True)
-class CodeMap:
+class CodeMap(_Value):
     """A total function from the codewords of one code into another:
     `images[k]` is the codomain mask that `domain.masks[k]` goes to."""
 
-    domain: Code
-    codomain: Code
-    images: tuple[int, ...]
+    __slots__ = ("domain", "codomain", "images")
 
-    def __post_init__(self) -> None:
-        images = tuple(self.images)
-        object.__setattr__(self, "images", images)
-        if len(images) != len(self.domain.masks):
+    def __init__(self, domain: Code, codomain: Code, images: Iterable[int]) -> None:
+        images = tuple(images)
+        if len(images) != len(domain.masks):
             raise ValueError("assignment must cover exactly the domain codewords")
-        targets = set(self.codomain.masks)
-        for m, img in zip(self.domain.masks, images):
+        targets = set(codomain.masks)
+        for m, img in zip(domain.masks, images):
             if img not in targets:
                 raise ValueError(f"image {_shown(img)} of {word_label(m)} is not in the codomain")
+        _set(self, "domain", domain)
+        _set(self, "codomain", codomain)
+        _set(self, "images", images)
 
     def __call__(self, mask: int) -> int:
         if mask not in self.domain.masks:
@@ -336,14 +372,18 @@ DELETE = "delete"
 INCLUSION = "inclusion"
 
 
-@dataclass(frozen=True)
-class ElementaryMap:
-    """Descriptor for one of the elementary code maps."""
+class ElementaryMap(_Value):
+    """Descriptor for one of the elementary code maps: its `kind`, and the
+    `perm`, `neuron` or `target` that kind takes (None for the others)."""
 
-    kind: str
-    perm: tuple[int, ...] | None = None
-    neuron: int | None = None
-    target: Code | None = None
+    __slots__ = ("kind", "perm", "neuron", "target")
+
+    def __init__(self, kind: str, perm: tuple[int, ...] | None = None,
+                 neuron: int | None = None, target: Code | None = None) -> None:
+        _set(self, "kind", kind)
+        _set(self, "perm", perm)
+        _set(self, "neuron", neuron)
+        _set(self, "target", target)
 
     @classmethod
     def permutation(cls, perm: Sequence[int]) -> "ElementaryMap":

@@ -4,34 +4,33 @@ relationship complex built from a canonical form, and its 1-skeleton."""
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
-from .codes import Code, SimplicialComplex, _maximal_masks, indices_of
+from .codes import Code, SimplicialComplex, _maximal_masks, _set, _Value, indices_of
 from .ideal import CanonicalForm
 
 
-@dataclass(frozen=True)
-class CodeGraph:
+class CodeGraph(_Value):
     """Undirected graph on unique hashable vertex labels, kept in the order
     given; `nbrs[i]` is the bitset of the positions adjacent to `vertices[i]`."""
 
-    vertices: tuple
-    nbrs: tuple[int, ...]
+    __slots__ = ("vertices", "nbrs")
 
-    def __post_init__(self) -> None:
-        m = len(self.vertices)
-        if len(set(self.vertices)) != m or len(self.nbrs) != m:
-            raise ValueError(f"{len(self.nbrs)} neighbour bitsets for {m} vertices, "
-                             f"{len(set(self.vertices))} of them distinct")
-        for i, bits in enumerate(self.nbrs):
+    def __init__(self, vertices: tuple, nbrs: tuple[int, ...]) -> None:
+        m = len(vertices)
+        if len(set(vertices)) != m or len(nbrs) != m:
+            raise ValueError(f"{len(nbrs)} neighbour bitsets for {m} vertices, "
+                             f"{len(set(vertices))} of them distinct")
+        for i, bits in enumerate(nbrs):
             if bits >> m or bits >> i & 1:
                 raise ValueError(f"neighbour bitset {bits} of vertex {i} is negative, "
                                  f"has a bit beyond {m - 1} or a loop")
             while bits:
                 j = (bits & -bits).bit_length() - 1
-                if not self.nbrs[j] >> i & 1:
+                if not nbrs[j] >> i & 1:
                     raise ValueError(f"edge {i}-{j} is set on one side only")
                 bits &= bits - 1
+        _set(self, "vertices", vertices)
+        _set(self, "nbrs", nbrs)
 
     @property
     def edges(self) -> frozenset[frozenset]:

@@ -26,8 +26,8 @@ vanishes), each kind of `predict_cf` (see there) and the closed forms
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Iterable, Iterator, NamedTuple
+from collections import namedtuple
+from collections.abc import Iterable, Iterator
 
 from .codes import (
     ADD_TRIVIAL_OFF,
@@ -41,9 +41,11 @@ from .codes import (
     _is_index_list,
     _json_neuron_count,
     _neuron_count,
+    _set,
     _sorted_masks,
     _validate_neuron,
     _validate_perm,
+    _Value,
     delete_shift_mask,
     indices_of,
     mask_from_indices,
@@ -66,7 +68,7 @@ ORACLE_MAX_NEURONS = 12
 CF_MAX_WORK = 20_000_000
 
 
-class PseudoMonomial(NamedTuple):
+class PseudoMonomial(namedtuple("PseudoMonomial", ("plus", "minus"))):
     """Product of x_i over `plus` and (1-x_j) over `minus`, disjoint masks.
 
     plus = minus = 0 encodes the constant 1; it is legal as a value but is
@@ -74,8 +76,7 @@ class PseudoMonomial(NamedTuple):
     `CanonicalForm` checks its elements against its own n.
     """
 
-    plus: int
-    minus: int
+    __slots__ = ()
 
     @classmethod
     def from_indices(cls, n: int, plus: Iterable[int] = (),
@@ -112,8 +113,7 @@ def rho(n: int, mask: int) -> PseudoMonomial:
     return PseudoMonomial(mask, ((1 << n) - 1) ^ mask)
 
 
-@dataclass(frozen=True)
-class CanonicalForm:
+class CanonicalForm(_Value):
     """Pseudo-monomials on neurons 1..n, held as distinct `PseudoMonomial`
     pairs sorted by (degree, plus, minus).
 
@@ -125,12 +125,11 @@ class CanonicalForm:
     graph builders.
     """
 
-    n: int
-    elements: tuple[PseudoMonomial, ...]
+    __slots__ = ("n", "elements")
 
-    def __post_init__(self) -> None:
-        n = _neuron_count(self.n)
-        keyed = sorted({((p | m).bit_count(), p, m) for p, m in self.elements})
+    def __init__(self, n: int, elements: Iterable[tuple[int, int]]) -> None:
+        _neuron_count(n)
+        keyed = sorted({((p | m).bit_count(), p, m) for p, m in elements})
         for _, p, m in keyed:
             # a negative mask shifts to -1, so this also rejects negatives
             if (p | m) >> n:
@@ -139,7 +138,8 @@ class CanonicalForm:
                 raise ValueError("a variable cannot appear both plain and complemented")
         if keyed and keyed[0] == (0, 0, 0):
             raise ValueError("the constant 1 cannot appear in a canonical form")
-        object.__setattr__(self, "elements", tuple([PseudoMonomial(p, m) for _, p, m in keyed]))
+        _set(self, "n", n)
+        _set(self, "elements", tuple([PseudoMonomial(p, m) for _, p, m in keyed]))
 
     @classmethod
     def from_indices(cls, n: int,

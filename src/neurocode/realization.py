@@ -17,9 +17,8 @@ end; the only division is the `Fraction` of each parameter.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
-from .codes import MAX_NEURONS, Code
+from .codes import MAX_NEURONS, Code, _set, _Value
 from .ideal import ORACLE_MAX_NEURONS, CanonicalForm, canonical_form_oracle
 
 AMBIENT_LINE = "line"
@@ -45,44 +44,43 @@ def _check_set_count(sets: tuple) -> None:
         raise ValueError(f"cover has {len(sets)} sets; at most {MAX_NEURONS} are allowed")
 
 
-@dataclass(frozen=True)
-class IntervalCover:
+class IntervalCover(_Value):
     """Open intervals U_1..U_n with exact endpoints; the stimulus space is
     either the whole line or the union of the intervals."""
 
-    intervals: tuple[tuple[Fraction, Fraction], ...]
-    ambient: str = AMBIENT_LINE
+    __slots__ = ("intervals", "ambient")
 
-    def __post_init__(self) -> None:
-        _check_set_count(self.intervals)
+    def __init__(self, intervals: tuple[tuple[Fraction, Fraction], ...],
+                 ambient: str = AMBIENT_LINE) -> None:
+        _check_set_count(intervals)
         fixed = []
-        for a, b in self.intervals:
+        for a, b in intervals:
             a, b = _as_fraction(a), _as_fraction(b)
             if not a < b:
                 raise ValueError(f"interval ({a}, {b}) is empty")
             fixed.append((a, b))
         if not fixed:
             raise ValueError("a cover needs at least one interval")
-        if self.ambient not in (AMBIENT_LINE, AMBIENT_UNION):
+        if ambient not in (AMBIENT_LINE, AMBIENT_UNION):
             raise ValueError(f"ambient must be {AMBIENT_LINE!r} or {AMBIENT_UNION!r}")
-        object.__setattr__(self, "intervals", tuple(fixed))
+        _set(self, "intervals", tuple(fixed))
+        _set(self, "ambient", ambient)
 
     @property
     def n(self) -> int:
         return len(self.intervals)
 
 
-@dataclass(frozen=True)
-class SegmentCover:
+class SegmentCover(_Value):
     """Closed 2D segments U_1..U_k with exact endpoints; the stimulus space
     is their union."""
 
-    segments: tuple[tuple[Point, Point], ...]
+    __slots__ = ("segments",)
 
-    def __post_init__(self) -> None:
-        _check_set_count(self.segments)
+    def __init__(self, segments: tuple[tuple[Point, Point], ...]) -> None:
+        _check_set_count(segments)
         fixed = []
-        for p, q in self.segments:
+        for p, q in segments:
             p = (_as_fraction(p[0]), _as_fraction(p[1]))
             q = (_as_fraction(q[0]), _as_fraction(q[1]))
             if p == q:
@@ -90,7 +88,7 @@ class SegmentCover:
             fixed.append((p, q))
         if not fixed:
             raise ValueError("a cover needs at least one segment")
-        object.__setattr__(self, "segments", tuple(fixed))
+        _set(self, "segments", tuple(fixed))
 
     @property
     def k(self) -> int:
@@ -144,10 +142,16 @@ def cf_from_intervals(cover: IntervalCover) -> CanonicalForm:
     the code's vanishing pseudo-monomials, and the oracle's sweep over them
     is the cover's canonical form.
     """
-    if cover.n > ORACLE_MAX_NEURONS:
-        raise ValueError(f"cover has {cover.n} sets; the subset sweep is capped at "
+    return _cf_of_realized(code_of_intervals(cover))
+
+
+def _cf_of_realized(realized: Code) -> CanonicalForm:
+    """`cf_from_intervals` of the interval cover whose realized code is
+    `realized`, for a caller that already holds that code."""
+    if realized.n > ORACLE_MAX_NEURONS:
+        raise ValueError(f"cover has {realized.n} sets; the subset sweep is capped at "
                          f"{ORACLE_MAX_NEURONS}")
-    return canonical_form_oracle(code_of_intervals(cover))
+    return canonical_form_oracle(realized)
 
 
 def cr_k_polygon(k: int) -> SegmentCover:

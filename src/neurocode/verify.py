@@ -7,8 +7,6 @@ from __future__ import annotations
 import json
 import random
 import shlex
-from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import permutations
 
@@ -22,6 +20,8 @@ from .codes import (
     PERMUTATION,
     Code,
     ElementaryMap,
+    _set,
+    _Value,
     apply_elementary_map,
     cc_family,
     complete_iso,
@@ -74,19 +74,33 @@ def _in_range(low: int, high: int | None = None, /, **values) -> None:
             raise ValueError(f"{name} must be at most {high}, got {value}")
 
 
-@dataclass
-class Check:
-    name: str
-    passed: bool
-    detail: str
-    counterexample: dict | None = None
+class Check(_Value):
+    """One named check of a command or suite: whether it passed, a detail
+    line, and the first counterexample (None when it passed)."""
+
+    __slots__ = ("name", "passed", "detail", "counterexample")
+
+    def __init__(self, name: str, passed: bool, detail: str,
+                 counterexample: dict | None = None) -> None:
+        _set(self, "name", name)
+        _set(self, "passed", passed)
+        _set(self, "detail", detail)
+        _set(self, "counterexample", counterexample)
+
+    def to_json_obj(self) -> dict:
+        return {"name": self.name, "passed": self.passed, "detail": self.detail,
+                "counterexample": self.counterexample}
 
 
-@dataclass
-class SuiteResult:
-    suite: str
-    params: dict
-    checks: list[Check]
+class SuiteResult(_Value):
+    """A suite's name, the parameters it ran with and its checks."""
+
+    __slots__ = ("suite", "params", "checks")
+
+    def __init__(self, suite: str, params: dict, checks: list[Check]) -> None:
+        _set(self, "suite", suite)
+        _set(self, "params", params)
+        _set(self, "checks", checks)
 
     @property
     def passed(self) -> bool:
@@ -294,6 +308,9 @@ def _run_sweep(violation, n: int, draws, jobs: int, search=None) -> tuple[int, i
     in order and splits them between workers, so the result does not
     depend on `jobs`."""
     if jobs > 1:
+        # imported here: the pool's modules take about 12 ms to load
+        from concurrent.futures import ProcessPoolExecutor
+
         draws = list(draws)
         chunk = len(draws) // (jobs * 8) + 1
         tasks = [(violation, n, draws[i:i + chunk], search) for i in range(0, len(draws), chunk)]

@@ -1,5 +1,6 @@
 """CLI: subcommand behavior, exit codes, and deterministic reports."""
 
+import functools
 import hashlib
 import json
 import os
@@ -15,7 +16,14 @@ from neurocode import cli, verify
 from neurocode.codes import Code
 from neurocode.graphs import GR_COMPLEX_MAX_VISITS
 from neurocode.ideal import CF_MAX_WORK, CanonicalForm
-from neurocode.verify import SUITES, Check, SuiteResult, parity_suite, union_closure_suite
+from neurocode.verify import (
+    DEFAULT_SEED,
+    SUITES,
+    Check,
+    SuiteResult,
+    parity_suite,
+    union_closure_suite,
+)
 
 
 def run(capsys, *argv):
@@ -285,6 +293,23 @@ def test_closed_stdout_exits_with_check_status(argv):
     err = proc.stderr.read().decode()
     assert proc.wait(timeout=60) == 0
     assert "Traceback" not in err and "BrokenPipeError" not in err
+
+
+# Modules that only some commands need, or that nothing needs at run time:
+# `import neurocode.cli` must not load them, so every command starts without
+# paying for them. PYTHONPATH points at the checkout's `src`.
+LEAN_IMPORT_CHECK = (
+    "import sys; before = set(sys.modules); import neurocode.cli; "
+    "heavy = {'dataclasses', 'typing', 'inspect', 'concurrent.futures.process', "
+    "'multiprocessing', 'subprocess', 'pickle'} & (set(sys.modules) - before); "
+    "sys.exit(f'import neurocode.cli loaded {sorted(heavy)}' if heavy else 0)")
+
+
+def test_cli_import_loads_no_heavy_module():
+    env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).parents[1])}
+    proc = subprocess.run([sys.executable, "-S", "-c", LEAN_IMPORT_CHECK], env=env,
+                          capture_output=True, text=True, timeout=60)
+    assert (proc.returncode, proc.stderr) == (0, "")
 
 
 # Each command line gives inputs that cannot both apply; it must exit 2 with
@@ -673,6 +698,26 @@ def test_verify_n_above_cap_exits_2_before_drawing(capsys, monkeypatch, suite, c
     assert status == 2
     assert out == ""
     assert f"max_n must be at most {cap}, got {cap + 1} (from --n {cap + 1})" in err
+
+
+def test_verify_reads_parameters_through_a_wrapped_suite(capsys, monkeypatch):
+    # A span tracer replaces each suite with a functools.wraps wrapper that
+    # takes *args and **kwargs; the flags must still reach the suite's own
+    # parameters.
+    suite = SUITES["cf-theorems"]
+
+    @functools.wraps(suite)
+    def traced(*args, **kwargs):
+        return suite(*args, **kwargs)
+
+    monkeypatch.setitem(SUITES, "cf-theorems", traced)
+    status, out, err = run(capsys, "verify", "cf-theorems", "--n", "3", "--trials", "2", "--json")
+    assert (status, err) == (0, "")
+    report = json.loads(out)
+    assert report["outputs"] == {"suite": "cf-theorems",
+                                 "params": {"trials": 2, "seed": DEFAULT_SEED, "max_n": 3}}
+    assert report["checks"]
+    assert all(c["detail"].startswith("2 trials, ") for c in report["checks"])
 
 
 # Both draw an inclusion map on 63 neurons, whose extra words

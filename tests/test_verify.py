@@ -3,6 +3,7 @@ exhaustive ones over every code, sampled ones over the seeded draws, for
 every worker count; the orbit enumeration; and each suite's failure count,
 first counterexample and its replayable rerun."""
 
+import concurrent.futures
 import json
 import math
 import random
@@ -165,8 +166,9 @@ def test_sampled_sweep_same_for_every_jobs(n, sample, seed, predicate):
 
 
 class InlinePool:
-    """Stands in for ProcessPoolExecutor and records the worker count it is
-    asked for and the chunks it is given."""
+    """Stands in for concurrent.futures.ProcessPoolExecutor, which
+    `verify._run_sweep` imports when it runs, and records the worker count
+    it is asked for and the chunks it is given."""
     chunks = []
     workers = None
 
@@ -186,7 +188,7 @@ class InlinePool:
 
 
 def test_sampled_sweep_splits_draws_between_workers(monkeypatch):
-    monkeypatch.setattr(verify, "ProcessPoolExecutor", InlinePool)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InlinePool)
     suite = brute_suite(odd_size)
     result = suite(n=3, sample=500, seed=7, jobs=2)
     rng = random.Random(7)
@@ -198,7 +200,7 @@ def test_sampled_sweep_splits_draws_between_workers(monkeypatch):
 
 
 def test_pool_asks_for_no_more_workers_than_tasks(monkeypatch):
-    monkeypatch.setattr(verify, "ProcessPoolExecutor", InlinePool)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InlinePool)
     monkeypatch.setattr(InlinePool, "workers", None)
     result = verify.parity_suite(n=1, exhaustive=True, jobs=8)
     assert result.checks[0].detail == "3 codes scanned, 0 violations"
@@ -407,7 +409,7 @@ def test_exhaustive_union_closure_starts_no_worker(monkeypatch):
     def no_pool(*args, **kwargs):
         raise AssertionError("a worker pool was started")
 
-    monkeypatch.setattr(verify, "ProcessPoolExecutor", no_pool)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", no_pool)
     assert verify.union_closure_suite(n=4, jobs=2) == expected
 
 

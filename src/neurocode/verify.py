@@ -44,17 +44,19 @@ from .realization import (
 )
 
 DEFAULT_SEED = 1729
-# An exhaustive union-closure sweep holds, per word mask, one bit for each of
-# the 2^(2^n) code indices: 8 KB at n=4, 512 MB at n=5.
+# Cap of the default exhaustive rule, of the union-closure bitsets (one bit per
+# code index for each word mask: 8 KB at n=4, 512 MB at n=5) and of the seen
+# array of _orbits (one byte per code index: 64 KB at n=4, 4 GB at n=5).
 EXHAUSTIVE_MAX_NEURONS = 4
 PARITY_SEARCH_MAX_NEURONS = 5  # about 2 s at n=5 on 2 vCPUs, over 60 s at n=6
 # A sampled sweep draws indices below 2^(2^n) and decodes each over 2^n words.
 SAMPLED_MAX_NEURONS = 8
-# A sampled code costs about 1-2 us for parity at any n (most codes fail the
-# degree test on their first word) and 5 us (n=4) to 75-90 us (n=8) for
+# A sampled code costs about 1-3 us for parity at any n (most codes fail the
+# degree test on their first word) and 3 us (n=4) to 25-35 us (n=8) for
 # union-closure, on Python 3.11, 2 vCPUs, so the largest sampled sweep runs
-# from about 2 s to about 1.5 minutes.
+# from about 1.5 s to about 30 s.
 MAX_SAMPLE = 1_000_000
+DEFAULT_SAMPLE = 10_000
 # A fixed bound, not os.cpu_count(), so the exit status does not depend on
 # the machine: a pool forks all its workers at the first task.
 MAX_JOBS = 64
@@ -195,36 +197,19 @@ def _orbits(n: int):
     """Yield (smallest index, size) for each orbit of the code indices
     1..2^(2^n)-1 (bit p set when word mask p is a codeword) under neuron
     permutations, in ascending index order; the sizes sum to 2^(2^n)-1.
-
-    Every permutation fixes the empty word and the full word, so the
-    orbits are those of the 2^n - 2 middle words (bits 1..2^n-2 of the
-    index), each taken with the four settings of those two bits. Each
-    permutation maps a middle index, the index shifted right by one,
-    through a low-byte and a high-byte table of OR-ed word images:
-    lo[mid & 0xFF] | hi[mid >> 8]."""
+    A permutation sends an index to the sum of 1 << (image of w) over its w."""
     _in_range(1, EXHAUSTIVE_MAX_NEURONS, n=n)
-    full = (1 << n) - 1
-    tables = []
-    for perm in permutations(range(1, n + 1)):
-        lo, hi = [0], [0]
-        for p in range(1, full):
-            part, image = lo if p <= 8 else hi, 1 << (permute_mask(p, perm) - 1)
-            part += [v | image for v in part]
-        tables.append((lo, hi))
-    middle = []
-    seen = bytearray(1 << (full - 1))
-    mid = 0
-    while mid >= 0:
-        orbit = {lo[mid & 0xFF] | hi[mid >> 8] for lo, hi in tables}
-        for j in orbit:
-            seen[j] = 1
-        middle.append((mid << 1, len(orbit)))
-        mid = seen.find(0, mid + 1)
-    for top in (0, 1 << full):
-        for idx, size in middle:
-            if idx | top:
-                yield idx | top, size
-            yield idx | top | 1, size
+    words = range(1 << n)
+    images = [[1 << permute_mask(w, perm) for w in words]
+              for perm in permutations(range(1, n + 1))]
+    seen = bytearray(1 << (1 << n))
+    for idx in range(1, len(seen)):
+        if not seen[idx]:
+            members = [w for w in words if idx >> w & 1]
+            orbit = {sum(image[w] for w in members) for image in images}
+            for j in orbit:
+                seen[j] = 1
+            yield idx, len(orbit)
 
 
 def _degree_pruned(n: int, comparable: list[int], roots):
@@ -325,7 +310,7 @@ def _run_sweep(violation, n: int, draws, jobs: int, search=None) -> tuple[int, i
 def _sweep_suite(name: str, violation, doc: str, cap: int, everyone):
     """Build the suite that sweeps the codes on n neurons for `violation`:
     all of them when `exhaustive`, which by default means no `sample` and
-    n <= EXHAUSTIVE_MAX_NEURONS, else `sample` (default 10000) seeded ones.
+    n <= EXHAUSTIVE_MAX_NEURONS, else `sample` (DEFAULT_SAMPLE) seeded ones.
 
     `violation(idx, comparable)` tests the code with index `idx` against
     the `_comparable(n)` table, with no Code built; a sampled sweep runs it
@@ -344,7 +329,7 @@ def _sweep_suite(name: str, violation, doc: str, cap: int, everyone):
         if n > limit:
             raise ValueError(f"{kind} sweeps are capped at n={limit}, got n={n}")
         total, rng = 1 << (1 << n), random.Random(seed)
-        scanned = total - 1 if exhaustive else sample or 10000
+        scanned = total - 1 if exhaustive else sample or DEFAULT_SAMPLE
         bad, first = everyone(n, jobs) if exhaustive else _run_sweep(
             violation, n, (rng.randrange(1, total) for _ in range(scanned)), jobs)
         counter = None

@@ -4,6 +4,7 @@ every worker count; the orbit enumeration; and each suite's failure count,
 first counterexample and its replayable rerun."""
 
 import concurrent.futures
+import hashlib
 import json
 import math
 import random
@@ -124,6 +125,22 @@ def test_orbits_capped_at_the_exhaustive_cap():
 def test_orbits_reject_n_below_one():
     with pytest.raises(ValueError, match="n must be at least 1, got 0"):
         list(_orbits(0))
+
+
+# sha256 of repr(list(_orbits(n))), recorded from the byte-table enumeration
+# that the direct one replaced
+ORBIT_DIGESTS = {
+    1: "5eb2fa25352be47e4310899a988d8ce1de1302c3d850343210be03f9c37e1a91",
+    2: "634925c3a20b20d8b65d1fc3a21e471d1d26c4a53ad05c71edaf00f10aafb006",
+    3: "12fa0c9142550685e00e4ab004ddd88ce3dab10848f58c415746b64b4706e6a4",
+    4: "92d0afa681e46cd4e11dad2b999bb67f6f4ce10982a9c9d0e764976fad1eb0e4",
+}
+
+
+@pytest.mark.parametrize("n", sorted(ORBIT_DIGESTS))
+def test_orbits_pinned(n):
+    text = repr(list(_orbits(n)))
+    assert hashlib.sha256(text.encode()).hexdigest() == ORBIT_DIGESTS[n]
 
 
 PREDICATES = (small_connected, odd_size)

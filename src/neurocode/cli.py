@@ -97,6 +97,16 @@ def _render(obj, pad: str, out: list[str]) -> None:
         raise TypeError(f"object of type {type(obj).__name__} in a report")
 
 
+def _ascii_int(text: str) -> int:
+    """int(text) when text is ASCII digits, with optional whitespace around
+    them; ValueError for anything else, such as '+1', '1_0' or other scripts'
+    digits."""
+    digits = text.strip()
+    if not (digits.isascii() and digits.isdigit()):
+        raise ValueError(f"not a decimal integer: {text!r}")
+    return int(text)
+
+
 def _family(spec: str, cc, cr):
     """Parse `cc:<m>` or `cr:<k>` and build it with `cc` or `cr`."""
     kind, _, num = spec.partition(":")
@@ -104,7 +114,7 @@ def _family(spec: str, cc, cr):
     if build is None:
         raise CodeParseError(f"unknown family {kind!r}; expected cc:<m> or cr:<k>")
     try:
-        value = int(num)
+        value = _ascii_int(num)
     except ValueError:
         raise CodeParseError(f"bad family {spec!r}; expected cc:<m> or cr:<k>") from None
     return build(value)
@@ -130,6 +140,16 @@ def _verdict(check: Check) -> str:
     return "PASS" if check.passed else "FAIL"
 
 
+def _cf_check(name: str, detail: str, forms: dict[str, CanonicalForm], context=dict) -> Check:
+    """Check `name`, passed when the two canonical forms in `forms` are equal.
+    Only when they differ is its counterexample built: `context()` plus each
+    form's JSON under its key, so a passing report builds neither."""
+    first, second = forms.values()
+    counter = None if first == second else {
+        **context(), **{key: cf.to_json_obj() for key, cf in forms.items()}}
+    return Check(name, counter is None, detail, counter)
+
+
 # Each _cmd_* handler returns (digest, outputs, checks, build_text). Only for
 # --json does `main` build `outputs`, calling each value that is a function,
 # and hash `digest(outputs)` into the report; only without it does it call
@@ -142,12 +162,8 @@ def _cmd_cf(args):
     outputs = {"code": code.to_json_obj, "cf": cf.to_json_obj}
     checks = []
     if args.oracle:
-        oracle = canonical_form_oracle(code)
-        agree = oracle == cf
-        counter = None if agree else {"incremental": cf.to_json_obj(),
-                                      "oracle": oracle.to_json_obj()}
-        checks.append(Check("oracle-agreement", agree,
-                            "3^n vanishing sweep vs incremental fold", counter))
+        checks.append(_cf_check("oracle-agreement", "3^n vanishing sweep vs incremental fold",
+                                {"incremental": cf, "oracle": canonical_form_oracle(code)}))
 
     def build_text():
         lines = [f"code: {code.to_text()}  (n={code.n}, {len(code)} codewords)"]
@@ -227,7 +243,7 @@ def _cmd_graph(args):
 def _spec_from_args(args) -> ElementaryMap:
     if args.permute is not None:
         try:
-            perm = [int(x) for x in args.permute.split(",")]
+            perm = [_ascii_int(x) for x in args.permute.split(",")]
         except ValueError:
             raise CodeParseError(f"bad permutation {args.permute!r}") from None
         return ElementaryMap.permutation(perm)
@@ -255,12 +271,10 @@ def _cmd_map(args):
     if spec.kind != INCLUSION:
         predicted = predict_cf(canonical_form(code), spec)
         outputs["predicted_cf"] = predicted.to_json_obj
-        agree = predicted == image_cf
-        counter = None if agree else {"code": code.to_text(), "map": described,
-                                      "predicted": predicted.to_json_obj(),
-                                      "computed": image_cf.to_json_obj()}
-        checks.append(Check("cf-prediction", agree,
-                            "transformation rule vs canonical form of the image", counter))
+        checks.append(_cf_check("cf-prediction",
+                                "transformation rule vs canonical form of the image",
+                                {"predicted": predicted, "computed": image_cf},
+                                lambda: {"code": code.to_text(), "map": described}))
 
     def build_text():
         lines = [f"code:  {code.to_text()}  (n={code.n})",
@@ -299,13 +313,10 @@ def _cmd_realize(args):
         if not isinstance(cover, IntervalCover):
             raise CodeParseError("--cf applies to interval covers only")
         geometric = _cf_of_realized(realized)
-        algebraic = canonical_form(realized)
         outputs["cf"] = geometric.to_json_obj
-        agree = geometric == algebraic
-        counter = None if agree else {"geometric": geometric.to_json_obj(),
-                                      "algebraic": algebraic.to_json_obj()}
-        checks.append(Check("cover-cf-theorem", agree,
-                            "canonical form from geometry vs from the realized code", counter))
+        checks.append(_cf_check("cover-cf-theorem",
+                                "canonical form from geometry vs from the realized code",
+                                {"geometric": geometric, "algebraic": canonical_form(realized)}))
 
     def build_text():
         lines = [realized.to_text()]

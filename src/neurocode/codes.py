@@ -195,8 +195,10 @@ class Code(_Value):
         return self.to_text()
 
 
-_HEADER_RE = re.compile(r"^n\s*=\s*(\d+)$")
-_BRACE_RE = re.compile(r"^\{([^{}]*)\}$")
+# Neuron indices and the header are ASCII digits only: int() alone would
+# also read signs, underscores and other scripts' digits.
+_HEADER_RE = re.compile(r"^n\s*=\s*([0-9]+)$")
+_BRACE_RE = re.compile(r"^\{([0-9,\s]*)\}$")
 
 
 def _parse_word_token(tok: str) -> tuple[int, ...]:
@@ -209,14 +211,13 @@ def _parse_word_token(tok: str) -> tuple[int, ...]:
             ix = tuple(int(p.strip()) for p in inner.split(","))
         except ValueError as exc:
             raise CodeParseError(f"bad codeword token {tok!r}") from exc
-    elif tok.isdigit():
+    elif tok.isascii() and tok.isdigit():
         # compact digit form: each character is one neuron index
         ix = tuple(int(ch) for ch in tok)
     else:
         raise CodeParseError(f"bad codeword token {tok!r}")
-    for i in ix:
-        if i < 1:
-            raise CodeParseError(f"neuron index {i} out of range (indices start at 1)")
+    if 0 in ix:
+        raise CodeParseError("neuron index 0 out of range (indices start at 1)")
     return ix
 
 

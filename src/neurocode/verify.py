@@ -29,6 +29,7 @@ from .codes import (
     is_isomorphism,
     permute_mask,
     submasks,
+    subset_bitsets,
 )
 from .graphs import _diameter, _layers, ccg, grg, is_connected, is_complete, is_regular
 from .ideal import canonical_form, canonical_form_oracle, predict_cf
@@ -155,14 +156,11 @@ def _comparable(n: int) -> list[int]:
     """Per word mask w on n neurons, the bitset of the other word masks
     comparable to w, that is, strictly inside or strictly around it. Masking
     entry w with a code index (bit w set when word mask w is a codeword)
-    gives the neighbours of w in the code's containment graph."""
-    comparable = [0] * (1 << n)
-    for w in range(1 << n):
-        for s in submasks(w):
-            if s != w:
-                comparable[w] |= 1 << s
-                comparable[s] |= 1 << w
-    return comparable
+    gives the neighbours of w in the code's containment graph. The masks
+    around w are w | s for the submasks s of its complement, and w | s is
+    w + s, so their bitset is that of those submasks shifted left by w."""
+    sub, full = subset_bitsets(n), (1 << n) - 1
+    return [(sub[w] | sub[full ^ w] << w) ^ 1 << w for w in range(1 << n)]
 
 
 def _parity_violation(idx: int, comparable: list[int]) -> bool:

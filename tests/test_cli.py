@@ -242,6 +242,51 @@ def test_text_mode_builds_no_json_outputs(capsys, monkeypatch):
             assert run(capsys, *argv)[0] == 0, argv
 
 
+def cf_json(n, *elements):
+    return {"n": n, "cf": [{"plus": plus, "minus": minus} for plus, minus in elements]}
+
+
+# Each canonical-form cross-check of a command, made to fail by patching the
+# function that computes one side to return the canonical form of `{}`:
+# (patched name, command line, text verdict line, the report's checks[0]).
+WRONG_CF = cf_json(1, ([1], []))
+FAILING_CROSS_CHECKS = [
+    ("canonical_form_oracle", ["cf", "{};{1,2};{2,3}", "--oracle"],
+     "oracle agreement: FAIL",
+     {"name": "oracle-agreement", "passed": False,
+      "detail": "3^n vanishing sweep vs incremental fold",
+      "counterexample": {
+          "incremental": cf_json(3, ([1], [2]), ([3], [2]), ([1, 3], []), ([2], [1, 3])),
+          "oracle": WRONG_CF}}),
+    ("predict_cf", ["map", "--permute", "2,1,3", "{1};{2,3};{1,2}"],
+     "prediction matches computed: FAIL",
+     {"name": "cf-prediction", "passed": False,
+      "detail": "transformation rule vs canonical form of the image",
+      "counterexample": {
+          "code": "{1};{1,2};{2,3}", "map": "permute(2,1,3)", "predicted": WRONG_CF,
+          "computed": cf_json(3, ([], [1, 2]), ([], [2, 3]), ([3], [1]), ([2, 3], []))}}),
+    ("_cf_of_realized", ["realize", TEXT_COVER, "--cf"],
+     "matches canonical form of realized code: FAIL",
+     {"name": "cover-cf-theorem", "passed": False,
+      "detail": "canonical form from geometry vs from the realized code",
+      "counterexample": {"geometric": WRONG_CF, "algebraic": cf_json(2, ([], [1, 2]))}}),
+]
+
+
+@pytest.mark.parametrize("patched, argv, verdict, check", FAILING_CROSS_CHECKS,
+                         ids=[argv[0] for _, argv, _, _ in FAILING_CROSS_CHECKS])
+def test_failing_cross_check_reports_counterexample(capsys, monkeypatch, patched, argv,
+                                                    verdict, check):
+    wrong = CanonicalForm.from_json_obj(WRONG_CF)
+    monkeypatch.setattr(cli, patched, lambda *_: wrong)
+    status, out, _ = run(capsys, *argv)
+    assert status == 1
+    assert verdict in out.splitlines()
+    status, out, _ = run(capsys, *argv, "--json")
+    assert status == 1
+    assert json.loads(out)["checks"] == [check]
+
+
 # sha256 of the `--json` stdout of each command line, recorded while every
 # handler still built its JSON outputs in text mode too.
 JSON_SHA256 = [
@@ -287,11 +332,11 @@ def test_closed_stdout_exits_with_check_status(argv):
     # The reader goes away before the first write, as `| head -c 10` does
     # on a report larger than the pipe buffer.
     env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).parents[1])}
-    proc = subprocess.Popen([sys.executable, "-m", "neurocode.cli", *argv], env=env,
-                            stdout=subprocess.PIPE, stderr=subprocess.PIPE)
-    proc.stdout.close()
-    err = proc.stderr.read().decode()
-    assert proc.wait(timeout=60) == 0
+    with subprocess.Popen([sys.executable, "-m", "neurocode.cli", *argv], env=env,
+                          stdout=subprocess.PIPE, stderr=subprocess.PIPE) as proc:
+        proc.stdout.close()
+        err = proc.stderr.read().decode()
+        assert proc.wait(timeout=60) == 0
     assert "Traceback" not in err and "BrokenPipeError" not in err
 
 
@@ -342,6 +387,14 @@ def test_rejects_conflicting_inputs(capsys, argv, needles):
 REJECTED_INPUT = [
     (["family", "cc:abc"], "bad family 'cc:abc'"),
     (["map", "--permute", "1,x", "{1}"], "bad permutation '1,x'"),
+    # int() reads each of these; the grammar takes ASCII digits only
+    (["cf", "{1_0}"], "bad codeword token '{1_0}'"),
+    (["cf", "{+1}"], "bad codeword token '{+1}'"),
+    (["cf", "\u0661\u0662"], "bad codeword token '\u0661\u0662'"),
+    (["cf", "\u00b2"], "bad codeword token '\u00b2'"),
+    (["family", "cc:1_0"], "bad family 'cc:1_0'"),
+    (["family", "cr:\u0664"], "bad family 'cr:\u0664'"),
+    (["map", "--permute", "2,+1", "{1};{2}"], "bad permutation '2,+1'"),
     (["realize", "{"], "bad cover JSON: Expecting property name"),
     (["realize"], "no input cover: pass cover JSON or --family"),
     (["cf", "{65}"], "neuron index 65 exceeds the cap of 64"),

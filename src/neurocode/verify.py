@@ -49,7 +49,9 @@ DEFAULT_SEED = 1729
 # code index for each word mask: 8 KB at n=4, 512 MB at n=5) and of the seen
 # array of _orbits (one byte per code index: 64 KB at n=4, 4 GB at n=5).
 EXHAUSTIVE_MAX_NEURONS = 4
-PARITY_SEARCH_MAX_NEURONS = 5  # about 2 s at n=5 on 2 vCPUs, over 60 s at n=6
+# The chordless-cycle search finds 5191 cycle codes at n=5 in about 5 ms and
+# 1303428 at n=6 in about 2 s (2 vCPUs); parity beyond n=5 is parked.
+PARITY_SEARCH_MAX_NEURONS = 5
 # A sampled sweep draws indices below 2^(2^n) and decodes each over 2^n words.
 SAMPLED_MAX_NEURONS = 8
 # A sampled code costs about 1-3 us for parity at any n (most codes fail the
@@ -210,23 +212,49 @@ def _orbits(n: int):
             yield idx, len(orbit)
 
 
-def _degree_pruned(n: int, comparable: list[int], roots):
-    """Yield once each code index on n neurons with its smallest word in
-    `roots` and maximum containment-graph degree 2, adding words in ascending
-    mask order but none that would get or give a third neighbour: adding a
-    word never removes an edge, so no skipped branch holds such a code."""
-    # index, its words of degree 1 and of degree 2, the next word to try
-    stack = [(1 << root, 0, 0, root + 1) for root in roots]
-    while stack:
-        idx, one, two, start = stack.pop()
-        yield idx
-        for w in range(start, 1 << n):
-            nbrs = comparable[w] & idx
-            degree = nbrs.bit_count()
-            if degree <= 2 and not nbrs & two:
-                bit = 1 << w
-                stack.append((idx | bit, one ^ nbrs | bit * (degree == 1),
-                              two | one & nbrs | bit * (degree == 2), w + 1))
+def _chordless_cycles(n: int, comparable: list[int], roots):
+    """Yield once each code index on n neurons with its smallest word v0 in
+    `roots` and a connected 2-regular containment graph on at least 4 words.
+
+    A CCG is the induced subgraph of the comparability graph on the code's
+    words, so these codes are that graph's chordless cycles of 4 or more
+    words. From v0 the search grows induced paths v0, v1, ..., vk on words
+    above v0: a word w adjacent to vk and to none of v1..v(k-1) extends the
+    path when it is not adjacent to v0, and closes it when it is, k >= 2
+    and w > v1. A closed path is such a cycle, since only consecutive words
+    and v0 with w are adjacent. Such a cycle, read from v0 towards the
+    smaller v1 of its two neighbours, is closed: each prefix is an induced
+    path that the next word extends. Read the other way, it ends below v1.
+    So each cycle is yielded once. A path is dropped when no word that may
+    close it is left, since a longer path only loses words."""
+    words = (1 << (1 << n)) - 1
+    for v0 in roots:
+        above = words ^ ((2 << v0) - 1)
+        ends = comparable[v0] & above
+        # path index, its last word, the words not on it and adjacent to no
+        # interior word, and the words that may close it: v0's neighbours
+        # above v1 and not adjacent to v1, which is interior once k >= 2
+        stack, rest = [], ends
+        while rest:
+            first = rest & -rest
+            rest ^= first
+            v1 = first.bit_length() - 1
+            stack.append((1 << v0 | first, v1, above ^ first, rest & ~comparable[v1]))
+        while stack:
+            idx, last, free, close = stack.pop()
+            nbrs = comparable[last] & free
+            shut = nbrs & close
+            while shut:
+                bit = shut & -shut
+                shut ^= bit
+                yield idx | bit
+            free &= ~comparable[last]
+            if free & close:
+                grow = nbrs & ~ends
+                while grow:
+                    bit = grow & -grow
+                    grow ^= bit
+                    stack.append((idx | bit, bit.bit_length() - 1, free, close))
 
 
 def _union_closure_sets(n: int) -> tuple[int, int]:
@@ -348,9 +376,13 @@ parity_suite = _sweep_suite(
     "Connected 2-regular containment graphs on more than 3 codewords must\n"
     "have evenly many codewords. A CCG is a comparability graph; those are\n"
     "perfect, and an odd cycle on 5 or more vertices is not. So a violation\n"
-    "is a bug in the sweep or in _comparable, not a counterexample.",
+    "is a bug in the sweep or in _comparable, not a counterexample. An\n"
+    "exhaustive sweep tests only the codes whose CCG is a chordless cycle of\n"
+    "4 or more words (_chordless_cycles), since those are exactly the codes\n"
+    "with a connected 2-regular CCG on more than 3 codewords; every other\n"
+    "code meets the claim vacuously.",
     PARITY_SEARCH_MAX_NEURONS,
-    lambda n, jobs: _run_sweep(_parity_violation, n, range(1 << n), jobs, _degree_pruned))
+    lambda n, jobs: _run_sweep(_parity_violation, n, range(1 << n), jobs, _chordless_cycles))
 
 union_closure_suite = _sweep_suite(
     "union-closure", _union_closure_violation,

@@ -213,8 +213,8 @@ TEXT_SHA256 = [
      "076c1357283cce5093074e58e08c5a78dbb80f5774c7e4ba113126ca42565dfd"),
     (["verify", "preserve-complete", "--n", "3", "--trials", "20"],
      "ae34200272fdca9d9543deaecf3e3200ecb795852842699caf1c837b425ef172"),
-    # "4294967295 codes scanned, 0 violations" from the degree-pruned search;
-    # its subtrees split between two workers print the same bytes.
+    # "4294967295 codes scanned, 0 violations" from the chordless-cycle
+    # search; its roots split between two workers print the same bytes.
     (["verify", "parity", "--n", "5", "--exhaustive"],
      "9ba506f4fba8ef5ea5da979793f1269654ce61f79ca742614343cada052c6b89"),
     (["verify", "parity", "--n", "5", "--exhaustive", "--jobs", "2"],
@@ -657,7 +657,7 @@ VERIFY_JSON_SHA256 = [
      "760bbe250e685d85d9828827c0dfcfebe519082d53f6a21291ecb4b6f5095d43"),
     (["parity", "--n", "6", "--sample", "5000", "--seed", "4", "--jobs", "2"],
      "5fb1b57e3423d20fb68dd2969d3c74a0d5bad5b164204611dd103261224e504a"),
-    # The first exhaustive n=5 report, from the degree-pruned search.
+    # The exhaustive n=5 report.
     (["parity", "--n", "5", "--exhaustive"],
      "d22ea4be426df72a8e341540d96bcfc265441d3450f20711ee93bde82f1b1b3f"),
     # Recorded while grg still minimized the supports and scanned them for

@@ -1,4 +1,4 @@
-"""Sweeps against brute force: the degree-pruned and the code-space bitset
+"""Sweeps against brute force: the chordless-cycle and the code-space bitset
 exhaustive ones over every code, sampled ones over the seeded draws, for
 every worker count; the orbit enumeration; and each suite's failure count,
 first counterexample and its replayable rerun."""
@@ -9,6 +9,7 @@ import json
 import math
 import random
 import shlex
+from collections import Counter
 from functools import lru_cache, reduce
 from operator import or_
 from itertools import islice, permutations
@@ -35,8 +36,8 @@ from neurocode.realization import (
     cr_k_polygon,
 )
 from neurocode.verify import (
+    _chordless_cycles,
     _comparable,
-    _degree_pruned,
     _orbits,
     _parity_violation,
     _random_spec,
@@ -230,57 +231,64 @@ def test_known_violation_counts():
         assert check.detail == f"{scanned} codes scanned, {count} violations"
 
 
-def degrees(idx, comparable):
-    """The number of neighbours of each codeword in the containment graph."""
-    bits = idx
-    while bits:
-        low = bits & -bits
-        yield (comparable[low.bit_length() - 1] & idx).bit_count()
-        bits ^= low
+@lru_cache(maxsize=None)
+def cycle_codes(n):
+    """The code indices on n neurons whose CCG, built by `ccg`, is connected
+    and 2-regular on at least 4 codewords, in ascending order."""
+    return [idx for idx in range(1, 1 << (1 << n)) if idx.bit_count() >= 4
+            for g in [ccg(brute_code(n, idx))] if is_regular(g, 2) and is_connected(g)]
 
 
-def low_degree(idx, comparable):
-    return all(d <= 2 for d in degrees(idx, comparable))
+def six_words(idx, comparable):
+    return idx.bit_count() == 6
 
 
-def odd_low_degree(idx, comparable):
-    return idx.bit_count() % 2 == 1 and low_degree(idx, comparable)
-
-
-@pytest.mark.parametrize("n, count", [(1, 3), (2, 14), (3, 114), (4, 3384)])
-def test_degree_pruned_search_reaches_each_low_degree_code_once(n, count):
-    comparable = _comparable(n)
-    expected = [idx for idx in range(1, 1 << (1 << n)) if low_degree(idx, comparable)]
-    assert len(expected) == count
+@pytest.mark.parametrize("n, count", [(1, 0), (2, 0), (3, 1), (4, 78)])
+def test_chordless_cycle_search_yields_each_cycle_code_once(n, count):
+    assert len(cycle_codes(n)) == count
     # one more than expected, so a search that repeats codes without end stops
-    reached = list(islice(_degree_pruned(n, comparable, range(1 << n)), count + 1))
-    assert sorted(reached) == expected
+    found = list(islice(_chordless_cycles(n, _comparable(n), range(1 << n)), count + 1))
+    assert len(set(found)) == len(found)
+    assert set(found) == set(cycle_codes(n))
 
 
-@pytest.mark.parametrize("predicate", [_parity_violation, odd_low_degree],
+@pytest.mark.parametrize("predicate", [_parity_violation, six_words],
                          ids=lambda p: p.__name__)
 @pytest.mark.parametrize("n", [1, 2, 3, 4])
 def test_searched_sweep_matches_brute_force(n, predicate):
+    """`_parity_violation` against every index, so no code outside the
+    search's cycle codes may violate; `six_words`, which holds off them too,
+    against the cycle codes."""
     comparable = _comparable(n)
-    bad = [idx for idx in range(1, 1 << (1 << n)) if predicate(idx, comparable)]
-    assert bool(bad) == (predicate is odd_low_degree)
+    codes = range(1, 1 << (1 << n)) if predicate is _parity_violation else cycle_codes(n)
+    bad = [idx for idx in codes if predicate(idx, comparable)]
+    assert bool(bad) == (predicate is six_words and n >= 3)
     for jobs in (1, 2):
-        assert _run_sweep(predicate, n, range(1 << n), jobs, _degree_pruned) == \
+        assert _run_sweep(predicate, n, range(1 << n), jobs, _chordless_cycles) == \
             (len(bad), min(bad, default=None))
 
 
-def test_degree_pruned_search_on_five_neurons():
-    """The codes the n=5 parity sweep tests, and among them the connected
-    2-regular ones on more than 3 codewords, every one of them even."""
-    comparable = _comparable(5)
-    reached, two_regular = 0, []
-    for idx in _degree_pruned(5, comparable, range(32)):
-        reached += 1
-        if idx.bit_count() > 3 and all(d == 2 for d in degrees(idx, comparable)):
-            two_regular.append(idx)
-    cycles = [idx for idx in two_regular if is_connected(ccg(brute_code(5, idx)))]
-    assert (reached, len(cycles)) == (1102069, 5191)
-    assert all(idx.bit_count() % 2 == 0 for idx in cycles)
+def test_chordless_cycle_search_on_five_neurons():
+    """The codes the n=5 parity sweep tests: each a connected 2-regular
+    CCG, and every length even."""
+    cycles = list(_chordless_cycles(5, _comparable(5), range(32)))
+    assert len(set(cycles)) == len(cycles) == 5191
+    assert Counter(idx.bit_count() for idx in cycles) == \
+        {4: 150, 6: 2725, 8: 2070, 10: 216, 12: 30}
+    for idx in cycles:
+        g = ccg(brute_code(5, idx))
+        assert is_regular(g, 2) and is_connected(g), idx
+
+
+@pytest.mark.parametrize("n, longest", [(3, 6), (4, 8), (5, 12)])
+def test_longest_cycle_ccg(n, longest):
+    """The most codewords of a code on n neurons whose CCG is a cycle of 4
+    or more words. The crown code {i}, {i, i+1 mod n}, a 2n-cycle, is
+    longest at n = 3 and 4 but not at n = 5."""
+    cycles = _chordless_cycles(n, _comparable(n), range(1 << n))
+    assert max(idx.bit_count() for idx in cycles) == longest
+    if n <= 4:
+        assert max(idx.bit_count() for idx in cycle_codes(n)) == longest
 
 
 def test_failing_sweep_builds_one_code(monkeypatch):

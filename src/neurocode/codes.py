@@ -32,7 +32,15 @@ def _neuron_count(n: int) -> int:
 def _sorted_masks(n: int, masks: Iterable[int]) -> tuple[int, ...]:
     """Distinct masks sorted by (size, mask), each checked against 1..n."""
     _neuron_count(n)
-    ordered = sorted(set(masks), key=lambda m: (m.bit_count(), m))
+    distinct = set(masks)
+    try:
+        # by mask, then stably by size: (size, mask) order with no key tuples
+        ordered = sorted(sorted(distinct), key=int.bit_count)
+    except TypeError:
+        # a mask that is not an int fails as it would on its own
+        for m in distinct:
+            m.bit_count()
+        raise
     if ordered and (min(ordered) < 0 or max(ordered) >> n):
         bad = next(m for m in ordered if m < 0 or m >> n)
         raise ValueError(f"codeword {bad:#x} has neurons outside 1..{n}")

@@ -5,16 +5,20 @@ variables over disjoint index sets, held as a (plus, minus) pair of masks
 with no neuron count of its own; a `CanonicalForm` is n plus its distinct
 pairs sorted by (degree, plus, minus), checked against n once. The
 canonical form of a code's neural ideal has one production path, the
-codeword-at-a-time update of Petersen et al. (Neural ideals in SageMath,
-2018) on (plus, minus, support) mask triples, bounded by CF_MAX_WORK, whose
-divisor index holds only the kept elements that disagree with the new
-codeword at a single neuron. It takes the codewords in ascending mask order,
-in which a prefix of the code stays inside a subcube for longer, so its form
-stays small. The one independent check is the definition-based oracle,
-which shares no code with it: it decides all 3^n pseudo-monomials, a bitset
-of minus masks per plus mask over the subset lattice, in O(n 2^n) big-int
-operations. The oracle also serves `realize --cf`: the canonical form of an
-interval cover is the oracle's form of its realized code.
+update of Petersen et al. (Neural ideals in SageMath, 2018) taken a subcube
+of codewords at a time: the code is covered by disjoint subcubes, codewords
+that differ in one neuron entering together, and each step intersects the
+form with the ideal of one cube, which its linear generators span. It works
+on literal masks (plus above minus in one int), is bounded by CF_MAX_WORK,
+and its divisor index holds only the kept elements that disagree with the
+cube at a single fixed neuron. The cubes go in ascending order of their
+low vertices, in which a prefix of the code stays inside a subcube for
+longer, so its form stays small. The one independent check is the
+definition-based oracle, which shares no code with it: it decides all 3^n
+pseudo-monomials, a bitset of minus masks per plus mask over the subset
+lattice, in O(n 2^n) big-int operations. The oracle also serves
+`realize --cf`: the canonical form of an interval cover is the oracle's
+form of its realized code.
 
 Every producer of a canonical form returns a divisibility antichain by
 proof, and none runs a minimization pass: the fold (see `canonical_form`),
@@ -57,14 +61,13 @@ ORACLE_MAX_NEURONS = 12
 
 # Fold work, counted before each update: the form's size plus |grow| * |kept|,
 # a bound on the divisor tests, which scan only the kept elements that
-# disagree with c at one neuron; 110-210M units/s near the limit (2 vCPUs,
-# Python 3.11.7), so a rejection comes within about 0.2 s. cr:64 takes 216k,
-# cf-theorems at its --n cap 608k, random n=16 codes of 64 words 150-270M.
-# Ascending mask order lowers most codes' work and raises some sparse codes',
-# so inputs near the limit may fall on either side of it; no pinned input does.
-# The form's size alone misses the divisor tests: a random n=32 code of 64
-# words passes the limit while its forms sum to 38k elements, and runs for
-# minutes without it.
+# disagree with the cube at one fixed neuron; 110-320M units/s near the
+# limit (2 vCPUs, Python 3.11.7), so a rejection comes within about 0.2 s
+# (0.08 s for random n=16 codes of 64 words). cr:64 takes 129k, cf-theorems
+# at its --n cap 521k, random n=16 codes of 64 words 180-220M; no pinned
+# input comes near the limit. The form's size alone misses the divisor
+# tests: a random n=32 code of 64 words passes the limit while its forms
+# sum to 38k elements, and runs for minutes without it.
 CF_MAX_WORK = 20_000_000
 
 
@@ -113,6 +116,19 @@ def rho(n: int, mask: int) -> PseudoMonomial:
     return PseudoMonomial(mask, ((1 << n) - 1) ^ mask)
 
 
+def _reject_pairs(n: int, bad: list[tuple[int, int]]) -> None:
+    """Raise for the first invalid pair in (degree, plus, minus) order; the
+    constant 1 is named only when no other pair is invalid."""
+    first = min((((p | m).bit_count(), p, m) for p, m in bad if (p | m) >> n or p & m),
+                default=None)
+    if first is None:
+        raise ValueError("the constant 1 cannot appear in a canonical form")
+    _, p, m = first
+    if (p | m) >> n:
+        raise ValueError(f"masks {p:#x}/{m:#x} outside neurons 1..{n}")
+    raise ValueError("a variable cannot appear both plain and complemented")
+
+
 class CanonicalForm(_Value):
     """Pseudo-monomials on neurons 1..n, held as distinct `PseudoMonomial`
     pairs sorted by (degree, plus, minus).
@@ -122,24 +138,34 @@ class CanonicalForm(_Value):
     and the closed forms) returns a divisibility antichain by proof; the
     container itself only checks each pair (in range, disjoint, not the
     constant 1) so that redundant generating sets can still be fed to the
-    graph builders.
+    graph builders. It then sorts the distinct pairs as packed int keys
+    degree << 2n | plus << n | minus, which order as (degree, plus, minus).
     """
 
     __slots__ = ("n", "elements")
 
     def __init__(self, n: int, elements: Iterable[tuple[int, int]]) -> None:
         _neuron_count(n)
-        keyed = sorted({((p | m).bit_count(), p, m) for p, m in elements})
-        for _, p, m in keyed:
-            # a negative mask shifts to -1, so this also rejects negatives
-            if (p | m) >> n:
-                raise ValueError(f"masks {p:#x}/{m:#x} outside neurons 1..{n}")
-            if p & m:
-                raise ValueError("a variable cannot appear both plain and complemented")
-        if keyed and keyed[0] == (0, 0, 0):
-            raise ValueError("the constant 1 cannot appear in a canonical form")
+        # a negative mask shifts to -1, so it counts as outside
+        keys = set()
+        bad = []
+        for p, m in elements:
+            s = p | m
+            if s >> n or p & m or not s:
+                bad.append((p, m))
+            else:
+                keys.add(s.bit_count() << 2 * n | p << n | m)
+        if bad:
+            _reject_pairs(n, bad)
+        self._fill(n, keys)
+
+    def _fill(self, n: int, keys: Iterable[int]) -> None:
+        """Set n and the elements from distinct valid packed keys."""
+        full = (1 << n) - 1
+        pair = tuple.__new__
         _set(self, "n", n)
-        _set(self, "elements", tuple([PseudoMonomial(p, m) for _, p, m in keyed]))
+        _set(self, "elements", tuple([pair(PseudoMonomial, (k >> n & full, k & full))
+                                      for k in sorted(keys)]))
 
     @classmethod
     def from_indices(cls, n: int,
@@ -186,69 +212,102 @@ class CanonicalForm(_Value):
         return cls.from_indices(n, elements)
 
 
+def _subcube_cover(n: int, masks: Iterable[int]) -> list[tuple[int, int]]:
+    """Disjoint subcubes that cover the code, as (low vertex, fixed mask)
+    pairs sorted by low vertex.
+
+    Starts from one cube per codeword; then, for neurons 1..n in turn, merges
+    each two cubes that have the same fixed mask and differ only in that
+    neuron. Every vertex of each cube is a codeword.
+    """
+    cubes = dict.fromkeys(masks, (1 << n) - 1)
+    for bit in (1 << j for j in range(n)):
+        for q in [q for q, fixed in cubes.items()
+                  if not q & bit and cubes.get(q | bit) == fixed]:
+            cubes[q] ^= bit
+            del cubes[q | bit]
+    return sorted(cubes.items())
+
+
 def canonical_form(code: Code) -> CanonicalForm:
-    """Canonical form of the neural ideal, by the codeword-at-a-time update.
+    """Canonical form of the neural ideal, by a subcube-at-a-time update.
 
-    Starts from the linear generators x_j - c_j of the first codeword c. At
-    each next codeword c, the elements f with f(c) = 0 are kept; each g with
-    g(c) = 1 is replaced by g*(x_b - c_b) for every neuron b outside its
-    support, unless a kept element divides that product. Three facts make
-    the update cheap and keep the form an antichain with no minimization pass:
+    The code is covered by disjoint subcubes (see `_subcube_cover`). A cube
+    Q with low vertex q and fixed mask F is the set of words that agree with
+    q on F; its ideal is spanned by the linear generators x_b - q_b, b in F,
+    and J(C u Q) = J(C) n J(Q). The fold starts from the first cube's
+    generators. At each next cube, the elements f that vanish on Q, those
+    that disagree with q at a neuron of F, are kept; each other g is replaced
+    by g*(x_b - q_b) for every b in F outside its support, unless a kept
+    element divides that product. Three facts make the update cheap and keep
+    the form an antichain with no minimization pass:
 
-    - A kept divisor of g*(x_b - c_b) cannot divide g, so it holds x_b - c_b.
-    - No new product divides another: every g agrees with c, every x_b - c_b does not.
-    - A kept divisor disagrees with c at b alone, since the product does, so
-      it divides exactly when its support less b lies in g's support.
+    - A kept divisor of g*(x_b - q_b) cannot divide g, so it holds x_b - q_b.
+    - No new product divides another: every g agrees with q on F, every
+      x_b - q_b does not, and b is in F.
+    - A kept divisor h disagrees with q on F at b alone, since the product
+      does, so it divides exactly when its literals other than x_b - q_b are
+      literals of g.
 
-    Kept elements are therefore indexed only when they disagree with c at a
-    single neuron b, as their supports less b. Each element is a (plus,
-    minus, support) triple, so f disagrees with c on (plus ^ c) & support.
+    The last test compares signs, not only supports. At a neuron of F, h and
+    g both agree with q, so once h's support less b lies in g's their
+    literals there match. At a free neuron of Q agreeing with q says
+    nothing: h may hold x_j where g holds 1 - x_j, and then h divides no
+    multiple of g although its support less b lies in g's. For a single
+    codeword (F the full mask) no neuron is free and the supports decide.
 
-    The codewords are taken in ascending mask order, not in `Code`'s (size,
-    mask) order: a prefix of the code then stays inside a subcube for longer,
-    so the form keeps its linear generators and stays small. Summed over 20
-    seeded codes per shape, this cut the work to 0.17-0.75x on dense random
-    codes (n = 5..8, at least half of all words) and cr:64 from 385k to 216k
-    units; cc:65 is unchanged, and sparse random codes (n = 8..14, 8-64 words)
-    moved by 0.90-1.08x, single codes often reading higher.
+    Each element is the int plus << n | minus, its set of literals. The
+    literals that vanish at q on F, x_b for q_b = 0 and 1 - x_b for q_b = 1,
+    form the mask `against`: f vanishes on Q when it holds one of them, and
+    x_b - q_b is the one at b. Kept elements are indexed only when they hold
+    exactly one, by that literal and as their other literals.
+
+    The cubes are taken in ascending order of their low vertices, which for
+    single codewords is ascending mask order: a prefix of the code then stays
+    inside a subcube for longer, so the form keeps its linear generators and
+    stays small. Codewords that differ in one neuron enter together, which
+    shortens the fold: cr:28's 56 codewords are 29 cubes.
     Raises ValueError before an update would take the work past CF_MAX_WORK.
     """
     n = code.n
-    full = (1 << n) - 1
-    first, *rest = sorted(code.masks)
-    form = [(0, bit, bit) if first & bit else (bit, 0, bit) for bit in (1 << j for j in range(n))]
+    (first, fixed), *rest = _subcube_cover(n, code.masks)
+    form = [bit if first & bit else bit << n
+            for bit in (1 << j for j in range(n)) if bit & fixed]
     work = 0
-    for c in rest:
-        not_c = ~c
+    for q, fixed in rest:
+        against = (fixed & ~q) << n | (fixed & q)
         kept = []
         grow = []
         by_literal: dict[int, list[int]] = {}
         for f in form:
-            p, _, s = f
-            disagree = (p ^ c) & s
-            if not disagree:
-                grow.append(s)
+            bad = f & against
+            if not bad:
+                grow.append(f)
                 continue
             kept.append(f)
-            if not disagree & (disagree - 1):
-                by_literal.setdefault(disagree, []).append(s ^ disagree)
+            if not bad & (bad - 1):
+                by_literal.setdefault(bad, []).append(f ^ bad)
         work += len(form) + len(grow) * len(kept)
         if work > CF_MAX_WORK:
             raise ValueError(f"canonical form too large: its fold passed {CF_MAX_WORK} "
                              f"units of work")
         form = kept
-        for s in grow:
-            free = full & ~s
-            agree = s & c
+        for g in grow:
+            free = fixed & ~(g | g >> n)
             while free:
                 b = free & -free
                 free ^= b
-                for r in by_literal.get(b, ()):
-                    if r & s == r:
+                lit = b & q or b << n
+                for r in by_literal.get(lit, ()):
+                    if r & g == r:
                         break
                 else:
-                    form.append((agree | (b & not_c), (s ^ agree) | (b & c), s | b))
-    return CanonicalForm(n, [(p, m) for p, m, _ in form])
+                    form.append(g | lit)
+    # distinct valid pairs by proof, so the constructor's checks are skipped;
+    # a literal mask's popcount is its degree
+    cf = object.__new__(CanonicalForm)
+    cf._fill(n, [f.bit_count() << 2 * n | f for f in form])
+    return cf
 
 
 def canonical_form_oracle(code: Code) -> CanonicalForm:

@@ -299,36 +299,42 @@ def _union_closure_everyone(n: int, jobs: int) -> tuple[int, int | None]:
     return bad.bit_count(), (bad & -bad).bit_length() - 1 if bad else None
 
 
+def _parity_everyone(n: int, jobs: int) -> tuple[int, int | None]:
+    """(count, smallest index or None) of the codes that violate parity,
+    tested only on the cycle codes (see parity_suite), in this process
+    whatever `jobs` is."""
+    comparable = _comparable(n)
+    hits = [idx for idx in _chordless_cycles(n, comparable, range(1 << n))
+            if _parity_violation(idx, comparable)]
+    return len(hits), min(hits, default=None)
+
+
 def _sweep_chunk(args: tuple) -> tuple[int, int | None]:
     """(count, smallest) of the indices in `draws` on which
     `violation(idx, comparable)` holds, with the comparability table of n
-    neurons built once; the smallest is None when none does. A `search`
-    expands the draws, its roots, by `search(n, comparable, draws)`."""
-    violation, n, draws, search = args
+    neurons built once; the smallest is None when none does."""
+    violation, n, draws = args
     comparable = _comparable(n)
-    if search is not None:
-        draws = search(n, comparable, draws)
     hits = [idx for idx in draws if violation(idx, comparable)]
     return len(hits), min(hits, default=None)
 
 
-def _run_sweep(violation, n: int, draws, jobs: int, search=None) -> tuple[int, int | None]:
+def _run_sweep(violation, n: int, draws, jobs: int) -> tuple[int, int | None]:
     """(violating codes, smallest violating index or None) among the code
-    indices `draws`, or among the codes `search` reaches from the roots
-    `draws` (see _sweep_chunk). With `jobs > 1` the parent lists the draws
-    in order and splits them between workers, so the result does not
-    depend on `jobs`."""
+    indices `draws`. With `jobs > 1` the parent lists the draws in order
+    and splits them between workers, so the result does not depend on
+    `jobs`."""
     if jobs > 1:
         # imported here: the pool's modules take about 12 ms to load
         from concurrent.futures import ProcessPoolExecutor
 
         draws = list(draws)
         chunk = len(draws) // (jobs * 8) + 1
-        tasks = [(violation, n, draws[i:i + chunk], search) for i in range(0, len(draws), chunk)]
+        tasks = [(violation, n, draws[i:i + chunk]) for i in range(0, len(draws), chunk)]
         with ProcessPoolExecutor(max_workers=min(jobs, len(tasks))) as pool:
             parts = list(pool.map(_sweep_chunk, tasks))
     else:
-        parts = [_sweep_chunk((violation, n, draws, search))]
+        parts = [_sweep_chunk((violation, n, draws))]
     firsts = [first for _, first in parts if first is not None]
     return sum(bad for bad, _ in parts), min(firsts, default=None)
 
@@ -380,9 +386,9 @@ parity_suite = _sweep_suite(
     "exhaustive sweep tests only the codes whose CCG is a chordless cycle of\n"
     "4 or more words (_chordless_cycles), since those are exactly the codes\n"
     "with a connected 2-regular CCG on more than 3 codewords; every other\n"
-    "code meets the claim vacuously.",
-    PARITY_SEARCH_MAX_NEURONS,
-    lambda n, jobs: _run_sweep(_parity_violation, n, range(1 << n), jobs, _chordless_cycles))
+    "code meets the claim vacuously. The search runs in this process, with\n"
+    "no worker process.",
+    PARITY_SEARCH_MAX_NEURONS, _parity_everyone)
 
 union_closure_suite = _sweep_suite(
     "union-closure", _union_closure_violation,

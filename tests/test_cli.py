@@ -214,7 +214,7 @@ TEXT_SHA256 = [
     (["verify", "preserve-complete", "--n", "3", "--trials", "20"],
      "ae34200272fdca9d9543deaecf3e3200ecb795852842699caf1c837b425ef172"),
     # "4294967295 codes scanned, 0 violations" from the chordless-cycle
-    # search; its roots split between two workers print the same bytes.
+    # search, which runs in the calling process whatever --jobs says.
     (["verify", "parity", "--n", "5", "--exhaustive"],
      "9ba506f4fba8ef5ea5da979793f1269654ce61f79ca742614343cada052c6b89"),
     (["verify", "parity", "--n", "5", "--exhaustive", "--jobs", "2"],

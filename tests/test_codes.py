@@ -148,6 +148,17 @@ class TestCode:
         with pytest.raises(ValueError, match="codeword 0x4 has neurons outside 1..2"):
             SimplicialComplex(2, (0b01, 0b100))
 
+    @pytest.mark.parametrize("bad", [[1.5], [1, 1.5], ["a"], [2, "a"], [None], [2, None, 3]],
+                             ids=repr)
+    def test_non_int_mask_fails_as_it_would_alone(self, bad):
+        # the mask is asked for its size, which only an int can give
+        name = type(next(m for m in bad if type(m) is not int)).__name__
+        message = f"'{name}' object has no attribute 'bit_count'"
+        with pytest.raises(AttributeError, match=f"^{re.escape(message)}$"):
+            Code(3, bad)
+        with pytest.raises(AttributeError, match=f"^{re.escape(message)}$"):
+            SimplicialComplex(3, bad)
+
 
 class TestParseCode:
     def test_brace_form(self):

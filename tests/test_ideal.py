@@ -36,11 +36,11 @@ def cf_of(n, *elements):
 
 
 # fold work of cr:64: the form's size plus |grow| * |kept|, summed over its
-# update steps, with the codewords taken in ascending mask order
-CR64_WORK = 216448
+# update steps, with the subcubes taken in ascending order of low vertex
+CR64_WORK = 129025
 # the same for a sparse code: 32 random words on 10 neurons
 SPARSE_N10 = Code.from_masks(10, random.Random(1).sample(range(1 << 10), 32))
-SPARSE_N10_WORK = 131103
+SPARSE_N10_WORK = 117276
 
 
 def random_code(rng, n):
@@ -207,6 +207,34 @@ class TestCanonicalForm:
             assert canonical_form(cc_family(m)) == cf_cc_formula(m)
             assert canonical_form(cr_family(m)) == cf_cr_formula(m)
 
+    def test_subcube_cover_partitions_the_code(self):
+        # every codeword in exactly one cube, every vertex of a cube a
+        # codeword, low vertices ascending: every code on n <= 3 and the
+        # smallest code of each relabeling orbit at n = 4
+        codes = [verify._code_from_index(n, idx)
+                 for n in (1, 2, 3) for idx in range(1, 1 << (1 << n))]
+        codes += [verify._code_from_index(4, idx) for idx, _ in verify._orbits(4)]
+        for c in codes:
+            full = (1 << c.n) - 1
+            cubes = ideal._subcube_cover(c.n, c.masks)
+            assert [q for q, _ in cubes] == sorted({q for q, _ in cubes})
+            covered = []
+            for q, fixed in cubes:
+                free = full ^ fixed
+                assert q & free == 0, c.to_text()
+                covered += [q | s for s in range(free + 1) if s & free == s]
+            assert sorted(covered) == sorted(c.masks), c.to_text()
+        cr28 = cr_family(28)
+        assert (len(cr28), len(ideal._subcube_cover(28, cr28.masks))) == (56, 29)
+
+    def test_divisor_test_compares_signs_on_free_neurons(self):
+        # a kept element that disagrees with the cube's low vertex at one
+        # fixed neuron but has the other sign on a free neuron divides no
+        # product; without that sign test this is the first code at n = 4
+        # whose form comes out wrong
+        c = Code.from_indices(4, [(), (4,), (1, 3), (2, 3), (1, 4), (2, 4), (1, 2, 4)])
+        assert canonical_form(c) == canonical_form_oracle(c)
+
     def test_matches_oracle_on_every_small_code(self):
         # every code on n <= 3 and the smallest code of each relabeling
         # orbit at n = 4: 4256 codes
@@ -231,12 +259,16 @@ class TestCanonicalForm:
         assert canonical_form(code) == reference(code)
 
     def test_matches_oracle_on_dense_codes(self):
-        # dense codes are where the fold's codeword order moves its work
-        # most: random codes holding at least 3/4 of all words, and every
-        # full code with one word removed
+        # dense codes are where the fold's order and its cubes move its work
+        # most: random codes holding at least 3/4 of all words, at n = 8..10
+        # at least 7/8, whose cubes are large, and every full code with one
+        # word removed
         rng = random.Random(31)
         codes = [Code.from_masks(n, rng.sample(range(1 << n), rng.randint(3 << n >> 2, 1 << n)))
                  for n in (5, 6, 7) for _ in range(6)]
+        rng = random.Random(47)
+        codes += [Code.from_masks(n, rng.sample(range(1 << n), rng.randint(7 << n >> 3, 1 << n)))
+                  for n in (8, 9, 10) for _ in range(3)]
         codes += [Code.from_masks(n, [w for w in range(1 << n) if w != v])
                   for n in range(1, 8) for v in range(1 << n)]
         for c in codes:

@@ -39,6 +39,7 @@ from neurocode.verify import (
     _chordless_cycles,
     _comparable,
     _orbits,
+    _parity_everyone,
     _parity_violation,
     _random_spec,
     _run_sweep,
@@ -220,7 +221,7 @@ def test_sampled_sweep_splits_draws_between_workers(monkeypatch):
 def test_pool_asks_for_no_more_workers_than_tasks(monkeypatch):
     monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InlinePool)
     monkeypatch.setattr(InlinePool, "workers", None)
-    result = verify.parity_suite(n=1, exhaustive=True, jobs=8)
+    result = verify.parity_suite(n=1, sample=3, jobs=8)
     assert result.checks[0].detail == "3 codes scanned, 0 violations"
     assert InlinePool.workers <= 3
 
@@ -255,17 +256,17 @@ def test_chordless_cycle_search_yields_each_cycle_code_once(n, count):
 @pytest.mark.parametrize("predicate", [_parity_violation, six_words],
                          ids=lambda p: p.__name__)
 @pytest.mark.parametrize("n", [1, 2, 3, 4])
-def test_searched_sweep_matches_brute_force(n, predicate):
+def test_searched_sweep_matches_brute_force(monkeypatch, n, predicate):
     """`_parity_violation` against every index, so no code outside the
     search's cycle codes may violate; `six_words`, which holds off them too,
-    against the cycle codes."""
+    in its place against the cycle codes."""
     comparable = _comparable(n)
     codes = range(1, 1 << (1 << n)) if predicate is _parity_violation else cycle_codes(n)
     bad = [idx for idx in codes if predicate(idx, comparable)]
     assert bool(bad) == (predicate is six_words and n >= 3)
+    monkeypatch.setattr(verify, "_parity_violation", predicate)
     for jobs in (1, 2):
-        assert _run_sweep(predicate, n, range(1 << n), jobs, _chordless_cycles) == \
-            (len(bad), min(bad, default=None))
+        assert _parity_everyone(n, jobs) == (len(bad), min(bad, default=None))
 
 
 def test_chordless_cycle_search_on_five_neurons():
@@ -428,14 +429,21 @@ def test_union_closure_sets_match_per_code_tests(n):
         assert (union >> idx & 1, far >> idx & 1, (union & far) >> idx & 1) == expected, idx
 
 
+def no_pool(*args, **kwargs):
+    raise AssertionError("a worker pool was started")
+
+
 def test_exhaustive_union_closure_starts_no_worker(monkeypatch):
     expected = verify.union_closure_suite(n=4, jobs=1)
-
-    def no_pool(*args, **kwargs):
-        raise AssertionError("a worker pool was started")
-
     monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", no_pool)
     assert verify.union_closure_suite(n=4, jobs=2) == expected
+
+
+@pytest.mark.parametrize("n", [4, 5])
+def test_exhaustive_parity_starts_no_worker(monkeypatch, n):
+    expected = verify.parity_suite(n=n, exhaustive=True, jobs=1)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", no_pool)
+    assert verify.parity_suite(n=n, exhaustive=True, jobs=2) == expected
 
 
 @pytest.mark.parametrize("n", [1, 2, 5, 62, 63, 64])

@@ -436,7 +436,8 @@ def _build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argumen
     p_verify.add_argument("--sample", type=int, help="sampled sweep size instead of exhaustive")
     p_verify.add_argument("--exhaustive", action="store_true", help="force the exhaustive sweep")
     p_verify.add_argument("--jobs", type=int,
-                          help=f"worker processes (default 1, at most {MAX_JOBS})")
+                          help=f"accepted for old command lines; sweeps run in this"
+                          f" process whatever it says (default 1, at most {MAX_JOBS})")
     p_verify.set_defaults(handler=_cmd_verify)
 
     p_family = subs.add_parser("family", help="print a named code family")

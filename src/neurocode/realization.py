@@ -30,6 +30,9 @@ Point = tuple[Fraction, Fraction]
 def _as_fraction(value) -> Fraction:
     if isinstance(value, Fraction):
         return value
+    if isinstance(value, str) and "e" in value.lower():
+        # Fraction("1e<k>") builds 10**k first: hours and gigabytes for a large k
+        raise ValueError(f"exponents are not allowed in a rational, got {value!r}")
     if type(value) is int or isinstance(value, str):
         try:
             return Fraction(value)

@@ -54,14 +54,15 @@ EXHAUSTIVE_MAX_NEURONS = 4
 PARITY_SEARCH_MAX_NEURONS = 5
 # A sampled sweep draws indices below 2^(2^n) and decodes each over 2^n words.
 SAMPLED_MAX_NEURONS = 8
-# A sampled code costs about 1-3 us for parity at any n (most codes fail the
-# degree test on their first word) and 3 us (n=4) to 25-35 us (n=8) for
-# union-closure, on Python 3.11, 2 vCPUs, so the largest sampled sweep runs
-# from about 1.5 s to about 30 s.
+# A sampled code costs about 1 us for parity at any n (most codes fail the
+# degree test on their first word) and 2 us (n=4) to 21 us (n=8) for
+# union-closure, in the calling process on Python 3.11, 2 vCPUs, so the
+# largest sampled sweep runs from about 1 s to about 21 s.
 MAX_SAMPLE = 1_000_000
 DEFAULT_SAMPLE = 10_000
-# A fixed bound, not os.cpu_count(), so the exit status does not depend on
-# the machine: a pool forks all its workers at the first task.
+# `jobs` starts no process and changes no report; it is still checked
+# against this fixed bound so that every --jobs command line keeps its exit
+# status.
 MAX_JOBS = 64
 # Largest max_n where a suite's cost explodes: there its default run takes
 # 3-12 s on 2 vCPUs, one neuron higher 29-52 s (measurements in README).
@@ -212,23 +213,24 @@ def _orbits(n: int):
             yield idx, len(orbit)
 
 
-def _chordless_cycles(n: int, comparable: list[int], roots):
-    """Yield once each code index on n neurons with its smallest word v0 in
-    `roots` and a connected 2-regular containment graph on at least 4 words.
+def _chordless_cycles(n: int, comparable: list[int]):
+    """Yield once each code index on n neurons with a connected 2-regular
+    containment graph on at least 4 words.
 
     A CCG is the induced subgraph of the comparability graph on the code's
     words, so these codes are that graph's chordless cycles of 4 or more
-    words. From v0 the search grows induced paths v0, v1, ..., vk on words
-    above v0: a word w adjacent to vk and to none of v1..v(k-1) extends the
-    path when it is not adjacent to v0, and closes it when it is, k >= 2
-    and w > v1. A closed path is such a cycle, since only consecutive words
-    and v0 with w are adjacent. Such a cycle, read from v0 towards the
-    smaller v1 of its two neighbours, is closed: each prefix is an induced
-    path that the next word extends. Read the other way, it ends below v1.
-    So each cycle is yielded once. A path is dropped when no word that may
-    close it is left, since a longer path only loses words."""
+    words. From each word v0, as the cycle's smallest, the search grows
+    induced paths v0, v1, ..., vk on words above v0: a word w adjacent to vk
+    and to none of v1..v(k-1) extends the path when it is not adjacent to
+    v0, and closes it when it is, k >= 2 and w > v1. A closed path is such a
+    cycle, since only consecutive words and v0 with w are adjacent. Such a
+    cycle, read from v0 towards the smaller v1 of its two neighbours, is
+    closed: each prefix is an induced path that the next word extends. Read
+    the other way, it ends below v1. So each cycle is yielded once. A path
+    is dropped when no word that may close it is left, since a longer path
+    only loses words."""
     words = (1 << (1 << n)) - 1
-    for v0 in roots:
+    for v0 in range(1 << n):
         above = words ^ ((2 << v0) - 1)
         ends = comparable[v0] & above
         # path index, its last word, the words not on it and adjacent to no
@@ -291,52 +293,26 @@ def _union_closure_sets(n: int) -> tuple[int, int]:
     return ((1 << span) - 1) ^ fail, far
 
 
-def _union_closure_everyone(n: int, jobs: int) -> tuple[int, int | None]:
+def _union_closure_everyone(n: int) -> tuple[int, int | None]:
     """(count, smallest index or None) of the codes that meet the union
-    condition at diameter above 2, in this process whatever `jobs` is."""
+    condition at diameter above 2."""
     union, far = _union_closure_sets(n)
     bad = union & far
     return bad.bit_count(), (bad & -bad).bit_length() - 1 if bad else None
 
 
-def _parity_everyone(n: int, jobs: int) -> tuple[int, int | None]:
+def _violations(violation, comparable: list[int], indices) -> tuple[int, int | None]:
+    """(count, smallest or None) of the code `indices` on which
+    `violation(idx, comparable)` holds."""
+    hits = [idx for idx in indices if violation(idx, comparable)]
+    return len(hits), min(hits, default=None)
+
+
+def _parity_everyone(n: int) -> tuple[int, int | None]:
     """(count, smallest index or None) of the codes that violate parity,
-    tested only on the cycle codes (see parity_suite), in this process
-    whatever `jobs` is."""
+    tested only on the cycle codes (see parity_suite)."""
     comparable = _comparable(n)
-    hits = [idx for idx in _chordless_cycles(n, comparable, range(1 << n))
-            if _parity_violation(idx, comparable)]
-    return len(hits), min(hits, default=None)
-
-
-def _sweep_chunk(args: tuple) -> tuple[int, int | None]:
-    """(count, smallest) of the indices in `draws` on which
-    `violation(idx, comparable)` holds, with the comparability table of n
-    neurons built once; the smallest is None when none does."""
-    violation, n, draws = args
-    comparable = _comparable(n)
-    hits = [idx for idx in draws if violation(idx, comparable)]
-    return len(hits), min(hits, default=None)
-
-
-def _run_sweep(violation, n: int, draws, jobs: int) -> tuple[int, int | None]:
-    """(violating codes, smallest violating index or None) among the code
-    indices `draws`. With `jobs > 1` the parent lists the draws in order
-    and splits them between workers, so the result does not depend on
-    `jobs`."""
-    if jobs > 1:
-        # imported here: the pool's modules take about 12 ms to load
-        from concurrent.futures import ProcessPoolExecutor
-
-        draws = list(draws)
-        chunk = len(draws) // (jobs * 8) + 1
-        tasks = [(violation, n, draws[i:i + chunk]) for i in range(0, len(draws), chunk)]
-        with ProcessPoolExecutor(max_workers=min(jobs, len(tasks))) as pool:
-            parts = list(pool.map(_sweep_chunk, tasks))
-    else:
-        parts = [_sweep_chunk((violation, n, draws))]
-    firsts = [first for _, first in parts if first is not None]
-    return sum(bad for bad, _ in parts), min(firsts, default=None)
+    return _violations(_parity_violation, comparable, _chordless_cycles(n, comparable))
 
 
 def _sweep_suite(name: str, violation, doc: str, cap: int, everyone):
@@ -347,8 +323,9 @@ def _sweep_suite(name: str, violation, doc: str, cap: int, everyone):
     `violation(idx, comparable)` tests the code with index `idx` against
     the `_comparable(n)` table, with no Code built; a sampled sweep runs it
     on each seeded index. An exhaustive sweep, for n up to `cap`, is
-    `everyone(n, jobs)`, which must return the (violating codes, smallest
-    violating index) of that test of every code. Only the smallest
+    `everyone(n)`, which must return the (violating codes, smallest
+    violating index) of that test of every code. Both run in the calling
+    process; `jobs` is checked and changes nothing. Only the smallest
     violating code becomes a Code, for the counterexample."""
     def suite(n: int = 3, exhaustive: bool | None = None, sample: int | None = None,
               seed: int = DEFAULT_SEED, jobs: int = 1) -> SuiteResult:
@@ -362,8 +339,8 @@ def _sweep_suite(name: str, violation, doc: str, cap: int, everyone):
             raise ValueError(f"{kind} sweeps are capped at n={limit}, got n={n}")
         total, rng = 1 << (1 << n), random.Random(seed)
         scanned = total - 1 if exhaustive else sample or DEFAULT_SAMPLE
-        bad, first = everyone(n, jobs) if exhaustive else _run_sweep(
-            violation, n, (rng.randrange(1, total) for _ in range(scanned)), jobs)
+        bad, first = everyone(n) if exhaustive else _violations(
+            violation, _comparable(n), (rng.randrange(1, total) for _ in range(scanned)))
         counter = None
         if first is not None:
             code = _code_from_index(n, first)
@@ -386,8 +363,7 @@ parity_suite = _sweep_suite(
     "exhaustive sweep tests only the codes whose CCG is a chordless cycle of\n"
     "4 or more words (_chordless_cycles), since those are exactly the codes\n"
     "with a connected 2-regular CCG on more than 3 codewords; every other\n"
-    "code meets the claim vacuously. The search runs in this process, with\n"
-    "no worker process.",
+    "code meets the claim vacuously.",
     PARITY_SEARCH_MAX_NEURONS, _parity_everyone)
 
 union_closure_suite = _sweep_suite(
@@ -396,9 +372,9 @@ union_closure_suite = _sweep_suite(
     "containment graph of diameter at most 2. An exhaustive sweep decides the\n"
     "union condition by its definition and the diameter from common\n"
     "neighbours, for every code at once on bitsets over the code indices\n"
-    "(_union_closure_sets), with no worker process. A sampled sweep tests\n"
-    "each code for a top codeword, one containing all the others, which is\n"
-    "equivalent (see codes.union_closure_condition), and then its _diameter.\n"
+    "(_union_closure_sets). A sampled sweep tests each code for a top\n"
+    "codeword, one containing all the others, which is equivalent (see\n"
+    "codes.union_closure_condition), and then its _diameter.\n"
     "No violation can occur: a top codeword is adjacent to every other\n"
     "codeword, so the diameter is at most 2.",
     EXHAUSTIVE_MAX_NEURONS, _union_closure_everyone)

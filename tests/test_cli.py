@@ -408,6 +408,13 @@ REJECTED_INPUT = [
     (["realize", '{"kind":"intervals","ambient":"plane","sets":[[0,1]]}'],
      "ambient must be 'line' or 'union'"),
     (["realize", '{"kind":"segments","sets":[]}'], "a cover needs at least one segment"),
+    # Fraction would build 10**k for an exponent k before any check
+    (["realize", '{"kind":"intervals","sets":[["0","1e3"],["1","2"]]}'],
+     "exponents are not allowed in a rational, got '1e3'"),
+    (["realize", '{"kind":"intervals","sets":[["1E-2","1"]]}'],
+     "exponents are not allowed in a rational, got '1E-2'"),
+    (["realize", '{"kind":"segments","sets":[[["0","0"],["1","1e999999999"]]]}'],
+     "exponents are not allowed in a rational, got '1e999999999'"),
     (["realize", '{"kind":"segments","ambient":"line","sets":[[[0,0],[1,1]]]}'],
      "segment covers only support the union stimulus space"),
 ]

@@ -36,6 +36,13 @@ class TestIntervalCover:
         with pytest.raises(ValueError):
             IntervalCover(((0.5, 1.5),))
 
+    def test_reads_rational_strings_without_exponent(self):
+        cover = IntervalCover((("-4", "0.5"), ("1/3", "3/2")))
+        assert cover.intervals == ((-4, Fraction(1, 2)), (Fraction(1, 3), Fraction(3, 2)))
+        for text in ("1e3", "1E-2", "0.5e1"):
+            with pytest.raises(ValueError, match="exponents are not allowed"):
+                IntervalCover((("0", text),))
+
     def test_rejects_no_sets(self):
         with pytest.raises(ValueError):
             IntervalCover((), AMBIENT_LINE)

@@ -1,18 +1,22 @@
 """Sweeps against brute force: the chordless-cycle and the code-space bitset
 exhaustive ones over every code, sampled ones over the seeded draws, for
-every worker count; the orbit enumeration; and each suite's failure count,
+every `jobs` value; the orbit enumeration; and each suite's failure count,
 first counterexample and its replayable rerun."""
 
 import concurrent.futures
 import hashlib
 import json
 import math
+import os
 import random
 import shlex
+import subprocess
+import sys
 from collections import Counter
 from functools import lru_cache, reduce
 from operator import or_
 from itertools import islice, permutations
+from pathlib import Path
 
 import pytest
 
@@ -42,10 +46,10 @@ from neurocode.verify import (
     _parity_everyone,
     _parity_violation,
     _random_spec,
-    _run_sweep,
     _sweep_suite,
     _union_closure_sets,
     _union_closure_violation,
+    _violations,
 )
 
 
@@ -66,10 +70,9 @@ def brute_orbit(n, idx):
     return orbit
 
 
-# Predicates that do have violations, at module level so that `jobs=2`
-# workers can unpickle them. Like the sweep predicates they test a code
-# index against the comparability table; CODE_TESTS holds the same test on
-# a Code, which brute force runs through brute_code and ccg.
+# Predicates that do have violations. Like the sweep predicates they test a
+# code index against the comparability table; CODE_TESTS holds the same test
+# on a Code, which brute force runs through brute_code and ccg.
 def small_connected(idx, comparable):
     if idx.bit_count() not in (3, 5, 6):
         return False
@@ -97,7 +100,7 @@ CODE_TESTS = {
 def brute_suite(predicate):
     """A sweep suite on `predicate` whose exhaustive run tests every index."""
     return _sweep_suite(predicate.__name__.replace("_", "-"), predicate, "", 4,
-                        lambda n, jobs: _run_sweep(predicate, n, range(1, 1 << (1 << n)), jobs))
+                        lambda n: _violations(predicate, _comparable(n), range(1, 1 << (1 << n))))
 
 
 @pytest.mark.parametrize("n, count", [(1, 3), (2, 11), (3, 79), (4, 3983)])
@@ -162,13 +165,12 @@ def brute_violations(n):
 
 @pytest.mark.parametrize("predicate", PREDICATES, ids=lambda p: p.__name__)
 @pytest.mark.parametrize("n", [1, 2, 3, 4])
-def test_run_sweep_matches_brute_force(n, predicate):
+def test_violations_match_brute_force(n, predicate):
     bad = brute_violations(n)[predicate]
     # Codes on 1 neuron have at most 2 codewords, so only odd_size fires.
     assert bad or (n, predicate) == (1, small_connected)
-    for jobs in (1, 2):
-        assert _run_sweep(predicate, n, range(1, 1 << (1 << n)), jobs) == \
-            (len(bad), min(bad, default=None))
+    assert _violations(predicate, _comparable(n), range(1, 1 << (1 << n))) == \
+        (len(bad), min(bad, default=None))
 
 
 @pytest.mark.parametrize("predicate", PREDICATES, ids=lambda p: p.__name__)
@@ -182,48 +184,6 @@ def test_sampled_sweep_same_for_every_jobs(n, sample, seed, predicate):
         check, = brute_suite(predicate)(n=n, sample=sample, seed=seed, jobs=jobs).checks
         assert check.detail == f"{sample} codes scanned, {len(bad)} violations"
         assert check.counterexample["code"] == f"n={n};{brute_code(n, min(bad)).to_text()}"
-
-
-class InlinePool:
-    """Stands in for concurrent.futures.ProcessPoolExecutor, which
-    `verify._run_sweep` imports when it runs, and records the worker count
-    it is asked for and the chunks it is given."""
-    chunks = []
-    workers = None
-
-    def __init__(self, max_workers):
-        InlinePool.workers = max_workers
-
-    def __enter__(self):
-        return self
-
-    def __exit__(self, *exc):
-        return False
-
-    def map(self, fn, tasks):
-        tasks = list(tasks)
-        InlinePool.chunks = [task[2] for task in tasks]
-        return map(fn, tasks)
-
-
-def test_sampled_sweep_splits_draws_between_workers(monkeypatch):
-    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InlinePool)
-    suite = brute_suite(odd_size)
-    result = suite(n=3, sample=500, seed=7, jobs=2)
-    rng = random.Random(7)
-    assert [draw for chunk in InlinePool.chunks for draw in chunk] == \
-        [rng.randrange(1, 256) for _ in range(500)]
-    assert InlinePool.workers == 2
-    assert len(InlinePool.chunks) > 1
-    assert result == suite(n=3, sample=500, seed=7, jobs=1)
-
-
-def test_pool_asks_for_no_more_workers_than_tasks(monkeypatch):
-    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InlinePool)
-    monkeypatch.setattr(InlinePool, "workers", None)
-    result = verify.parity_suite(n=1, sample=3, jobs=8)
-    assert result.checks[0].detail == "3 codes scanned, 0 violations"
-    assert InlinePool.workers <= 3
 
 
 def test_known_violation_counts():
@@ -248,7 +208,7 @@ def six_words(idx, comparable):
 def test_chordless_cycle_search_yields_each_cycle_code_once(n, count):
     assert len(cycle_codes(n)) == count
     # one more than expected, so a search that repeats codes without end stops
-    found = list(islice(_chordless_cycles(n, _comparable(n), range(1 << n)), count + 1))
+    found = list(islice(_chordless_cycles(n, _comparable(n)), count + 1))
     assert len(set(found)) == len(found)
     assert set(found) == set(cycle_codes(n))
 
@@ -265,14 +225,13 @@ def test_searched_sweep_matches_brute_force(monkeypatch, n, predicate):
     bad = [idx for idx in codes if predicate(idx, comparable)]
     assert bool(bad) == (predicate is six_words and n >= 3)
     monkeypatch.setattr(verify, "_parity_violation", predicate)
-    for jobs in (1, 2):
-        assert _parity_everyone(n, jobs) == (len(bad), min(bad, default=None))
+    assert _parity_everyone(n) == (len(bad), min(bad, default=None))
 
 
 def test_chordless_cycle_search_on_five_neurons():
     """The codes the n=5 parity sweep tests: each a connected 2-regular
     CCG, and every length even."""
-    cycles = list(_chordless_cycles(5, _comparable(5), range(32)))
+    cycles = list(_chordless_cycles(5, _comparable(5)))
     assert len(set(cycles)) == len(cycles) == 5191
     assert Counter(idx.bit_count() for idx in cycles) == \
         {4: 150, 6: 2725, 8: 2070, 10: 216, 12: 30}
@@ -286,7 +245,7 @@ def test_longest_cycle_ccg(n, longest):
     """The most codewords of a code on n neurons whose CCG is a cycle of 4
     or more words. The crown code {i}, {i, i+1 mod n}, a 2n-cycle, is
     longest at n = 3 and 4 but not at n = 5."""
-    cycles = _chordless_cycles(n, _comparable(n), range(1 << n))
+    cycles = _chordless_cycles(n, _comparable(n))
     assert max(idx.bit_count() for idx in cycles) == longest
     if n <= 4:
         assert max(idx.bit_count() for idx in cycle_codes(n)) == longest
@@ -433,17 +392,30 @@ def no_pool(*args, **kwargs):
     raise AssertionError("a worker pool was started")
 
 
-def test_exhaustive_union_closure_starts_no_worker(monkeypatch):
-    expected = verify.union_closure_suite(n=4, jobs=1)
+@pytest.mark.parametrize("jobs", [2, 3])
+@pytest.mark.parametrize("suite, params", [
+    (verify.parity_suite, {"n": 4, "exhaustive": True}),
+    (verify.parity_suite, {"n": 5, "exhaustive": True}),
+    (verify.parity_suite, {"n": 8, "sample": 2000, "seed": 3}),
+    (verify.union_closure_suite, {"n": 4}),
+    (verify.union_closure_suite, {"n": 8, "sample": 2000, "seed": 3}),
+], ids=lambda p: p.__name__ if callable(p) else "-".join(f"{k}{v}" for k, v in p.items()))
+def test_sweep_starts_no_worker(monkeypatch, suite, params, jobs):
+    expected = suite(**params, jobs=1)
     monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", no_pool)
-    assert verify.union_closure_suite(n=4, jobs=2) == expected
+    assert suite(**params, jobs=jobs) == expected
 
 
-@pytest.mark.parametrize("n", [4, 5])
-def test_exhaustive_parity_starts_no_worker(monkeypatch, n):
-    expected = verify.parity_suite(n=n, exhaustive=True, jobs=1)
-    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", no_pool)
-    assert verify.parity_suite(n=n, exhaustive=True, jobs=2) == expected
+def test_sampled_sweep_loads_no_process_pool():
+    """In a fresh interpreter, so that no other test has loaded the pool."""
+    check = ("import sys; from neurocode import cli; "
+             "status = cli.main(['verify', 'union-closure', '--n', '8', "
+             "'--sample', '2000', '--jobs', '2']); "
+             "sys.exit(status or 'concurrent.futures' in sys.modules)")
+    env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).parents[1])}
+    proc = subprocess.run([sys.executable, "-c", check], env=env,
+                          capture_output=True, text=True, timeout=60)
+    assert (proc.returncode, proc.stderr) == (0, "")
 
 
 @pytest.mark.parametrize("n", [1, 2, 5, 62, 63, 64])

@@ -17,6 +17,7 @@ end; the only division is the `Fraction` of each parameter.
 from __future__ import annotations
 
 import math
+import re
 from fractions import Fraction
 from .codes import MAX_NEURONS, Code, _set, _Value
 from .ideal import ORACLE_MAX_NEURONS, CanonicalForm, canonical_form_oracle
@@ -25,6 +26,9 @@ AMBIENT_LINE = "line"
 AMBIENT_UNION = "union"
 
 Point = tuple[Fraction, Fraction]
+# Fraction's grammar less the exponent, in ASCII: Fraction itself reads "1_0"
+# from Python 3.11 on, "2 / 3" from 3.12 on and non-ASCII digits everywhere.
+_RATIONAL_RE = re.compile(r"\s*[-+]?(?:[0-9]+(?:/[0-9]+)?|[0-9]*\.[0-9]+|[0-9]+\.)\s*", re.ASCII)
 
 
 def _as_fraction(value) -> Fraction:
@@ -33,6 +37,8 @@ def _as_fraction(value) -> Fraction:
     if isinstance(value, str) and "e" in value.lower():
         # Fraction("1e<k>") builds 10**k first: hours and gigabytes for a large k
         raise ValueError(f"exponents are not allowed in a rational, got {value!r}")
+    if isinstance(value, str) and not _RATIONAL_RE.fullmatch(value):
+        raise ValueError(f"a rational is ASCII digits as p, p/q or a decimal, got {value!r}")
     if type(value) is int or isinstance(value, str):
         try:
             return Fraction(value)

@@ -8,8 +8,8 @@ import json
 import random
 import shlex
 from fractions import Fraction
-from itertools import permutations
 
+from . import _space
 from .codes import (
     ADD_TRIVIAL_OFF,
     ADD_TRIVIAL_ON,
@@ -27,9 +27,7 @@ from .codes import (
     complete_iso,
     cr_family,
     is_isomorphism,
-    permute_mask,
     submasks,
-    subset_bitsets,
 )
 from .graphs import _diameter, _layers, ccg, grg, is_connected, is_complete, is_regular
 from .ideal import canonical_form, canonical_form_oracle, predict_cf
@@ -45,10 +43,8 @@ from .realization import (
 )
 
 DEFAULT_SEED = 1729
-# Cap of the default exhaustive rule, of the union-closure bitsets (one bit per
-# code index for each word mask: 8 KB at n=4, 512 MB at n=5) and of the seen
-# array of _orbits (one byte per code index: 64 KB at n=4, 4 GB at n=5).
-EXHAUSTIVE_MAX_NEURONS = 4
+# Cap of the default exhaustive rule: that of the union-closure bitsets.
+EXHAUSTIVE_MAX_NEURONS = _space.COLUMNS_MAX_NEURONS
 # The chordless-cycle search finds 5191 cycle codes at n=5 in about 5 ms and
 # 1303428 at n=6 in about 2 s (2 vCPUs); parity beyond n=5 is parked.
 PARITY_SEARCH_MAX_NEURONS = 5
@@ -113,11 +109,6 @@ class SuiteResult(_Value):
         return all(c.passed for c in self.checks)
 
 
-def _code_from_index(n: int, idx: int) -> Code:
-    masks = [p for p in range(1 << n) if idx >> p & 1]
-    return Code.from_masks(n, masks)
-
-
 # map kind -> the `neurocode map` arguments that apply a map of that kind
 _MAP_ARGS = {
     PERMUTATION: lambda spec: ["--permute", ",".join(map(str, spec.perm))],
@@ -155,17 +146,6 @@ def _tally(counterexamples) -> tuple[int, dict | None]:
     return (0 if first is None else 1 + sum(1 for _ in it)), first
 
 
-def _comparable(n: int) -> list[int]:
-    """Per word mask w on n neurons, the bitset of the other word masks
-    comparable to w, that is, strictly inside or strictly around it. Masking
-    entry w with a code index (bit w set when word mask w is a codeword)
-    gives the neighbours of w in the code's containment graph. The masks
-    around w are w | s for the submasks s of its complement, and w | s is
-    w + s, so their bitset is that of those submasks shifted left by w."""
-    sub, full = subset_bitsets(n), (1 << n) - 1
-    return [(sub[w] | sub[full ^ w] << w) ^ 1 << w for w in range(1 << n)]
-
-
 def _parity_violation(idx: int, comparable: list[int]) -> bool:
     """The code with index `idx` has an odd number of codewords above 3 and
     a connected 2-regular containment graph."""
@@ -194,103 +174,23 @@ def _union_closure_violation(idx: int, comparable: list[int]) -> bool:
     return _diameter([c & idx for c in comparable], idx) > 2
 
 
-def _orbits(n: int):
-    """Yield (smallest index, size) for each orbit of the code indices
-    1..2^(2^n)-1 (bit p set when word mask p is a codeword) under neuron
-    permutations, in ascending index order; the sizes sum to 2^(2^n)-1.
-    A permutation sends an index to the sum of 1 << (image of w) over its w."""
-    _in_range(1, EXHAUSTIVE_MAX_NEURONS, n=n)
-    words = range(1 << n)
-    images = [[1 << permute_mask(w, perm) for w in words]
-              for perm in permutations(range(1, n + 1))]
-    seen = bytearray(1 << (1 << n))
-    for idx in range(1, len(seen)):
-        if not seen[idx]:
-            members = [w for w in words if idx >> w & 1]
-            orbit = {sum(image[w] for w in members) for image in images}
-            for j in orbit:
-                seen[j] = 1
-            yield idx, len(orbit)
-
-
-def _chordless_cycles(n: int, comparable: list[int]):
-    """Yield once each code index on n neurons with a connected 2-regular
-    containment graph on at least 4 words.
-
-    A CCG is the induced subgraph of the comparability graph on the code's
-    words, so these codes are that graph's chordless cycles of 4 or more
-    words. From each word v0, as the cycle's smallest, the search grows
-    induced paths v0, v1, ..., vk on words above v0: a word w adjacent to vk
-    and to none of v1..v(k-1) extends the path when it is not adjacent to
-    v0, and closes it when it is, k >= 2 and w > v1. A closed path is such a
-    cycle, since only consecutive words and v0 with w are adjacent. Such a
-    cycle, read from v0 towards the smaller v1 of its two neighbours, is
-    closed: each prefix is an induced path that the next word extends. Read
-    the other way, it ends below v1. So each cycle is yielded once. A path
-    is dropped when no word that may close it is left, since a longer path
-    only loses words."""
-    words = (1 << (1 << n)) - 1
-    for v0 in range(1 << n):
-        above = words ^ ((2 << v0) - 1)
-        ends = comparable[v0] & above
-        # path index, its last word, the words not on it and adjacent to no
-        # interior word, and the words that may close it: v0's neighbours
-        # above v1 and not adjacent to v1, which is interior once k >= 2
-        stack, rest = [], ends
-        while rest:
-            first = rest & -rest
-            rest ^= first
-            v1 = first.bit_length() - 1
-            stack.append((1 << v0 | first, v1, above ^ first, rest & ~comparable[v1]))
-        while stack:
-            idx, last, free, close = stack.pop()
-            nbrs = comparable[last] & free
-            shut = nbrs & close
-            while shut:
-                bit = shut & -shut
-                shut ^= bit
-                yield idx | bit
-            free &= ~comparable[last]
-            if free & close:
-                grow = nbrs & ~ends
-                while grow:
-                    bit = grow & -grow
-                    grow ^= bit
-                    stack.append((idx | bit, bit.bit_length() - 1, free, close))
-
-
 def _union_closure_sets(n: int) -> tuple[int, int]:
     """(union, far): bitsets over the code indices on n neurons, bit idx for
     the code with index idx. `union` holds the codes that meet the paper's
     union condition, every union of two codewords lying in a codeword; `far`
-    those with two codewords more than 2 apart, or unconnected, in the CCG.
-    has[w] marks the codes with codeword w; around[u] (inside[u]) ORs it over
-    the w around (inside) u: the codes in whose complex u is a face (with a
-    codeword inside u). Incomparable codewords a, b have a common neighbour
-    iff a codeword lies inside a & b or around a | b. For a < b, b is never
-    inside a, so the two are comparable iff a & b == a."""
-    _in_range(1, EXHAUSTIVE_MAX_NEURONS, n=n)
-    words, span = 1 << n, 1 << (1 << n)
-    has = []
-    for w in range(words):  # runs of 2^w zeros and 2^w ones, alternating
-        period, col = 2 << w, (1 << (2 << w)) - (1 << (1 << w))
-        while period < span:
-            col, period = col | col << period, period << 1
-        has.append(col)
-    around, inside = has[:], has[:]
-    for i in range(n):
-        for u in range(words):
-            if not u >> i & 1:
-                around[u] |= around[u | 1 << i]
-                inside[u | 1 << i] |= inside[u]
-    fail = far = 0
+    those with two codewords more than 2 apart, or unconnected, in the CCG,
+    both read off `_space.columns(n)`. Incomparable codewords a, b have a
+    common neighbour iff a codeword lies inside a & b or around a | b. For
+    a < b, b is never inside a, so the two are comparable iff a & b == a."""
+    has, around, inside = _space.columns(n)
+    words, fail, far = len(has), 0, 0
     for b in range(words):
         for a in range(b):
             if a & b != a:
                 both = has[a] & has[b]
                 fail |= both & ~around[a | b]
                 far |= both & ~(inside[a & b] | around[a | b])
-    return ((1 << span) - 1) ^ fail, far
+    return ((1 << (1 << words)) - 1) ^ fail, far
 
 
 def _union_closure_everyone(n: int) -> tuple[int, int | None]:
@@ -301,18 +201,11 @@ def _union_closure_everyone(n: int) -> tuple[int, int | None]:
     return bad.bit_count(), (bad & -bad).bit_length() - 1 if bad else None
 
 
-def _violations(violation, comparable: list[int], indices) -> tuple[int, int | None]:
-    """(count, smallest or None) of the code `indices` on which
-    `violation(idx, comparable)` holds."""
-    hits = [idx for idx in indices if violation(idx, comparable)]
-    return len(hits), min(hits, default=None)
-
-
 def _parity_everyone(n: int) -> tuple[int, int | None]:
     """(count, smallest index or None) of the codes that violate parity,
     tested only on the cycle codes (see parity_suite)."""
-    comparable = _comparable(n)
-    return _violations(_parity_violation, comparable, _chordless_cycles(n, comparable))
+    comparable = _space.comparable(n)
+    return _space.violations(_parity_violation, comparable, _space.chordless_cycles(n, comparable))
 
 
 def _sweep_suite(name: str, violation, doc: str, cap: int, everyone):
@@ -321,7 +214,7 @@ def _sweep_suite(name: str, violation, doc: str, cap: int, everyone):
     n <= EXHAUSTIVE_MAX_NEURONS, else `sample` (DEFAULT_SAMPLE) seeded ones.
 
     `violation(idx, comparable)` tests the code with index `idx` against
-    the `_comparable(n)` table, with no Code built; a sampled sweep runs it
+    the `_space.comparable(n)` table, with no Code built; a sampled sweep runs it
     on each seeded index. An exhaustive sweep, for n up to `cap`, is
     `everyone(n)`, which must return the (violating codes, smallest
     violating index) of that test of every code. Both run in the calling
@@ -339,11 +232,11 @@ def _sweep_suite(name: str, violation, doc: str, cap: int, everyone):
             raise ValueError(f"{kind} sweeps are capped at n={limit}, got n={n}")
         total, rng = 1 << (1 << n), random.Random(seed)
         scanned = total - 1 if exhaustive else sample or DEFAULT_SAMPLE
-        bad, first = everyone(n) if exhaustive else _violations(
-            violation, _comparable(n), (rng.randrange(1, total) for _ in range(scanned)))
+        bad, first = everyone(n) if exhaustive else _space.violations(
+            violation, _space.comparable(n), (rng.randrange(1, total) for _ in range(scanned)))
         counter = None
         if first is not None:
-            code = _code_from_index(n, first)
+            code = _space.code_from_index(n, first)
             counter = _counterexample(code, "graph", "ccg", code, suite=name)
         params = {"n": n, "exhaustive": exhaustive, "sample": sample, "seed": seed}
         return SuiteResult(name, params, [Check(
@@ -359,9 +252,9 @@ parity_suite = _sweep_suite(
     "Connected 2-regular containment graphs on more than 3 codewords must\n"
     "have evenly many codewords. A CCG is a comparability graph; those are\n"
     "perfect, and an odd cycle on 5 or more vertices is not. So a violation\n"
-    "is a bug in the sweep or in _comparable, not a counterexample. An\n"
+    "is a bug in the sweep or in _space.comparable, not a counterexample. An\n"
     "exhaustive sweep tests only the codes whose CCG is a chordless cycle of\n"
-    "4 or more words (_chordless_cycles), since those are exactly the codes\n"
+    "4 or more words (_space.chordless_cycles), since those are exactly the codes\n"
     "with a connected 2-regular CCG on more than 3 codewords; every other\n"
     "code meets the claim vacuously.",
     PARITY_SEARCH_MAX_NEURONS, _parity_everyone)

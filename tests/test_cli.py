@@ -415,6 +415,16 @@ REJECTED_INPUT = [
      "exponents are not allowed in a rational, got '1E-2'"),
     (["realize", '{"kind":"segments","sets":[[["0","0"],["1","1e999999999"]]]}'],
      "exponents are not allowed in a rational, got '1e999999999'"),
+    # Fraction reads "1_0" from Python 3.11 on, "2 / 3" from 3.12 on and
+    # non-ASCII digits on every version; the cover grammar reads none of them
+    (["realize", '{"kind":"intervals","sets":[["0","1_0"]]}'],
+     "a rational is ASCII digits as p, p/q or a decimal, got '1_0'"),
+    (["realize", '{"kind":"intervals","sets":[["0","2 / 3"]]}'],
+     "a rational is ASCII digits as p, p/q or a decimal, got '2 / 3'"),
+    (["realize", '{"kind":"intervals","sets":[["0","\u0661\u0660"]]}'],
+     "a rational is ASCII digits as p, p/q or a decimal, got '\u0661\u0660'"),
+    (["realize", '{"kind":"segments","sets":[[["0","0"],["1","\uff13"]]]}'],
+     "a rational is ASCII digits as p, p/q or a decimal, got '\uff13'"),
     (["realize", '{"kind":"segments","ambient":"line","sets":[[[0,0],[1,1]]]}'],
      "segment covers only support the union stimulus space"),
 ]

@@ -8,7 +8,7 @@ from operator import or_
 
 import pytest
 
-from neurocode import verify
+from code_orbits import small_codes
 from neurocode.codes import (
     Code,
     CodeMap,
@@ -594,9 +594,7 @@ class TestUnionClosure:
         # every code on n <= 3, the smallest code of each relabeling orbit
         # at n = 4, and 1000 random codes on 5..8 neurons, half of them
         # given the OR of their words so that both answers occur often
-        codes = [verify._code_from_index(n, idx)
-                 for n in (1, 2, 3) for idx in range(1, 1 << (1 << n))]
-        codes += [verify._code_from_index(4, idx) for idx, _ in verify._orbits(4)]
+        codes = small_codes()
         rng = random.Random(67)
         for i in range(1000):
             n = rng.randint(5, 8)

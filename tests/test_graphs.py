@@ -7,7 +7,8 @@ from itertools import product as iproduct
 
 import pytest
 
-from neurocode import graphs, verify
+from code_orbits import small_codes
+from neurocode import graphs
 from neurocode.codes import (
     Code,
     ElementaryMap,
@@ -444,9 +445,7 @@ class TestShattering:
     checked here with no canonical form on the expected side."""
 
     def test_grg_and_gr_complex_of_codes(self):
-        codes = [verify._code_from_index(n, idx)
-                 for n in (1, 2, 3) for idx in range(1, 1 << (1 << n))]
-        codes += [verify._code_from_index(4, idx) for idx, _ in verify._orbits(4)]
+        codes = small_codes()
         rng = random.Random(53)
         for _ in range(500):
             n = rng.randint(5, 8)

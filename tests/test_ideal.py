@@ -5,7 +5,9 @@ import re
 
 import pytest
 
-from neurocode import ideal, verify
+from code_orbits import orbits, small_codes
+from neurocode import ideal
+from neurocode._space import code_from_index
 from neurocode.codes import (
     Code,
     ElementaryMap,
@@ -211,9 +213,7 @@ class TestCanonicalForm:
         # every codeword in exactly one cube, every vertex of a cube a
         # codeword, low vertices ascending: every code on n <= 3 and the
         # smallest code of each relabeling orbit at n = 4
-        codes = [verify._code_from_index(n, idx)
-                 for n in (1, 2, 3) for idx in range(1, 1 << (1 << n))]
-        codes += [verify._code_from_index(4, idx) for idx, _ in verify._orbits(4)]
+        codes = small_codes()
         for c in codes:
             full = (1 << c.n) - 1
             cubes = ideal._subcube_cover(c.n, c.masks)
@@ -238,9 +238,7 @@ class TestCanonicalForm:
     def test_matches_oracle_on_every_small_code(self):
         # every code on n <= 3 and the smallest code of each relabeling
         # orbit at n = 4: 4256 codes
-        codes = [verify._code_from_index(n, idx)
-                 for n in (1, 2, 3) for idx in range(1, 1 << (1 << n))]
-        codes += [verify._code_from_index(4, idx) for idx, _ in verify._orbits(4)]
+        codes = small_codes()
         assert len(codes) == 4256
         for c in codes:
             assert canonical_form(c) == canonical_form_oracle(c), c.to_text()
@@ -288,7 +286,7 @@ class TestCanonicalForm:
 
     def test_oracle_matches_definition(self):
         # every code on n <= 3, then 300 seeded codes on 4 to 6 neurons
-        codes = [verify._code_from_index(n, idx)
+        codes = [code_from_index(n, idx)
                  for n in (1, 2, 3) for idx in range(1, 1 << (1 << n))]
         rng = random.Random(43)
         codes += [random_code(rng, rng.randint(4, 6)) for _ in range(300)]
@@ -453,7 +451,7 @@ class TestPredictCf:
             specs += [ElementaryMap.duplicate(i) for i in range(1, n + 1)]
             specs += [ElementaryMap.delete(i) for i in range(1, n + 1) if n >= 2]
             for idx in range(1, 1 << (1 << n)):
-                c = verify._code_from_index(n, idx)
+                c = code_from_index(n, idx)
                 cf = canonical_form(c)
                 for spec in specs:
                     image, _ = apply_elementary_map(c, spec)
@@ -467,8 +465,8 @@ class TestPredictCf:
         # n = 4, constant neurons included: the cross terms go exactly when
         # the duplicated neuron is constant
         pairs = 0
-        for idx, _ in verify._orbits(4):
-            c = verify._code_from_index(4, idx)
+        for idx, _ in orbits(4):
+            c = code_from_index(4, idx)
             cf = canonical_form(c)
             for i in range(1, 5):
                 spec = ElementaryMap.duplicate(i)

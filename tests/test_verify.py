@@ -20,7 +20,8 @@ from pathlib import Path
 
 import pytest
 
-from neurocode import cli, verify
+from code_orbits import orbits
+from neurocode import _space, cli, verify
 from neurocode.codes import (
     ADD_TRIVIAL_ON,
     INCLUSION,
@@ -40,16 +41,12 @@ from neurocode.realization import (
     cr_k_polygon,
 )
 from neurocode.verify import (
-    _chordless_cycles,
-    _comparable,
-    _orbits,
     _parity_everyone,
     _parity_violation,
     _random_spec,
     _sweep_suite,
     _union_closure_sets,
     _union_closure_violation,
-    _violations,
 )
 
 
@@ -99,40 +96,42 @@ CODE_TESTS = {
 
 def brute_suite(predicate):
     """A sweep suite on `predicate` whose exhaustive run tests every index."""
-    return _sweep_suite(predicate.__name__.replace("_", "-"), predicate, "", 4,
-                        lambda n: _violations(predicate, _comparable(n), range(1, 1 << (1 << n))))
+    def everyone(n):
+        return _space.violations(predicate, _space.comparable(n), range(1, 1 << (1 << n)))
+
+    return _sweep_suite(predicate.__name__.replace("_", "-"), predicate, "", 4, everyone)
 
 
 @pytest.mark.parametrize("n, count", [(1, 3), (2, 11), (3, 79), (4, 3983)])
 def test_orbit_counts(n, count):
-    orbits = list(_orbits(n))
-    assert len(orbits) == count
-    assert sum(size for _, size in orbits) == (1 << (1 << n)) - 1
-    assert [rep for rep, _ in orbits] == sorted({rep for rep, _ in orbits})
+    found = list(orbits(n))
+    assert len(found) == count
+    assert sum(size for _, size in found) == (1 << (1 << n)) - 1
+    assert [rep for rep, _ in found] == sorted({rep for rep, _ in found})
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4])
 def test_orbits_partition_codes_with_smallest_representative(n):
-    for rep, size in _orbits(n):
+    for rep, size in orbits(n):
         if n <= 3 or rep % 97 == 0:
             orbit = brute_orbit(n, rep)
             assert (rep, size) == (min(orbit), len(orbit))
     if n <= 3:
         minima = {min(brute_orbit(n, idx)) for idx in range(1, 1 << (1 << n))}
-        assert {rep for rep, _ in _orbits(n)} == minima
+        assert {rep for rep, _ in orbits(n)} == minima
 
 
 def test_orbits_capped_at_the_exhaustive_cap():
     with pytest.raises(ValueError, match="n must be at most 4, got 5"):
-        next(_orbits(5))
+        next(orbits(5))
 
 
 def test_orbits_reject_n_below_one():
     with pytest.raises(ValueError, match="n must be at least 1, got 0"):
-        list(_orbits(0))
+        list(orbits(0))
 
 
-# sha256 of repr(list(_orbits(n))), recorded from the byte-table enumeration
+# sha256 of repr(list(orbits(n))), recorded from the byte-table enumeration
 # that the direct one replaced
 ORBIT_DIGESTS = {
     1: "5eb2fa25352be47e4310899a988d8ce1de1302c3d850343210be03f9c37e1a91",
@@ -144,7 +143,7 @@ ORBIT_DIGESTS = {
 
 @pytest.mark.parametrize("n", sorted(ORBIT_DIGESTS))
 def test_orbits_pinned(n):
-    text = repr(list(_orbits(n)))
+    text = repr(list(orbits(n)))
     assert hashlib.sha256(text.encode()).hexdigest() == ORBIT_DIGESTS[n]
 
 
@@ -169,7 +168,7 @@ def test_violations_match_brute_force(n, predicate):
     bad = brute_violations(n)[predicate]
     # Codes on 1 neuron have at most 2 codewords, so only odd_size fires.
     assert bad or (n, predicate) == (1, small_connected)
-    assert _violations(predicate, _comparable(n), range(1, 1 << (1 << n))) == \
+    assert _space.violations(predicate, _space.comparable(n), range(1, 1 << (1 << n))) == \
         (len(bad), min(bad, default=None))
 
 
@@ -208,7 +207,7 @@ def six_words(idx, comparable):
 def test_chordless_cycle_search_yields_each_cycle_code_once(n, count):
     assert len(cycle_codes(n)) == count
     # one more than expected, so a search that repeats codes without end stops
-    found = list(islice(_chordless_cycles(n, _comparable(n)), count + 1))
+    found = list(islice(_space.chordless_cycles(n, _space.comparable(n)), count + 1))
     assert len(set(found)) == len(found)
     assert set(found) == set(cycle_codes(n))
 
@@ -220,7 +219,7 @@ def test_searched_sweep_matches_brute_force(monkeypatch, n, predicate):
     """`_parity_violation` against every index, so no code outside the
     search's cycle codes may violate; `six_words`, which holds off them too,
     in its place against the cycle codes."""
-    comparable = _comparable(n)
+    comparable = _space.comparable(n)
     codes = range(1, 1 << (1 << n)) if predicate is _parity_violation else cycle_codes(n)
     bad = [idx for idx in codes if predicate(idx, comparable)]
     assert bool(bad) == (predicate is six_words and n >= 3)
@@ -231,7 +230,7 @@ def test_searched_sweep_matches_brute_force(monkeypatch, n, predicate):
 def test_chordless_cycle_search_on_five_neurons():
     """The codes the n=5 parity sweep tests: each a connected 2-regular
     CCG, and every length even."""
-    cycles = list(_chordless_cycles(5, _comparable(5)))
+    cycles = list(_space.chordless_cycles(5, _space.comparable(5)))
     assert len(set(cycles)) == len(cycles) == 5191
     assert Counter(idx.bit_count() for idx in cycles) == \
         {4: 150, 6: 2725, 8: 2070, 10: 216, 12: 30}
@@ -245,7 +244,7 @@ def test_longest_cycle_ccg(n, longest):
     """The most codewords of a code on n neurons whose CCG is a cycle of 4
     or more words. The crown code {i}, {i, i+1 mod n}, a 2n-cycle, is
     longest at n = 3 and 4 but not at n = 5."""
-    cycles = _chordless_cycles(n, _comparable(n))
+    cycles = _space.chordless_cycles(n, _space.comparable(n))
     assert max(idx.bit_count() for idx in cycles) == longest
     if n <= 4:
         assert max(idx.bit_count() for idx in cycle_codes(n)) == longest
@@ -258,7 +257,7 @@ def test_failing_sweep_builds_one_code(monkeypatch):
         built.append(idx)
         return brute_code(n, idx)
 
-    monkeypatch.setattr(verify, "_code_from_index", code_from_index)
+    monkeypatch.setattr(_space, "code_from_index", code_from_index)
     check, = brute_suite(odd_size)(n=4).checks
     assert built == [1]
     assert check.detail == "65535 codes scanned, 32768 violations"
@@ -267,7 +266,7 @@ def test_failing_sweep_builds_one_code(monkeypatch):
 
 def structure(code):
     g = ccg(code)
-    idx, comparable = sum(1 << w for w in code.masks), _comparable(code.n)
+    idx, comparable = sum(1 << w for w in code.masks), _space.comparable(code.n)
     return (_parity_violation(idx, comparable), _union_closure_violation(idx, comparable),
             len(code), union_closure_condition(code), is_connected(g), is_regular(g, 2),
             diameter(g))
@@ -288,8 +287,8 @@ def test_sweep_predicates_invariant_under_permutation(n):
 @pytest.mark.parametrize("n", range(1, 9))
 def test_comparable_table_matches_definition(n):
     words = range(1 << n)
-    assert _comparable(n) == [sum(1 << v for v in words if v != w and v & w in (v, w))
-                              for w in words]
+    assert _space.comparable(n) == [sum(1 << v for v in words if v != w and v & w in (v, w))
+                                    for w in words]
 
 
 def oracle(n, idx):
@@ -327,7 +326,7 @@ def differential_codes(n):
     if n <= 3:
         return range(1, 1 << (1 << n))
     if n == 4:
-        return [rep for rep, _ in _orbits(4)]
+        return [rep for rep, _ in orbits(4)]
     rng = random.Random(f"differential:{n}")
     codes = [cr_family(n).masks, [(1 << i) - 1 for i in range(n + 1)]]
     codes += [verify._random_chain_code(rng, n).masks for _ in range(20)]
@@ -344,7 +343,7 @@ def differential_codes(n):
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6, 7, 8])
 def test_sweep_predicates_match_definitions(n):
-    comparable = _comparable(n)
+    comparable = _space.comparable(n)
     seen = set()
     for idx in differential_codes(n):
         parity, union, diam = oracle(n, idx)
@@ -356,6 +355,29 @@ def test_sweep_predicates_match_definitions(n):
     # finite diameters above 2, which the union-closure check must not report
     assert n == 1 or math.inf in seen
     assert n <= 2 or max(seen - {math.inf}) > 2
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_columns_match_definitions(n):
+    """Every code on n <= 3, the empty one included, and 2000 seeded codes
+    at n = 4, word mask by word mask against the codewords themselves."""
+    has, around, inside = _space.columns(n)
+    rng = random.Random(f"columns:{n}")
+    indices = range(1 << (1 << n)) if n <= 3 else \
+        [rng.randrange(1 << (1 << n)) for _ in range(2000)]
+    words = range(1 << n)
+    for idx in indices:
+        code = [w for w in words if idx >> w & 1]
+        for u in words:
+            assert (has[u] >> idx & 1, around[u] >> idx & 1, inside[u] >> idx & 1) == \
+                (u in code, any(w & u == u for w in code), any(w & u == w for w in code)), \
+                (n, idx, u)
+
+
+@pytest.mark.parametrize("n", [0, 5])
+def test_columns_capped(n):
+    with pytest.raises(ValueError, match=f"^n must be in 1..4, got {n}$"):
+        _space.columns(n)
 
 
 def meets_union_condition(n, idx):
@@ -378,7 +400,7 @@ def test_union_closure_sets_match_per_code_tests(n):
     """Against the top-codeword reduction (union_closure_condition),
     _diameter and the sampled sweep's predicate, on every code; the empty
     index 0 has no two codewords apart and is never reported."""
-    comparable = _comparable(n)
+    comparable = _space.comparable(n)
     union, far = _union_closure_sets(n)
     assert not far & 1
     for idx in range(1, 1 << (1 << n)):

@@ -97,13 +97,19 @@ def _render(obj, pad: str, out: list[str]) -> None:
         raise TypeError(f"object of type {type(obj).__name__} in a report")
 
 
+class _NotAnInt(ValueError, argparse.ArgumentTypeError):
+    """A ValueError that argparse prints as it is, after the flag's name."""
+
+
 def _ascii_int(text: str) -> int:
-    """int(text) when text is ASCII digits, with optional whitespace around
-    them; ValueError for anything else, such as '+1', '1_0' or other scripts'
-    digits."""
+    """int(text) when text is ASCII digits after an optional '-', with
+    optional whitespace around them; ValueError for anything else, such as
+    '+1', '1_0' or other scripts' digits. Every integer the CLI reads, from
+    a flag, a family spec or a permutation, goes through here."""
     digits = text.strip()
+    digits = digits[1:] if digits[:1] == "-" else digits
     if not (digits.isascii() and digits.isdigit()):
-        raise ValueError(f"not a decimal integer: {text!r}")
+        raise _NotAnInt(f"not a decimal integer: {text!r}")
     return int(text)
 
 
@@ -415,8 +421,8 @@ def _build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argumen
     group.add_argument("--permute", metavar="G", help="permutation as images of 1..n, e.g. 2,1,3")
     group.add_argument("--add-on", action="store_true", help="add an always-firing neuron")
     group.add_argument("--add-off", action="store_true", help="add a never-firing neuron")
-    group.add_argument("--duplicate", type=int, metavar="I", help="duplicate neuron I")
-    group.add_argument("--delete", type=int, metavar="I", help="delete neuron I")
+    group.add_argument("--duplicate", type=_ascii_int, metavar="I", help="duplicate neuron I")
+    group.add_argument("--delete", type=_ascii_int, metavar="I", help="delete neuron I")
     group.add_argument("--include", metavar="CODE", help="include into the given larger code")
     p_map.set_defaults(handler=_cmd_map)
 
@@ -429,13 +435,14 @@ def _build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argumen
 
     p_verify = subs.add_parser("verify", help="run a named verification sweep")
     p_verify.add_argument("suite", help="one of: " + ", ".join(sorted(SUITES)))
-    p_verify.add_argument("--n", type=int, help="neuron count / size bound")
-    p_verify.add_argument("--trials", type=int, help="randomized trial count")
-    p_verify.add_argument("--seed", type=int, help=f"RNG seed (default {DEFAULT_SEED})")
-    p_verify.add_argument("--max", type=int, help="family size ceiling")
-    p_verify.add_argument("--sample", type=int, help="sampled sweep size instead of exhaustive")
+    p_verify.add_argument("--n", type=_ascii_int, help="neuron count / size bound")
+    p_verify.add_argument("--trials", type=_ascii_int, help="randomized trial count")
+    p_verify.add_argument("--seed", type=_ascii_int, help=f"RNG seed (default {DEFAULT_SEED})")
+    p_verify.add_argument("--max", type=_ascii_int, help="family size ceiling")
+    p_verify.add_argument("--sample", type=_ascii_int,
+                          help="sampled sweep size instead of exhaustive")
     p_verify.add_argument("--exhaustive", action="store_true", help="force the exhaustive sweep")
-    p_verify.add_argument("--jobs", type=int,
+    p_verify.add_argument("--jobs", type=_ascii_int,
                           help=f"accepted for old command lines; sweeps run in this"
                           f" process whatever it says (default 1, at most {MAX_JOBS})")
     p_verify.set_defaults(handler=_cmd_verify)

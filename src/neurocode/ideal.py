@@ -116,19 +116,6 @@ def rho(n: int, mask: int) -> PseudoMonomial:
     return PseudoMonomial(mask, ((1 << n) - 1) ^ mask)
 
 
-def _reject_pairs(n: int, bad: list[tuple[int, int]]) -> None:
-    """Raise for the first invalid pair in (degree, plus, minus) order; the
-    constant 1 is named only when no other pair is invalid."""
-    first = min((((p | m).bit_count(), p, m) for p, m in bad if (p | m) >> n or p & m),
-                default=None)
-    if first is None:
-        raise ValueError("the constant 1 cannot appear in a canonical form")
-    _, p, m = first
-    if (p | m) >> n:
-        raise ValueError(f"masks {p:#x}/{m:#x} outside neurons 1..{n}")
-    raise ValueError("a variable cannot appear both plain and complemented")
-
-
 class CanonicalForm(_Value):
     """Pseudo-monomials on neurons 1..n, held as distinct `PseudoMonomial`
     pairs sorted by (degree, plus, minus).
@@ -136,27 +123,28 @@ class CanonicalForm(_Value):
     The constructor takes any iterable of (plus, minus) int pairs. Every
     producer in this module (the fold, the oracle, each `predict_cf` kind
     and the closed forms) returns a divisibility antichain by proof; the
-    container itself only checks each pair (in range, disjoint, not the
-    constant 1) so that redundant generating sets can still be fed to the
-    graph builders. It then sorts the distinct pairs as packed int keys
-    degree << 2n | plus << n | minus, which order as (degree, plus, minus).
+    container itself only checks that each pair is in range, disjoint and
+    not the constant 1, raising at the first that is not, so that redundant
+    generating sets can still be fed to the graph builders. It then sorts
+    the distinct pairs as packed int keys degree << 2n | plus << n | minus,
+    which order as (degree, plus, minus).
     """
 
     __slots__ = ("n", "elements")
 
     def __init__(self, n: int, elements: Iterable[tuple[int, int]]) -> None:
         _neuron_count(n)
-        # a negative mask shifts to -1, so it counts as outside
         keys = set()
-        bad = []
         for p, m in elements:
             s = p | m
             if s >> n or p & m or not s:
-                bad.append((p, m))
-            else:
-                keys.add(s.bit_count() << 2 * n | p << n | m)
-        if bad:
-            _reject_pairs(n, bad)
+                # a negative mask shifts to -1, so it counts as outside
+                if s >> n:
+                    raise ValueError(f"masks {p:#x}/{m:#x} outside neurons 1..{n}")
+                if p & m:
+                    raise ValueError("a variable cannot appear both plain and complemented")
+                raise ValueError("the constant 1 cannot appear in a canonical form")
+            keys.add(s.bit_count() << 2 * n | p << n | m)
         self._fill(n, keys)
 
     def _fill(self, n: int, keys: Iterable[int]) -> None:

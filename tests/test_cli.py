@@ -395,6 +395,26 @@ REJECTED_INPUT = [
     (["family", "cc:1_0"], "bad family 'cc:1_0'"),
     (["family", "cr:\u0664"], "bad family 'cr:\u0664'"),
     (["map", "--permute", "2,+1", "{1};{2}"], "bad permutation '2,+1'"),
+    (["cf", "{1,,2}"], "bad codeword token '{1,,2}'"),
+    (["cf", "{1 2}"], "bad codeword token '{1 2}'"),
+    (["cf", "{,}"], "bad codeword token '{,}'"),
+    # int() reads each of these too; every integer flag takes ASCII digits
+    # after an optional '-'
+    (["verify", "parity", "--n", "\u0663"], "argument --n: not a decimal integer: '\u0663'"),
+    (["verify", "cf-theorems", "--trials", "1_0"],
+     "argument --trials: not a decimal integer: '1_0'"),
+    (["verify", "parity", "--seed", "1_7"], "argument --seed: not a decimal integer: '1_7'"),
+    (["verify", "grg-families", "--max", "+5"], "argument --max: not a decimal integer: '+5'"),
+    (["verify", "parity", "--sample", "\uff13"],
+     "argument --sample: not a decimal integer: '\uff13'"),
+    (["verify", "parity", "--jobs", "2.0"], "argument --jobs: not a decimal integer: '2.0'"),
+    (["map", "--delete", "1_0", "n=12;{1}"], "argument --delete: not a decimal integer: '1_0'"),
+    (["map", "--duplicate", "+1", "{1}"], "argument --duplicate: not a decimal integer: '+1'"),
+    # a minus sign reads, and the value meets its own range check
+    (["family", "cc:-3"], "chain family needs m >= 1, got -3"),
+    (["map", "--permute", "2,-1", "{1};{2}"],
+     "permutation must be a bijection on 1..2, got (2, -1)"),
+    (["map", "--delete", "-1", "{1}"], "delete index -1 out of range 1..1"),
     (["realize", "{"], "bad cover JSON: Expecting property name"),
     (["realize"], "no input cover: pass cover JSON or --family"),
     (["cf", "{65}"], "neuron index 65 exceeds the cap of 64"),
@@ -436,6 +456,11 @@ def test_rejects_bad_input(capsys, argv, needle):
     status, out, err = run(capsys, *argv)
     assert (status, out) == (2, "")
     assert needle in err
+
+
+def test_int_flag_reads_surrounding_whitespace(capsys):
+    spaced = run(capsys, "verify", "parity", "--n", " 3 ")
+    assert spaced == run(capsys, "verify", "parity", "--n", "3")
 
 
 class TestMap:

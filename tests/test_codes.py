@@ -86,7 +86,7 @@ class TestCode:
 
     def test_display_order(self):
         c = code(3, (1, 2), (), (3,), (1,))
-        assert c.to_text() == "{};{1};{3};{1,2}"
+        assert c.to_text() == str(c) == "{};{1};{3};{1,2}"
         assert c.to_json_obj() == {"n": 3, "words": [[], [1], [3], [1, 2]]}
 
     def test_json_roundtrip(self):

@@ -7,8 +7,9 @@ from itertools import product as iproduct
 
 import pytest
 
-from code_orbits import small_codes
+from code_orbits import orbits, small_codes
 from neurocode import graphs
+from neurocode._space import code_from_index
 from neurocode.codes import (
     Code,
     ElementaryMap,
@@ -460,6 +461,28 @@ class TestShattering:
                                        if 1 << (i - 1) in shattered)
             assert g.edges == {frozenset(indices_of(s)) for s in shattered
                                if s.bit_count() == 2}
+
+    def test_pajor_and_sauer_shelah_on_every_small_code(self):
+        # The faces of the GR complex are the shattered sets and its largest
+        # facet size is the VC dimension d. Pajor: a code shatters at least
+        # as many sets as it has words; Sauer-Shelah: it has at most
+        # sum_{i <= d} C(n, i) words. n = 4 goes by orbit, weighted by size.
+        weighted = [(code_from_index(n, idx), 1)
+                    for n in (1, 2, 3) for idx in range(1, 1 << (1 << n))]
+        weighted += [(code_from_index(4, idx), size) for idx, size in orbits(4)]
+        extremal, vc_at_4 = [0] * 5, {}
+        for c, weight in weighted:
+            facets = gr_complex(canonical_form(c)).facets
+            faces = sum(any(s & f == s for f in facets) for s in range(1 << c.n))
+            vc = max(f.bit_count() for f in facets)
+            assert faces >= len(c), c.to_text()
+            assert len(c) <= sum(math.comb(c.n, i) for i in range(vc + 1)), c.to_text()
+            if faces == len(c):
+                extremal[c.n] += weight
+            if c.n == 4:
+                vc_at_4[vc] = vc_at_4.get(vc, 0) + weight
+        assert extremal[1:] == [3, 13, 127, 5529]
+        assert vc_at_4 == {0: 16, 1: 1928, 2: 47596, 3: 15994, 4: 1}
 
 
 class TestGrComplexVisits:

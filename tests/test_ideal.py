@@ -1,5 +1,6 @@
 """Neural ideal: pseudo-monomial arithmetic, canonical forms, transforms."""
 
+import itertools
 import random
 import re
 
@@ -91,6 +92,8 @@ class TestPseudoMonomial:
         assert pm(3, (2,), (1, 3)).to_text() == "(1-x1)*x2*(1-x3)"
         assert pm(3, (1, 3)).to_text() == "x1*x3"
         assert PseudoMonomial(0, 0).to_text() == "1"
+        for f in (pm(3, (2,), (1, 3)), PseudoMonomial(0, 0)):
+            assert str(f) == f.to_text()
 
 
 class TestRho:
@@ -358,6 +361,14 @@ class TestCanonicalFormContainer:
         # adding a neuron to a 64-neuron form leaves the neuron range
         with pytest.raises(ValueError, match="neuron count must be in 1..64, got 65"):
             predict_cf(canonical_form(Code(64, [0, 1])), ElementaryMap.add_trivial_on())
+
+    def test_names_the_first_invalid_pair(self):
+        messages = {(0, 0): "the constant 1 cannot appear in a canonical form",
+                    (0b011, 0b010): "a variable cannot appear both plain and complemented",
+                    (0b1000, 0): "masks 0x8/0x0 outside neurons 1..3"}
+        for first, second in itertools.permutations(messages, 2):
+            with pytest.raises(ValueError, match=re.escape(messages[first])):
+                CanonicalForm(3, [(0b001, 0), first, second, (0b010, 0)])
 
     def test_rejects_constant(self):
         with pytest.raises(ValueError):

@@ -113,6 +113,14 @@ def _ascii_int(text: str) -> int:
     return int(text)
 
 
+def _load_json(text: str, what: str):
+    """json.loads(text), raising CodeParseError if it is bad or nested too deep."""
+    try:
+        return json.loads(text)
+    except (json.JSONDecodeError, RecursionError) as exc:
+        raise CodeParseError(f"bad {what} JSON: {exc}") from exc
+
+
 def _family(spec: str, cc, cr):
     """Parse `cc:<m>` or `cr:<k>` and build it with `cc` or `cr`."""
     kind, _, num = spec.partition(":")
@@ -221,10 +229,7 @@ def _cmd_graph(args):
         g = CodeGraph(tuple(map(word_label, g.vertices)), g.nbrs)
     else:
         if args.cf is not None:
-            try:
-                cf = CanonicalForm.from_json_obj(json.loads(args.cf))
-            except json.JSONDecodeError as exc:
-                raise CodeParseError(f"bad --cf JSON: {exc}") from exc
+            cf = CanonicalForm.from_json_obj(_load_json(args.cf, "--cf"))
             digest = itemgetter("cf")
         else:
             code = _resolve_code(args)
@@ -302,10 +307,7 @@ def _cmd_realize(args):
     if args.family:
         cover = _family(args.family, cc_m_intervals, cr_k_polygon)
     elif args.cover:
-        try:
-            cover = cover_from_json_obj(json.loads(args.cover))
-        except json.JSONDecodeError as exc:
-            raise CodeParseError(f"bad cover JSON: {exc}") from exc
+        cover = cover_from_json_obj(_load_json(args.cover, "cover"))
     else:
         raise CodeParseError("no input cover: pass cover JSON or --family")
     if isinstance(cover, IntervalCover):

@@ -11,9 +11,8 @@ that differ in one neuron entering together, and each step intersects the
 form with the ideal of one cube, which its linear generators span. It works
 on literal masks (plus above minus in one int), is bounded by CF_MAX_WORK,
 and its divisor index holds only the kept elements that disagree with the
-cube at a single fixed neuron. The cubes go in ascending order of their
-low vertices, in which a prefix of the code stays inside a subcube for
-longer, so its form stays small. The one independent check is the
+cube at a single fixed neuron. It starts from the empty code's ideal
+J(empty) = (1), the constant. The one independent check is the
 definition-based oracle, which shares no code with it: it decides all 3^n
 pseudo-monomials, a bitset of minus masks per plus mask over the subset
 lattice, in O(n 2^n) big-int operations. The oracle also serves
@@ -223,12 +222,14 @@ def canonical_form(code: Code) -> CanonicalForm:
     The code is covered by disjoint subcubes (see `_subcube_cover`). A cube
     Q with low vertex q and fixed mask F is the set of words that agree with
     q on F; its ideal is spanned by the linear generators x_b - q_b, b in F,
-    and J(C u Q) = J(C) n J(Q). The fold starts from the first cube's
-    generators. At each next cube, the elements f that vanish on Q, those
-    that disagree with q at a neuron of F, are kept; each other g is replaced
-    by g*(x_b - q_b) for every b in F outside its support, unless a kept
-    element divides that product. Three facts make the update cheap and keep
-    the form an antichain with no minimization pass:
+    and J(C u Q) = J(C) n J(Q). The fold starts from J(empty) = (1), the
+    element 0. At each cube the elements f that vanish on Q, those that
+    disagree with q at a neuron of F, are kept; each other g is replaced by
+    g*(x_b - q_b) for every b in F outside its support, unless a kept element
+    divides that product. The constant vanishes nowhere, so the first cube
+    replaces it by its linear generators, none if F is empty (the code is all
+    of {0,1}^n). Three facts make the update cheap and keep the form an
+    antichain with no minimization pass:
 
     - A kept divisor of g*(x_b - q_b) cannot divide g, so it holds x_b - q_b.
     - No new product divides another: every g agrees with q on F, every
@@ -250,19 +251,15 @@ def canonical_form(code: Code) -> CanonicalForm:
     x_b - q_b is the one at b. Kept elements are indexed only when they hold
     exactly one, by that literal and as their other literals.
 
-    The cubes are taken in ascending order of their low vertices, which for
-    single codewords is ascending mask order: a prefix of the code then stays
-    inside a subcube for longer, so the form keeps its linear generators and
-    stays small. Codewords that differ in one neuron enter together, which
-    shortens the fold: cr:28's 56 codewords are 29 cubes.
+    The cubes are taken in ascending order of their low vertices: a prefix of
+    the code then stays inside a subcube for longer, so the form keeps its
+    linear generators and stays small. Codewords that differ in one neuron
+    enter together, shortening the fold: cr:28's 56 codewords are 29 cubes.
     Raises ValueError before an update would take the work past CF_MAX_WORK.
     """
     n = code.n
-    (first, fixed), *rest = _subcube_cover(n, code.masks)
-    form = [bit if first & bit else bit << n
-            for bit in (1 << j for j in range(n)) if bit & fixed]
-    work = 0
-    for q, fixed in rest:
+    form, work = [0], 0
+    for q, fixed in _subcube_cover(n, code.masks):
         against = (fixed & ~q) << n | (fixed & q)
         kept = []
         grow = []

@@ -458,6 +458,25 @@ def test_rejects_bad_input(capsys, argv, needle):
     assert needle in err
 
 
+# A JSON document nested deeper than the decoder's recursion limit is bad
+# input like any other: exit 2 with a message, not 1 with a traceback. The
+# limit is near depth 1000 up to Python 3.12 and near 20000 on 3.13; 50000
+# levels are 100 KB, under Linux's 128 KB limit on one argument.
+DEEP_JSON = "[" * 50000 + "]" * 50000
+
+
+@pytest.mark.parametrize("argv, needle", [(["graph", "grg", "--cf"], "bad --cf JSON"),
+                                          (["realize"], "bad cover JSON")],
+                         ids=["graph", "realize"])
+def test_deeply_nested_json_exits_2(argv, needle):
+    env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).parents[1])}
+    proc = subprocess.run([sys.executable, "-m", "neurocode.cli", *argv, DEEP_JSON], env=env,
+                          capture_output=True, text=True, timeout=60)
+    assert (proc.returncode, proc.stdout) == (2, "")
+    assert needle in proc.stderr
+    assert "Traceback" not in proc.stderr
+
+
 def test_int_flag_reads_surrounding_whitespace(capsys):
     spaced = run(capsys, "verify", "parity", "--n", " 3 ")
     assert spaced == run(capsys, "verify", "parity", "--n", "3")

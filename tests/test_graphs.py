@@ -3,6 +3,7 @@ complex/graph, and the graph predicates."""
 
 import math
 import random
+from itertools import combinations
 from itertools import product as iproduct
 
 import pytest
@@ -440,6 +441,14 @@ def shattered_sets(c):
             if len({w & sigma for w in c.masks}) == 1 << sigma.bit_count()]
 
 
+def weighted_small_codes():
+    """(code, weight) for every code with n <= 3, weight 1, and for the
+    smallest code of each n = 4 orbit, weighted by the orbit's size."""
+    weighted = [(code_from_index(n, idx), 1)
+                for n in (1, 2, 3) for idx in range(1, 1 << (1 << n))]
+    return weighted + [(code_from_index(4, idx), size) for idx, size in orbits(4)]
+
+
 class TestShattering:
     """The GR complex of a code's canonical form is the complex of the sets
     the code shatters, and the GRG its shattered singletons and pairs;
@@ -466,12 +475,9 @@ class TestShattering:
         # The faces of the GR complex are the shattered sets and its largest
         # facet size is the VC dimension d. Pajor: a code shatters at least
         # as many sets as it has words; Sauer-Shelah: it has at most
-        # sum_{i <= d} C(n, i) words. n = 4 goes by orbit, weighted by size.
-        weighted = [(code_from_index(n, idx), 1)
-                    for n in (1, 2, 3) for idx in range(1, 1 << (1 << n))]
-        weighted += [(code_from_index(4, idx), size) for idx, size in orbits(4)]
+        # sum_{i <= d} C(n, i) words.
         extremal, vc_at_4 = [0] * 5, {}
-        for c, weight in weighted:
+        for c, weight in weighted_small_codes():
             facets = gr_complex(canonical_form(c)).facets
             faces = sum(any(s & f == s for f in facets) for s in range(1 << c.n))
             vc = max(f.bit_count() for f in facets)
@@ -483,6 +489,26 @@ class TestShattering:
                 vc_at_4[vc] = vc_at_4.get(vc, 0) + weight
         assert extremal[1:] == [3, 13, 127, 5529]
         assert vc_at_4 == {0: 16, 1: 1928, 2: 47596, 3: 15994, 4: 1}
+
+    def test_degree_two_form_gives_flag_gr_complex(self):
+        # Gross, Obatake & Youngs (Adv. Appl. Math. 95, 2018): when every
+        # canonical-form element has degree <= 2, the GR complex is the
+        # clique complex of the GRG, so every clique of the GRG is a face.
+        degree_two, flag = [0] * 5, [0] * 5
+        for c, weight in weighted_small_codes():
+            cf = canonical_form(c)
+            facets = gr_complex(cf).facets
+            g = grg(cf)
+            cliques = [s for s in range(1 << c.n)
+                       if set(indices_of(s)) <= set(g.vertices)
+                       and all(frozenset(e) in g.edges for e in combinations(indices_of(s), 2))]
+            is_flag = all(any(s & f == s for f in facets) for s in cliques)
+            if all(el.degree <= 2 for el in cf):
+                assert is_flag, c.to_text()
+                degree_two[c.n] += weight
+            flag[c.n] += weight * is_flag
+        assert degree_two[1:] == [3, 15, 165, 4169]
+        assert flag[1:] == [3, 15, 221, 13241]
 
 
 class TestGrComplexVisits:

@@ -21,6 +21,7 @@ from .codes import (
     Code,
     CodeParseError,
     ElementaryMap,
+    _clip,
     apply_elementary_map,
     cc_family,
     cr_family,
@@ -109,7 +110,7 @@ def _ascii_int(text: str) -> int:
     digits = text.strip()
     digits = digits[1:] if digits[:1] == "-" else digits
     if not (digits.isascii() and digits.isdigit()):
-        raise _NotAnInt(f"not a decimal integer: {text!r}")
+        raise _NotAnInt(f"not a decimal integer: {_clip(text)}")
     return int(text)
 
 
@@ -126,11 +127,11 @@ def _family(spec: str, cc, cr):
     kind, _, num = spec.partition(":")
     build = {"cc": cc, "cr": cr}.get(kind)
     if build is None:
-        raise CodeParseError(f"unknown family {kind!r}; expected cc:<m> or cr:<k>")
+        raise CodeParseError(f"unknown family {_clip(kind)}; expected cc:<m> or cr:<k>")
     try:
         value = _ascii_int(num)
     except ValueError:
-        raise CodeParseError(f"bad family {spec!r}; expected cc:<m> or cr:<k>") from None
+        raise CodeParseError(f"bad family {_clip(spec)}; expected cc:<m> or cr:<k>") from None
     return build(value)
 
 
@@ -256,7 +257,7 @@ def _spec_from_args(args) -> ElementaryMap:
         try:
             perm = [_ascii_int(x) for x in args.permute.split(",")]
         except ValueError:
-            raise CodeParseError(f"bad permutation {args.permute!r}") from None
+            raise CodeParseError(f"bad permutation {_clip(args.permute)}") from None
         return ElementaryMap.permutation(perm)
     if args.add_on:
         return ElementaryMap.add_trivial_on()
@@ -350,7 +351,7 @@ _VERIFY_FLAGS = {
 def _cmd_verify(args):
     suite = SUITES.get(args.suite)
     if suite is None:
-        raise CodeParseError(f"unknown suite {args.suite!r}; choose from "
+        raise CodeParseError(f"unknown suite {_clip(args.suite)}; choose from "
                              + ", ".join(sorted(SUITES)))
     # inspect takes several ms to import, and only this command needs it;
     # its signature follows the __wrapped__ of a functools.wraps wrapper

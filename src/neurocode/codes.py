@@ -47,11 +47,18 @@ def _sorted_masks(n: int, masks: Iterable[int]) -> tuple[int, ...]:
     return tuple(ordered)
 
 
+def _clip(value) -> str:
+    """repr(value) for an error message, cut after 80 characters, so that a
+    message stays short whatever the size of the input it echoes."""
+    text = repr(value)
+    return text if len(text) <= 80 else text[:80] + "..."
+
+
 def _json_neuron_count(obj: dict, what: str) -> int:
     n = obj.get("n")
     if type(n) is not int or not 1 <= n <= MAX_NEURONS:
         raise CodeParseError(f"bad {what} JSON: n must be an integer in "
-                             f"1..{MAX_NEURONS}, got {n!r}")
+                             f"1..{MAX_NEURONS}, got {_clip(n)}")
     return n
 
 
@@ -193,7 +200,7 @@ class Code(_Value):
         n = _json_neuron_count(obj, "code")
         bad = next((w for w in obj["words"] if not _is_index_list(w)), None)
         if bad is not None:
-            raise CodeParseError(f"bad code JSON: word {bad!r} is not a list of integers")
+            raise CodeParseError(f"bad code JSON: word {_clip(bad)} is not a list of integers")
         try:
             return cls.from_indices(n, obj["words"])
         except ValueError as exc:
@@ -218,12 +225,12 @@ def _parse_word_token(tok: str) -> tuple[int, ...]:
         try:
             ix = tuple(int(p.strip()) for p in inner.split(","))
         except ValueError as exc:
-            raise CodeParseError(f"bad codeword token {tok!r}") from exc
+            raise CodeParseError(f"bad codeword token {_clip(tok)}") from exc
     elif tok.isascii() and tok.isdigit():
         # compact digit form: each character is one neuron index
         ix = tuple(int(ch) for ch in tok)
     else:
-        raise CodeParseError(f"bad codeword token {tok!r}")
+        raise CodeParseError(f"bad codeword token {_clip(tok)}")
     if 0 in ix:
         raise CodeParseError("neuron index 0 out of range (indices start at 1)")
     return ix
@@ -448,7 +455,7 @@ def delete_shift_mask(bits: int, neuron: int) -> int:
 
 def _validate_perm(perm: Sequence[int] | None, n: int) -> tuple[int, ...]:
     if perm is None or len(perm) != n or sorted(perm) != list(range(1, n + 1)):
-        raise ValueError(f"permutation must be a bijection on 1..{n}, got {perm}")
+        raise ValueError(f"permutation must be a bijection on 1..{n}, got {_clip(perm)}")
     return tuple(perm)
 
 

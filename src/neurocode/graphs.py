@@ -110,28 +110,16 @@ def diameter(g: CodeGraph) -> int | float:
 def _diameter(nbrs, everyone: int) -> int | float:
     """Diameter of the graph on the positions in the bitset `everyone`, whose
     neighbours `nbrs[i]` all lie in `everyone`; 0 when it has at most one
-    position, inf if it is disconnected.
-
-    A universal vertex, of degree m - 1 on m >= 2 positions, is adjacent to
-    every other one, so the graph is connected with diameter 1 when every
-    vertex is universal and 2 otherwise; no search runs. Else one
-    breadth-first search runs from each position: the first that misses a
-    position gives inf, and otherwise the diameter is the largest
-    eccentricity.
-    """
-    m = everyone.bit_count()
-    if m <= 1:
-        return 0
-    positions = [i for i in range(everyone.bit_length()) if everyone >> i & 1]
-    degrees = {nbrs[i].bit_count() for i in positions}
-    if m - 1 in degrees:
-        return 1 if len(degrees) == 1 else 2
+    position, inf if it is disconnected. One breadth-first search runs from
+    each position: the first that misses a position gives inf, and otherwise
+    the diameter is the largest eccentricity."""
     diam = 0
-    for i in positions:
-        layers = _layers(nbrs, i)
-        if sum(layers) != everyone:
-            return math.inf
-        diam = max(diam, len(layers) - 1)
+    for i in range(everyone.bit_length()):
+        if everyone >> i & 1:
+            layers = _layers(nbrs, i)
+            if sum(layers) != everyone:
+                return math.inf
+            diam = max(diam, len(layers) - 1)
     return diam
 
 

@@ -41,6 +41,7 @@ from .codes import (
     PERMUTATION,
     Code,
     ElementaryMap,
+    _clip,
     _is_index_list,
     _json_neuron_count,
     _neuron_count,
@@ -189,11 +190,11 @@ class CanonicalForm(_Value):
         elements = []
         for el in obj["cf"]:
             if not isinstance(el, dict):
-                raise ValueError(f"bad canonical form JSON: element {el!r} is not an object")
+                raise ValueError(f"bad canonical form JSON: element {_clip(el)} is not an object")
             pair = (el.get("plus", []), el.get("minus", []))
             for indices in pair:
                 if not _is_index_list(indices):
-                    raise ValueError(f"bad canonical form JSON: element {el!r} needs "
+                    raise ValueError(f"bad canonical form JSON: element {_clip(el)} needs "
                                      f"lists of integer neuron indices")
             elements.append(pair)
         return cls.from_indices(n, elements)

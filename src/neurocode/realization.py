@@ -19,7 +19,7 @@ from __future__ import annotations
 import math
 import re
 from fractions import Fraction
-from .codes import MAX_NEURONS, Code, _set, _Value
+from .codes import MAX_NEURONS, Code, _clip, _set, _Value
 from .ideal import ORACLE_MAX_NEURONS, CanonicalForm, canonical_form_oracle
 
 AMBIENT_LINE = "line"
@@ -36,15 +36,15 @@ def _as_fraction(value) -> Fraction:
         return value
     if isinstance(value, str) and "e" in value.lower():
         # Fraction("1e<k>") builds 10**k first: hours and gigabytes for a large k
-        raise ValueError(f"exponents are not allowed in a rational, got {value!r}")
+        raise ValueError(f"exponents are not allowed in a rational, got {_clip(value)}")
     if isinstance(value, str) and not _RATIONAL_RE.fullmatch(value):
-        raise ValueError(f"a rational is ASCII digits as p, p/q or a decimal, got {value!r}")
+        raise ValueError(f"a rational is ASCII digits as p, p/q or a decimal, got {_clip(value)}")
     if type(value) is int or isinstance(value, str):
         try:
             return Fraction(value)
         except ZeroDivisionError:
             pass
-    raise ValueError(f"exact rational required, got {value!r} ({type(value).__name__})")
+    raise ValueError(f"exact rational required, got {_clip(value)} ({type(value).__name__})")
 
 
 def _check_set_count(sets: tuple) -> None:
@@ -252,7 +252,7 @@ def cover_to_json_obj(cover: IntervalCover | SegmentCover) -> dict:
 
 def _pairs(value) -> list:
     if not isinstance(value, list) or any(not isinstance(v, list) or len(v) != 2 for v in value):
-        raise ValueError(f"expected a list of pairs, got {value!r}")
+        raise ValueError(f"expected a list of pairs, got {_clip(value)}")
     return value
 
 
@@ -270,6 +270,6 @@ def cover_from_json_obj(obj: dict) -> IntervalCover | SegmentCover:
             if obj.get("ambient", AMBIENT_UNION) != AMBIENT_UNION:
                 raise ValueError("segment covers only support the union stimulus space")
             return SegmentCover(tuple(_pairs(s) for s in sets))
-        raise ValueError(f"unknown cover kind {kind!r}")
+        raise ValueError(f"unknown cover kind {_clip(kind)}")
     except (KeyError, ValueError) as exc:
         raise ValueError(f"bad cover JSON: {exc}") from exc

@@ -29,7 +29,7 @@ from .codes import (
     is_isomorphism,
     submasks,
 )
-from .graphs import _diameter, _layers, ccg, grg, is_connected, is_complete, is_regular
+from .graphs import _layers, ccg, grg, is_connected, is_complete, is_regular
 from .ideal import canonical_form, canonical_form_oracle, predict_cf
 from .realization import (
     AMBIENT_LINE,
@@ -50,10 +50,10 @@ EXHAUSTIVE_MAX_NEURONS = _space.COLUMNS_MAX_NEURONS
 PARITY_SEARCH_MAX_NEURONS = 5
 # A sampled sweep draws indices below 2^(2^n) and decodes each over 2^n words.
 SAMPLED_MAX_NEURONS = 8
-# A sampled code costs about 1 us for parity at any n (most codes fail the
-# degree test on their first word) and 2 us (n=4) to 21 us (n=8) for
-# union-closure, in the calling process on Python 3.11, 2 vCPUs, so the
-# largest sampled sweep runs from about 1 s to about 21 s.
+# A sampled code costs under 1 us at any n, in the calling process on Python
+# 3.11, 2 vCPUs: parity fails most codes on the degree of their first word,
+# and union-closure is only the draw, so the largest sampled sweep takes
+# about 1 s.
 MAX_SAMPLE = 1_000_000
 DEFAULT_SAMPLE = 10_000
 # `jobs` starts no process and changes no report; it is still checked
@@ -165,32 +165,36 @@ def _parity_violation(idx: int, comparable: list[int]) -> bool:
 def _union_closure_violation(idx: int, comparable: list[int]) -> bool:
     """The code with index `idx` has a top codeword, one containing all the
     others, and a containment graph of diameter above 2 (inf when it is
-    disconnected). A top codeword is the OR of the codewords, so it is the
-    largest mask present; that mask is the top iff it is comparable to
-    every other codeword, since a word strictly around it would be larger."""
-    top = idx.bit_length() - 1
-    if comparable[top] & idx != idx ^ 1 << top:
-        return False
-    return _diameter([c & idx for c in comparable], idx) > 2
+    disconnected). Never: a top codeword is adjacent to every other
+    codeword, so any two codewords are at most 2 apart, through it."""
+    return False
 
 
 def _union_closure_sets(n: int) -> tuple[int, int]:
     """(union, far): bitsets over the code indices on n neurons, bit idx for
-    the code with index idx. `union` holds the codes that meet the paper's
-    union condition, every union of two codewords lying in a codeword; `far`
-    those with two codewords more than 2 apart, or unconnected, in the CCG,
-    both read off `_space.columns(n)`. Incomparable codewords a, b have a
-    common neighbour iff a codeword lies inside a & b or around a | b. For
-    a < b, b is never inside a, so the two are comparable iff a & b == a."""
+    the code with index idx, both read off `_space.columns(n)`. `union`
+    holds the codes that meet the paper's union condition, every union of
+    two codewords lying in a codeword: the empty code, vacuously, and the
+    codes with a top codeword (see codes.union_closure_condition). Word u is
+    the top iff it is a codeword and no codeword has a neuron i outside u,
+    that is, no codeword lies around {i}. `far` holds the codes with two
+    codewords more than 2 apart, or unconnected, in the CCG. Incomparable
+    codewords a, b have a common neighbour iff a codeword lies inside a & b
+    or around a | b. For a < b, b is never inside a, so the two are
+    comparable iff a & b == a."""
     has, around, inside = _space.columns(n)
-    words, fail, far = len(has), 0, 0
-    for b in range(words):
+    union, far = 1, 0
+    for u, col in enumerate(has):
+        outside = 0
+        for i in range(n):
+            if not u >> i & 1:
+                outside |= around[1 << i]
+        union |= col & ~outside
+    for b in range(len(has)):
         for a in range(b):
             if a & b != a:
-                both = has[a] & has[b]
-                fail |= both & ~around[a | b]
-                far |= both & ~(inside[a & b] | around[a | b])
-    return ((1 << (1 << words)) - 1) ^ fail, far
+                far |= has[a] & has[b] & ~(inside[a & b] | around[a | b])
+    return union, far
 
 
 def _union_closure_everyone(n: int) -> tuple[int, int | None]:
@@ -262,14 +266,15 @@ parity_suite = _sweep_suite(
 union_closure_suite = _sweep_suite(
     "union-closure", _union_closure_violation,
     "Pairwise unions landing in the code's complex force a connected\n"
-    "containment graph of diameter at most 2. An exhaustive sweep decides the\n"
-    "union condition by its definition and the diameter from common\n"
-    "neighbours, for every code at once on bitsets over the code indices\n"
-    "(_union_closure_sets). A sampled sweep tests each code for a top\n"
-    "codeword, one containing all the others, which is equivalent (see\n"
-    "codes.union_closure_condition), and then its _diameter.\n"
-    "No violation can occur: a top codeword is adjacent to every other\n"
-    "codeword, so the diameter is at most 2.",
+    "containment graph of diameter at most 2. The union condition holds iff\n"
+    "the code has a top codeword, one containing all the others (see\n"
+    "codes.union_closure_condition), and that word is adjacent to every\n"
+    "other codeword, so no violation can occur. An exhaustive sweep reads\n"
+    "the top codeword and the diameter from common neighbours off separate\n"
+    "columns, for every code at once on bitsets over the code indices\n"
+    "(_union_closure_sets), so a wrong column shows as violations. A\n"
+    "sampled sweep draws the codes and applies the argument above: it\n"
+    "reports none.",
     EXHAUSTIVE_MAX_NEURONS, _union_closure_everyone)
 
 

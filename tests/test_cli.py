@@ -458,6 +458,43 @@ def test_rejects_bad_input(capsys, argv, needle):
     assert needle in err
 
 
+# Each command line has one bad input of about 60-120 KB; the message echoes
+# the start of it, so stderr stays under 1 KB whatever the input's size.
+LONG_INPUT = [
+    (["realize", json.dumps({"kind": "intervals", "sets": [[0] * 20000]})],
+     "bad cover JSON: expected a list of pairs, got [[0, 0, "),
+    (["realize", json.dumps({"kind": "intervals", "sets": [["0", "x" * 100000]]})],
+     "a rational is ASCII digits as p, p/q or a decimal, got 'xxx"),
+    (["realize", json.dumps({"kind": "k" * 100000, "sets": []})], "unknown cover kind 'kkk"),
+    (["graph", "grg", "--cf", json.dumps({"n": 3, "cf": [{"plus": [1] * 20000 + [None]}]})],
+     "bad canonical form JSON: element {'plus': [1, 1, "),
+    (["graph", "grg", "--cf", json.dumps({"n": 3, "cf": [[[[]]] * 20000]})],
+     "bad canonical form JSON: element [[[]], [[]], "),
+    (["graph", "grg", "--cf", '{"n": 3, "cf": [' + "[" * 900 + "]" * 900 + "]}"],
+     "bad canonical form JSON: element [[[["),
+    (["graph", "grg", "--cf", json.dumps({"n": [0] * 30000, "cf": []})],
+     "n must be an integer in 1..64, got [0, 0, "),
+    (["cf", "{" + "1," * 50000 + "x}"], "bad codeword token '{1,1,"),
+    (["cf", "x" * 100000], "bad codeword token 'xxx"),
+    (["family", "cc:" + "x" * 100000], "bad family 'cc:xxx"),
+    (["family", "x" * 100000 + ":3"], "unknown family 'xxx"),
+    (["map", "--permute", "1," * 50000 + "x", "{1}"], "bad permutation '1,1,"),
+    (["map", "--permute", "1," * 40000 + "1", "{1}"],
+     "permutation must be a bijection on 1..1, got (1, 1, "),
+    (["verify", "parity", "--n", "x" * 100000], "argument --n: not a decimal integer: 'xxx"),
+    (["verify", "p" * 100000], "unknown suite 'ppp"),
+]
+
+
+@pytest.mark.parametrize("argv, needle", LONG_INPUT,
+                         ids=[f"{argv[0]}-{i}" for i, (argv, _) in enumerate(LONG_INPUT)])
+def test_long_bad_input_gives_a_short_message(capsys, argv, needle):
+    status, out, err = run(capsys, *argv)
+    assert (status, out) == (2, "")
+    assert needle in err
+    assert len(err.encode()) < 1024
+
+
 # A JSON document nested deeper than the decoder's recursion limit is bad
 # input like any other: exit 2 with a message, not 1 with a traceback. The
 # limit is near depth 1000 up to Python 3.12 and near 20000 on 3.13; 50000

@@ -410,6 +410,47 @@ def test_union_closure_sets_match_per_code_tests(n):
         assert (union >> idx & 1, far >> idx & 1, (union & far) >> idx & 1) == expected, idx
 
 
+def test_union_closure_sweep_fails_on_a_wrong_column(monkeypatch):
+    """A column around[{1, 2}] that forgets the codewords strictly around
+    {1, 2} hides the common neighbours of {1} and {2} above them. The codes
+    that then look far apart and have a top codeword are those with {1} and
+    {2}, without {} and {1, 2}, and with a top around {1, 2}: 2^3 = 8 at
+    n=3, with top {1, 2, 3}; 8 + 8 + 2^11 = 2064 at n=4, with top {1, 2, 3},
+    {1, 2, 4} or {1, 2, 3, 4}. The exhaustive sweep must count every one."""
+    columns = _space.columns
+
+    def wrong_columns(n):
+        has, around, inside = columns(n)
+        around[0b0011] = has[0b0011]
+        return has, around, inside
+
+    monkeypatch.setattr(_space, "columns", wrong_columns)
+    for n, bad in [(3, 8), (4, 2064)]:
+        check, = verify.union_closure_suite(n=n).checks
+        assert (check.passed, check.detail) == \
+            (False, f"{(1 << (1 << n)) - 1} codes scanned, {bad} violations"), n
+
+
+def test_parity_sweep_fails_on_a_wrong_table(monkeypatch):
+    """Without the edge between {1} and {1, 2, 3} the comparability table
+    makes 12 codes at n=4 odd connected 2-regular, the smallest (index 1958)
+    a 7-cycle through both words; a brute-force count over every code with
+    the same edge removed finds the same 12. The exhaustive sweep must
+    report them."""
+    comparable = _space.comparable
+
+    def wrong_table(n):
+        table = comparable(n)
+        table[0b0001] &= ~(1 << 0b0111)
+        table[0b0111] &= ~(1 << 0b0001)
+        return table
+
+    monkeypatch.setattr(_space, "comparable", wrong_table)
+    check, = verify.parity_suite(n=4, exhaustive=True).checks
+    assert (check.passed, check.detail) == (False, "65535 codes scanned, 12 violations")
+    assert check.counterexample["code"] == f"n=4;{brute_code(4, 1958).to_text()}"
+
+
 def no_pool(*args, **kwargs):
     raise AssertionError("a worker pool was started")
 

@@ -47,10 +47,10 @@ def _sorted_masks(n: int, masks: Iterable[int]) -> tuple[int, ...]:
     return tuple(ordered)
 
 
-def _clip(value) -> str:
-    """repr(value) for an error message, cut after 80 characters, so that a
+def _clip(value, show=repr) -> str:
+    """show(value) for an error message, cut after 80 characters, so that a
     message stays short whatever the size of the input it echoes."""
-    text = repr(value)
+    text = show(value)
     return text if len(text) <= 80 else text[:80] + "..."
 
 

@@ -322,14 +322,15 @@ def canonical_form_oracle(code: Code) -> CanonicalForm:
     pairs = []
     for p in range(full + 1):
         rest = full ^ p
-        vanishing = keep = sub[rest] & ~bad[p]
+        # each m in bad[p] misses some codeword w ⊇ p, so m ⊆ full ^ w ⊆ rest
+        vanishing = keep = sub[rest] ^ bad[p]
         for b in bits:
             if not keep:
                 break
             if b & p:
                 keep &= bad[p ^ b]
             else:
-                keep &= ~((vanishing & sub[rest ^ b]) << b)
+                keep ^= keep & (vanishing & sub[rest ^ b]) << b
         while keep:
             low = keep & -keep
             pairs.append((p, low.bit_length() - 1))

@@ -66,7 +66,7 @@ class IntervalCover(_Value):
         for a, b in intervals:
             a, b = _as_fraction(a), _as_fraction(b)
             if not a < b:
-                raise ValueError(f"interval ({a}, {b}) is empty")
+                raise ValueError(f"interval ({_clip(a, str)}, {_clip(b, str)}) is empty")
             fixed.append((a, b))
         if not fixed:
             raise ValueError("a cover needs at least one interval")
@@ -93,7 +93,7 @@ class SegmentCover(_Value):
             p = (_as_fraction(p[0]), _as_fraction(p[1]))
             q = (_as_fraction(q[0]), _as_fraction(q[1]))
             if p == q:
-                raise ValueError(f"degenerate segment at {p}")
+                raise ValueError(f"degenerate segment at {_clip(p, str)}")
             fixed.append((p, q))
         if not fixed:
             raise ValueError("a cover needs at least one segment")

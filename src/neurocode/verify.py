@@ -189,11 +189,12 @@ def _union_closure_sets(n: int) -> tuple[int, int]:
         for i in range(n):
             if not u >> i & 1:
                 outside |= around[1 << i]
-        union |= col & ~outside
+        union |= col ^ (col & outside)
     for b in range(len(has)):
         for a in range(b):
             if a & b != a:
-                far |= has[a] & has[b] & ~(inside[a & b] | around[a | b])
+                both = has[a] & has[b]
+                far |= both ^ (both & (inside[a & b] | around[a | b]))
     return union, far
 
 

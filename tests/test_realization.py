@@ -1,11 +1,13 @@
 """Exact cover realizations: interval arrangements, segment intersections,
 and the cover-to-canonical-form path."""
 
+import json
 import random
 from fractions import Fraction
 
 import pytest
 
+from neurocode import cli
 from neurocode.codes import MAX_NEURONS, Code, cc_family, cr_family
 from neurocode.ideal import canonical_form, cf_cc_formula
 from neurocode.realization import (
@@ -591,3 +593,23 @@ class TestCoverJson:
     def test_bad_kind(self):
         with pytest.raises(ValueError):
             cover_from_json_obj({"kind": "disks", "sets": []})
+
+
+# A cover with an empty interval or a degenerate segment exits 2 and echoes
+# each endpoint cut after 80 characters: a short one stays whole, and two
+# 4000-digit endpoints, within Python's 4300-digit limit on int strings, give
+# a message of about 200 bytes rather than 8 KB.
+BIG = "7" * 4000
+BAD_ENDPOINTS = [
+    ([["3/2", "1.5"]], "intervals", "interval (3/2, 3/2) is empty"),
+    ([[BIG, BIG]], "intervals", f"interval ({BIG[:80]}..., {BIG[:80]}...) is empty"),
+    ([[[BIG, BIG], [BIG, BIG]]], "segments", f"degenerate segment at (Fraction({BIG[:70]}..."),
+]
+
+
+@pytest.mark.parametrize("sets, kind, message", BAD_ENDPOINTS, ids=["short", "interval", "segment"])
+def test_bad_endpoints_give_a_short_message(capsys, sets, kind, message):
+    status = cli.main(["realize", json.dumps({"kind": kind, "sets": sets})])
+    out, err = capsys.readouterr()
+    assert (status, out, err) == (2, "", f"error: bad cover JSON: {message}\n")
+    assert len(err.encode()) < 1024

@@ -87,13 +87,13 @@ def columns(n: int) -> tuple[list[int], list[int], list[int]]:
     whose complex u is a face (with a codeword inside u)."""
     if not 1 <= n <= COLUMNS_MAX_NEURONS:
         raise ValueError(f"n must be in 1..{COLUMNS_MAX_NEURONS}, got {n}")
-    words, span = 1 << n, 1 << (1 << n)
-    has = []
-    for w in range(words):  # runs of 2^w zeros and 2^w ones, alternating
-        period, col = 2 << w, (1 << (2 << w)) - (1 << (1 << w))
-        while period < span:
-            col, period = col | col << period, period << 1
-        has.append(col)
+    words = 1 << n
+    half = 1 << (words - 1)
+    has = [((1 << half) - 1) << half]  # the top word: the upper half of the indices
+    for w in range(words - 2, -1, -1):
+        # adding 2^w to idx carries into bit w + 1 exactly when bit w is set,
+        # so bit idx of has[w + 1] >> 2^w is bit w + 1 of idx xor bit w
+        has.insert(0, has[0] ^ has[0] >> (1 << w))
     around, inside = has[:], has[:]
     for i in range(n):
         for u in range(words):

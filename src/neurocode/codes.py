@@ -270,16 +270,6 @@ def parse_code(text: str) -> Code:
     return Code.from_indices(n, word_indices)
 
 
-def _maximal_masks(masks: Iterable[int]) -> list[int]:
-    """Inclusion-maximal masks, sorted descending by popcount then value."""
-    ordered = sorted(set(masks), key=lambda m: (m.bit_count(), m), reverse=True)
-    kept: list[int] = []
-    for m in ordered:
-        if not any(m & k == m for k in kept):
-            kept.append(m)
-    return kept
-
-
 class SimplicialComplex(_Value):
     """A downward-closed face set on neurons 1..n, held as its facets: an
     antichain of masks sorted by (size, mask)."""
@@ -293,16 +283,35 @@ class SimplicialComplex(_Value):
             for g in facets[i + 1:]:
                 if g & f == f:
                     raise ValueError(f"facet {word_label(f)} is contained in facet {word_label(g)}")
+        self._fill(n, facets)
+
+    def _fill(self, n: int, facets: Iterable[int]) -> None:
+        """Set n and the facets, sorted by (size, mask), from an antichain
+        of masks on 1..n."""
         _set(self, "n", n)
-        _set(self, "facets", facets)
+        _set(self, "facets", tuple(sorted(sorted(facets), key=int.bit_count)))
 
     def __contains__(self, face: int) -> bool:
         return any(face & f == face for f in self.facets)
 
 
+def _complex_of(n: int, faces: Iterable[int]) -> SimplicialComplex:
+    """The complex generated by `faces`, masks on 1..n. A face lies only
+    inside larger ones, so taking them largest first and keeping each that
+    no kept face contains leaves the maximal faces: an antichain, which
+    needs no constructor check."""
+    kept: list[int] = []
+    for m in sorted(set(faces), key=int.bit_count, reverse=True):
+        if not any(m & k == m for k in kept):
+            kept.append(m)
+    sc = object.__new__(SimplicialComplex)
+    sc._fill(n, kept)
+    return sc
+
+
 def simplicial_complex(code: Code) -> SimplicialComplex:
     """The complex of all subsets of codewords, by its maximal codewords."""
-    return SimplicialComplex(code.n, _maximal_masks(code.masks))
+    return _complex_of(code.n, code.masks)
 
 
 def trunk(code: Code, sigma: int) -> frozenset[int]:

@@ -5,7 +5,7 @@ from __future__ import annotations
 
 import math
 
-from .codes import Code, SimplicialComplex, _maximal_masks, _set, _Value, indices_of
+from .codes import Code, SimplicialComplex, _complex_of, _set, _Value, indices_of
 from .ideal import CanonicalForm
 
 
@@ -125,7 +125,8 @@ def _diameter(nbrs, everyone: int) -> int | float:
 
 # cr:64 and cc:65, the largest built-in inputs, visit 3970 and 2080 masks.
 # n/2 disjoint supports x_{2i-1}x_{2i} visit 2^(n/2+1) - 1, and the facet
-# pass is quadratic in them: 2.6 s at n=24 (Python 3.11); n=64 never ends.
+# pass is quadratic in them: 0.43 s at n=24 (2 vCPUs, Python 3.11.7);
+# n=64 never ends.
 GR_COMPLEX_MAX_VISITS = 5000
 
 
@@ -140,31 +141,39 @@ def gr_complex(cf: CanonicalForm) -> SimplicialComplex:
     tried in ascending int order, and a proper subset has a smaller int, so
     the first violated support is a minimal one: the one the minimal
     supports alone would give, with no minimization pass.
+
+    A child's scan starts after its parent's violated support i. The
+    supports before i do not lie inside the parent, so they do not lie
+    inside the child, a subset of it; and the child has lost a bit of
+    support i. So the child's first violated support is the one a scan
+    from the start would find, and the same children are pushed in the
+    same order, whichever path reaches a mask first.
     """
     n = cf.n
     supports = sorted({p | m for p, m in cf.elements})
-    full = (1 << n) - 1
     visited: set[int] = set()
     independent: list[int] = []
-    stack = [full]
+    stack = [((1 << n) - 1, 0)]
     while stack:
-        mask = stack.pop()
+        mask, start = stack.pop()
         if mask in visited:
             continue
         visited.add(mask)
         if len(visited) > GR_COMPLEX_MAX_VISITS:
             raise ValueError(f"general relationship complex too large: its facet search "
                              f"passed {GR_COMPLEX_MAX_VISITS} neuron sets")
-        violated = next((s for s in supports if s & mask == s), None)
-        if violated is None:
+        for i in range(start, len(supports)):
+            bits = supports[i]
+            if bits & mask == bits:
+                break
+        else:
             independent.append(mask)
             continue
-        bits = violated
         while bits:
             low = bits & -bits
-            stack.append(mask & ~low)
+            stack.append((mask ^ low, i + 1))
             bits ^= low
-    return SimplicialComplex(n, _maximal_masks(independent))
+    return _complex_of(n, independent)
 
 
 def grg(cf: CanonicalForm) -> CodeGraph:

@@ -219,6 +219,17 @@ class TestSimplicialComplex:
         assert {indices_of(f) for f in sc.facets} == {(1, 2, 3, 5), (1, 2, 4, 5)}
         assert word(5, 1, 2, 3, 4, 5) not in sc
 
+    def test_facets_are_the_maximal_codewords(self):
+        # by value, so the facets' order and n are checked too
+        codes = small_codes()
+        rng = random.Random(59)
+        for _ in range(500):
+            n = rng.randint(5, 8)
+            codes.append(Code.from_masks(n, rng.sample(range(1 << n), rng.randint(1, 32))))
+        for c in codes:
+            maximal = [w for w in c.masks if not any(v != w and v & w == w for v in c.masks)]
+            assert simplicial_complex(c) == SimplicialComplex(c.n, maximal), c.to_text()
+
     def test_facet_antichain_enforced(self):
         with pytest.raises(ValueError):
             SimplicialComplex(2, (0b01, 0b11))

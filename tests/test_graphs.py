@@ -14,6 +14,7 @@ from neurocode._space import code_from_index
 from neurocode.codes import (
     Code,
     ElementaryMap,
+    SimplicialComplex,
     cc_family,
     cr_family,
     indices_of,
@@ -457,7 +458,7 @@ class TestShattering:
             shattered = shattered_sets(c)
             maximal = {s for s in shattered if not any(t != s and t & s == s for t in shattered)}
             cf = canonical_form(c)
-            assert set(gr_complex(cf).facets) == maximal
+            assert gr_complex(cf) == SimplicialComplex(c.n, maximal)
             g = grg(cf)
             assert g.vertices == tuple(i for i in range(1, c.n + 1)
                                        if 1 << (i - 1) in shattered)
@@ -502,6 +503,22 @@ class TestShattering:
             flag[c.n] += weight * is_flag
         assert degree_two[1:] == [3, 15, 165, 4169]
         assert flag[1:] == [3, 15, 221, 13241]
+
+
+class TestFamilyComplexes:
+    """The families' GR complexes against their closed forms: cr:k, on k
+    neurons, shatters exactly the cyclically consecutive pairs, and cc:m,
+    on m - 1 neurons, exactly the singletons."""
+
+    def test_cr_family_complex_is_the_cycle(self):
+        for k in range(3, 65):
+            cycle = SimplicialComplex(k, [1 << i | 1 << (i + 1) % k for i in range(k)])
+            assert gr_complex(canonical_form(cr_family(k))) == cycle, k
+
+    def test_cc_family_complex_is_the_singletons(self):
+        for m in range(3, 66):
+            singletons = SimplicialComplex(m - 1, [1 << i for i in range(m - 1)])
+            assert gr_complex(canonical_form(cc_family(m))) == singletons, m
 
 
 class TestGrComplexVisits:
